@@ -2,7 +2,8 @@
 operations, loop them, take coproducts, and run the verification suites.
 
 Identical invocations (including --seed) produce byte-identical output; the
-exit code is nonzero exactly when a suite fails or an operand errors.
+exit code is nonzero exactly when a suite fails or a command errors, and an
+error writes one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ def cmd_upoly(args) -> int:
     idx = args.indices
     need = 2 if kind == "pij" else 1
     if len(idx) != need:
-        print(f"upoly {kind} expects {need} index argument(s)", file=sys.stderr)
-        return 1
+        raise ParseError(f"upoly {kind} expects {need} index argument(s)")
     if kind == "pk":
         poly = universal_pk(idx[0])
     elif kind == "pij":
@@ -69,8 +69,7 @@ def cmd_compose(args) -> int:
     rhs = parse_operand(rhs_text, args.trunc, args.window)
     if lhs.kind == "odd" or rhs.kind == "odd":
         if lhs.kind != "odd" or rhs.kind != "odd":
-            print("parity mismatch: cannot compose even with odd", file=sys.stderr)
-            return 1
+            raise ParseError("parity mismatch: cannot compose even with odd")
         result = compose_odd(lhs.payload, rhs.payload)
         payload = {
             "command": "compose",
@@ -106,9 +105,7 @@ def cmd_act(args) -> int:
 
     op_val = parse_operand(args.op, args.trunc, args.window)
     if op_val.kind == "odd":
-        print("act applies even operations; odd classes act through suspension",
-              file=sys.stderr)
-        return 1
+        raise ParseError("act applies even operations; odd classes act through suspension")
     op = _operand_ctx(args).promote_even(op_val).payload
     model = get_model(args.model)
     elem_val = parse_element(args.element, args.trunc, args.window)
@@ -117,9 +114,7 @@ def cmd_act(args) -> int:
     elif elem_val.kind == "poly":
         elem = elem_val.payload
     else:
-        print(f"cannot read a model element from a {elem_val.kind} expression",
-              file=sys.stderr)
-        return 1
+        raise ParseError(f"cannot read a model element from a {elem_val.kind} expression")
     result = act(op, model, elem)
     shown = model.show(result)
     payload = {
@@ -254,6 +249,9 @@ def main(argv=None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     try:
+        for flag in ("trunc", "window"):
+            if getattr(args, flag) < 1:
+                raise ParseError(f"--{flag} must be at least 1")
         return args.fn(args)
     except (ParseError, LambdaOpsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,10 +17,6 @@ class NotAugmented(LambdaOpsError):
     """Operand must have vanishing augmentation before looping."""
 
 
-class NotNormalised(LambdaOpsError):
-    """Operand must be in indicator normal form."""
-
-
 class WindowExhausted(LambdaOpsError):
     """A required integer left the active window [-W, W]."""
 

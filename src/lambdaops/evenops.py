@@ -10,7 +10,7 @@ augmentation outside the window raises instead of silently truncating.
 
 from __future__ import annotations
 
-from .errors import NotNormalised, WindowExhausted
+from .errors import WindowExhausted
 from .intpoly import IntPoly
 from .kbu import KBUElem, colinear, compose_kbu, cozero, coadd_image, comult_image, coadd_multi
 from .models import LambdaRingModel, poly_eval_in_model
@@ -40,28 +40,17 @@ def divisor_pairs(d: int, W: int) -> list[tuple[int, int]]:
 class EvenOp:
     """Finite sum of (function, ring element) pairs at truncation N, window W."""
 
-    __slots__ = ("table", "trunc", "window", "normalised", "raw_pairs")
+    __slots__ = ("table", "trunc", "window")
 
     def __init__(self, table: dict[int, KBUElem], trunc: int, window: int):
         self.table = {d: x for d, x in table.items() if not x.is_zero}
         self.trunc = trunc
         self.window = window
-        self.normalised = True
-        self.raw_pairs = None
 
     @staticmethod
-    def from_pairs(pairs, trunc: int, window: int, normalise: bool = True) -> "EvenOp":
-        """Build from raw (FnZZ, KBUElem) summands.
-
-        With normalise=True the left factors are expanded in the indicator
-        basis over the window and grouped; otherwise the raw summands are kept
-        and the operation is unusable until normalised.
-        """
-        if not normalise:
-            op = EvenOp({}, trunc, window)
-            op.normalised = False
-            op.raw_pairs = list(pairs)
-            return op
+    def from_pairs(pairs, trunc: int, window: int) -> "EvenOp":
+        """Build from raw (FnZZ, KBUElem) summands: the left factors are
+        expanded in the indicator basis over the window and grouped."""
         table: dict[int, KBUElem] = {}
         for f, x in pairs:
             if isinstance(x, int):
@@ -73,28 +62,16 @@ class EvenOp:
                     table[d] = v * x if cur is None else cur + v * x
         return EvenOp(table, trunc, window)
 
-    def normalise(self) -> "EvenOp":
-        if self.normalised:
-            return self
-        return EvenOp.from_pairs(self.raw_pairs, self.trunc, self.window)
-
-    def _require_normal(self):
-        if not self.normalised:
-            raise NotNormalised("operation is not in indicator normal form")
-
     def _match(self, other: "EvenOp"):
         if self.trunc != other.trunc or self.window != other.window:
             raise ValueError("operations live at different (trunc, window)")
 
     def component(self, d: int) -> KBUElem:
-        self._require_normal()
         if abs(d) > self.window:
             raise WindowExhausted(f"index {d} outside window {self.window}")
         return self.table.get(d, KBUElem.from_int(0, self.trunc))
 
     def __add__(self, other):
-        self._require_normal()
-        other._require_normal()
         self._match(other)
         out = dict(self.table)
         for d, x in other.table.items():
@@ -105,11 +82,9 @@ class EvenOp:
         return self + (-1) * other
 
     def __mul__(self, other):
-        self._require_normal()
         if isinstance(other, int):
             return EvenOp({d: other * x for d, x in self.table.items()},
                           self.trunc, self.window)
-        other._require_normal()
         self._match(other)
         out = {}
         for d, x in self.table.items():
@@ -122,18 +97,15 @@ class EvenOp:
     def __eq__(self, other):
         return (
             isinstance(other, EvenOp)
-            and self.normalised
-            and other.normalised
             and (self.trunc, self.window) == (other.trunc, other.window)
             and self.table == other.table
         )
 
     @property
     def is_zero(self):
-        return self.normalised and not self.table
+        return not self.table
 
     def __str__(self):
-        self._require_normal()
         if not self.table:
             return "0"
         return " + ".join(f"chi({d})(x)({self.table[d]})" for d in sorted(self.table))
@@ -141,7 +113,6 @@ class EvenOp:
     __repr__ = __str__
 
     def to_obj(self):
-        self._require_normal()
         return {
             "trunc": self.trunc,
             "window": self.window,
@@ -170,13 +141,11 @@ def identity_op(trunc: int, window: int) -> EvenOp:
 
 def op_cozero(r: EvenOp) -> int:
     """eps+: evaluate the function leg at 0 and kill the generators."""
-    r._require_normal()
     return cozero(r.component(0))
 
 
 def op_counit(r: EvenOp) -> int:
     """eps-x: evaluate the function leg at 1 and take the constant term."""
-    r._require_normal()
     return cozero(r.component(1))
 
 
@@ -184,7 +153,6 @@ def act(r: EvenOp, model: LambdaRingModel, alpha):
     """Apply the operation to a model element:
     x_{eps(alpha)} with generators L_k replaced by lambda^k(alpha - eps(alpha)).
     """
-    r._require_normal()
     e = model.eps(alpha)
     if abs(e) > r.window:
         raise WindowExhausted(f"augmentation {e} outside window {r.window}")
@@ -253,8 +221,6 @@ class EvenOpTensor:
 
 
 def tensor_of_ops(r: EvenOp, s: EvenOp) -> EvenOpTensor:
-    r._require_normal()
-    s._require_normal()
     entries = {}
     for i, x in r.table.items():
         for j, y in s.table.items():
@@ -267,12 +233,10 @@ def tensor_of_ops(r: EvenOp, s: EvenOp) -> EvenOpTensor:
 def op_coadd(r: EvenOp) -> EvenOpTensor:
     """Co-addition: the function leg dualises addition of augmentations and
     the ring leg coadds; entry (i, j) is Delta+(x_{i+j})."""
-    r._require_normal()
     W = r.window
     entries: dict[tuple[int, int], IntPoly] = {}
     for d, x in r.table.items():
-        indices = sorted({k for (f, k) in x.poly.variables() if f == "L"})
-        two_leg = x.poly.substitute({("L", k): coadd_image(k) for k in indices})
+        two_leg = x.poly.substitute_family("L", coadd_image)
         for i in range(-W, W + 1):
             j = d - i
             if abs(j) <= W:
@@ -304,13 +268,11 @@ def op_comult(r: EvenOp) -> EvenOpTensor:
     chi_r (x) b(1)[1] gamma(s)(b(2))  (x)  chi_s (x) b(1)[2] gamma(r)(b(3)),
     where (1)(2)(3) is iterated co-addition and [1][2] co-multiplication.
     """
-    r._require_normal()
     W = r.window
     entries: dict[tuple[int, int], IntPoly] = {}
     for d, x in r.table.items():
         three = coadd_multi(x, 3)  # families T1, T2, T3
-        indices = sorted({k for (f, k) in three.variables() if f == "T1"})
-        four = three.substitute({("T1", k): comult_image(k, "U", "V") for k in indices})
+        four = three.substitute_family("T1", lambda k: comult_image(k, "U", "V"))
         for mono, c in four.terms.items():
             u_part, v_part, t2_part, t3_part = [], [], [], []
             for (f, i, e) in mono:
@@ -341,7 +303,6 @@ def compose_even_pair(r: EvenOp, g: FnZZ, y: KBUElem) -> EvenOp:
 
     extended additively over the left summands.
     """
-    r._require_normal()
     W = r.window
     c = cozero(y)
     if abs(c) > W:
@@ -369,8 +330,6 @@ def compose_even(r: EvenOp, s: EvenOp) -> EvenOp:
     c_a = eps+(y_a).  Each component agrees with the literal single-summand
     formula of compose_even_pair projected to its own indicator.
     """
-    r._require_normal()
-    s._require_normal()
     r._match(s)
     W = r.window
     zero = KBUElem.from_int(0, r.trunc)

@@ -120,6 +120,16 @@ class ExtElem:
     def max_index(self) -> int:
         return max((m[-1] for m in self.terms if m), default=0)
 
+    def substitute(self, image) -> "ExtElem":
+        """The algebra map sending each generator of index i to image(i)."""
+        total = ExtElem()
+        for mono, c in self.terms.items():
+            acc = ExtElem.unit(c)
+            for i in mono:
+                acc = acc * image(i)
+            total = total + acc
+        return total
+
     def truncate(self, max_index: int) -> "ExtElem":
         return ExtElem(
             {m: c for m, c in self.terms.items() if not m or m[-1] <= max_index}

@@ -55,12 +55,12 @@ class IntPoly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def var(family: str, index: int, exp: int = 1, coeff: int = 1) -> "IntPoly":
+    def var(family: str, index: int, exp: int = 1) -> "IntPoly":
         if exp < 0:
             raise ValueError("exponents must be nonnegative")
         if exp == 0:
-            return IntPoly.const(coeff)
-        return IntPoly({((family, index, exp),): coeff})
+            return IntPoly.one()
+        return IntPoly({((family, index, exp),): 1})
 
     @staticmethod
     def const(c: int) -> "IntPoly":
@@ -233,6 +233,15 @@ class IntPoly:
             out = out + acc
         return out
 
+    def substitute_family(self, family: str, image: Callable[[int], "IntPoly | int"]) -> "IntPoly":
+        """The ring map sending each `family` variable of index k to image(k).
+
+        `image` is called only for the indices that occur in the polynomial.
+        """
+        return self.substitute(
+            {v: image(v[1]) for v in sorted(self.variables()) if v[0] == family}
+        )
+
     def evaluate(self, assign: Mapping[tuple[str, int], int]) -> int:
         """Evaluate at an integer point; every variable must be assigned."""
         total = 0
@@ -301,3 +310,52 @@ def _coerce(x) -> IntPoly:
     if isinstance(x, int):
         return IntPoly.const(x)
     raise TypeError(f"cannot treat {type(x).__name__} as IntPoly")
+
+
+class Truncated:
+    """Base of the wrappers that pair a ring value with the level (a
+    truncation or a rank) it is truncated at.  A subclass names its value and
+    level slots in the class statement and rebuilds itself at its own level in
+    `_rebuild(value)`; arithmetic requires equal levels and reads an integer
+    as a constant."""
+
+    __slots__ = ()
+    _mismatch = ValueError  # raised when two operands carry different levels
+
+    def __init_subclass__(cls, value: str, level: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # alias the subclass's slot descriptors, so reads cost a slot lookup
+        cls._value = cls.__dict__[value]
+        cls._level = cls.__dict__[level]
+
+    def _match(self, other):
+        if isinstance(other, int):
+            return other
+        if other._level != self._level:
+            raise self._mismatch(f"levels differ: {self._level} and {other._level}")
+        return other._value
+
+    def __add__(self, other):
+        return self._rebuild(self._value + self._match(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._rebuild(self._value - self._match(other))
+
+    def __neg__(self):
+        return self._rebuild(-self._value)
+
+    def __mul__(self, other):
+        return self._rebuild(self._value * self._match(other))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self._value == other
+        return (
+            type(other) is type(self)
+            and self._level == other._level
+            and self._value == other._value
+        )

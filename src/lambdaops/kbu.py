@@ -11,7 +11,7 @@ modulo the filtration ideal otherwise.
 from __future__ import annotations
 
 from .errors import NotReduced
-from .intpoly import IntPoly
+from .intpoly import IntPoly, Truncated
 from .symfun import lambda_of_integer, universal_pij, universal_pk
 
 _SIGMA_CACHE: dict[int, IntPoly] = {}
@@ -19,7 +19,7 @@ _GAMMA_CACHE: dict[tuple[int, int], IntPoly] = {}
 _COMPOSE_CACHE: dict[tuple[int, tuple], IntPoly] = {}
 
 
-class KBUElem:
+class KBUElem(Truncated, value="poly", level="trunc"):
     """A truncated element: polynomial in L1..LN plus the level N."""
 
     __slots__ = ("poly", "trunc")
@@ -30,49 +30,15 @@ class KBUElem:
         self.poly = poly.truncate_family("L", trunc)
         self.trunc = trunc
 
+    def _rebuild(self, poly: IntPoly) -> "KBUElem":
+        return KBUElem(poly, self.trunc)
+
     @staticmethod
     def from_int(c: int, trunc: int) -> "KBUElem":
         return KBUElem(IntPoly.const(c), trunc)
 
     def retruncate(self, level: int) -> "KBUElem":
         return KBUElem(self.poly, level)
-
-    def _match(self, other) -> "KBUElem":
-        if isinstance(other, int):
-            return KBUElem.from_int(other, self.trunc)
-        if other.trunc != self.trunc:
-            raise ValueError("truncation levels differ; retruncate explicitly")
-        return other
-
-    def __add__(self, other):
-        other = self._match(other)
-        return KBUElem(self.poly + other.poly, self.trunc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._match(other)
-        return KBUElem(self.poly - other.poly, self.trunc)
-
-    def __neg__(self):
-        return KBUElem(-self.poly, self.trunc)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return KBUElem(self.poly * other, self.trunc)
-        other = self._match(other)
-        return KBUElem(self.poly * other.poly, self.trunc)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.poly == IntPoly.const(other)
-        return (
-            isinstance(other, KBUElem)
-            and self.trunc == other.trunc
-            and self.poly == other.poly
-        )
 
     def __hash__(self):
         return hash((self.trunc, self.poly.key()))
@@ -179,19 +145,14 @@ def comult_image(k: int, left: str = "T1", right: str = "T2") -> IntPoly:
     return universal_pk(k).substitute(images)
 
 
-def _apply_on_generators(x: KBUElem, image) -> IntPoly:
-    indices = sorted({i for (f, i) in x.poly.variables() if f == "L"})
-    return x.poly.substitute({("L", k): image(k) for k in indices})
-
-
 def coadd(x: KBUElem) -> TensorKBU:
     """Co-addition, a ring map with Delta+(L_k) = sum_{i+j=k} L_i (x) L_j."""
-    return TensorKBU(_apply_on_generators(x, coadd_image), x.trunc)
+    return TensorKBU(x.poly.substitute_family("L", coadd_image), x.trunc)
 
 
 def comult(x: KBUElem) -> TensorKBU:
     """Co-multiplication, a ring map with Delta-x(L_k) = P_k(L (x) 1; 1 (x) L)."""
-    return TensorKBU(_apply_on_generators(x, comult_image), x.trunc)
+    return TensorKBU(x.poly.substitute_family("L", comult_image), x.trunc)
 
 
 def _compositions(total: int, parts: int):
@@ -218,7 +179,7 @@ def coadd_multi(x: KBUElem, legs: int) -> IntPoly:
             out = out + term
         return out
 
-    poly = _apply_on_generators(x, image)
+    poly = x.poly.substitute_family("L", image)
     for leg in range(1, legs + 1):
         poly = poly.truncate_family(f"T{leg}", x.trunc)
     return poly
@@ -240,7 +201,7 @@ def sigma_gen(k: int) -> IntPoly:
 
 def antipode(x: KBUElem) -> KBUElem:
     """Co-additive inverse, extended from the generators as a ring map."""
-    return KBUElem(_apply_on_generators(x, sigma_gen), x.trunc)
+    return KBUElem(x.poly.substitute_family("L", sigma_gen), x.trunc)
 
 
 def gamma_gen(kappa: int, k: int) -> IntPoly:
@@ -256,7 +217,7 @@ def gamma_gen(kappa: int, k: int) -> IntPoly:
 
 def colinear(kappa: int, x: KBUElem) -> KBUElem:
     """Co-linear structure: precomposition with multiplication by kappa."""
-    return KBUElem(_apply_on_generators(x, lambda k: gamma_gen(kappa, k)), x.trunc)
+    return KBUElem(x.poly.substitute_family("L", lambda k: gamma_gen(kappa, k)), x.trunc)
 
 
 # -- internal composition -----------------------------------------------------
@@ -315,8 +276,7 @@ def _gen_compose(g: int, ypoly: IntPoly) -> IntPoly:
 
 def _poly_compose(xpoly: IntPoly, ypoly: IntPoly) -> IntPoly:
     """Ring-map extension in the left slot: substitute L_g -> L_g o y."""
-    indices = sorted({i for (f, i) in xpoly.variables() if f == "L"})
-    return xpoly.substitute({("L", g): _gen_compose(g, ypoly) for g in indices})
+    return xpoly.substitute_family("L", lambda g: _gen_compose(g, ypoly))
 
 
 def compose_kbu(x: KBUElem, y: KBUElem) -> KBUElem:

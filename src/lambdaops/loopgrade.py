@@ -22,7 +22,7 @@ from .evenops import (
     op_cozero,
     op_is_primitive,
 )
-from .intpoly import IntPoly
+from .intpoly import IntPoly, Truncated
 from .kbu import KBUElem, gen, psi_kbu
 from .models import SplitModel, model_psi
 from .setzz import chi, const
@@ -44,7 +44,7 @@ def loop_polynomial(k: int) -> IntPoly:
     return cached
 
 
-class OddOp:
+class OddOp(Truncated, value="ext", level="trunc"):
     """Element of the integer exterior algebra on l_1..l_N plus a unit part."""
 
     __slots__ = ("ext", "trunc")
@@ -53,38 +53,8 @@ class OddOp:
         self.ext = ext.truncate(trunc)
         self.trunc = trunc
 
-    def _match(self, other):
-        if isinstance(other, int):
-            return OddOp(ExtElem.unit(other), self.trunc)
-        if self.trunc != other.trunc:
-            raise ValueError("truncation levels differ")
-        return other
-
-    def __add__(self, other):
-        other = self._match(other)
-        return OddOp(self.ext + other.ext, self.trunc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._match(other)
-        return OddOp(self.ext - other.ext, self.trunc)
-
-    def __neg__(self):
-        return OddOp(-self.ext, self.trunc)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return OddOp(self.ext * other, self.trunc)
-        other = self._match(other)
-        return OddOp(self.ext * other.ext, self.trunc)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.ext == ExtElem.unit(other)
-        return isinstance(other, OddOp) and self.trunc == other.trunc and self.ext == other.ext
+    def _rebuild(self, ext: ExtElem) -> "OddOp":
+        return OddOp(ext, self.trunc)
 
     @property
     def is_zero(self):
@@ -256,13 +226,7 @@ def compose_odd(x: OddOp, y: OddOp) -> OddOp:
             out = out + c * _odd_gen_compose(i, j, x.trunc)
         return out
 
-    total = ExtElem()
-    for mono, c in x.ext.terms.items():
-        acc = ExtElem.unit(c)
-        for i in mono:
-            acc = acc * gen_image(i)
-        total = total + acc
-    return OddOp(total, x.trunc)
+    return OddOp(x.ext.substitute(gen_image), x.trunc)
 
 
 def suspension_value(w: OddOp, model, q):
@@ -379,11 +343,10 @@ def augmentation_view(part: str, trunc: int, window: int) -> AugmentationView:
 # -- axiom suites ----------------------------------------------------------------
 
 
-def _even_generator_corpus(trunc: int, window: int, fns=None) -> list[EvenOp]:
-    fns = fns if fns is not None else [chi(0), chi(1), chi(-1), chi(2), const(1)]
+def _even_generator_corpus(trunc: int, window: int) -> list[EvenOp]:
     out = []
     for k in range(1, trunc + 1):
-        for f in fns:
+        for f in (chi(0), chi(1), chi(-1), chi(2), const(1)):
             out.append(EvenOp.from_pairs([(f, gen(k, trunc))], trunc, window))
     return out
 
@@ -506,13 +469,10 @@ def _suspension_eval(r: EvenOp, model: SplitModel, q):
     """u-coefficient of r applied to u*q in the model extended by u^2 = 0,
     computed by honest polynomial arithmetic with lambda^k(u q) expanded as
     (-1)^(k-1) u psi^k(q)."""
-    x0 = r.component(0)
-    indices = sorted({i for (f, i) in x0.poly.variables() if f == "L"})
-    images = {}
-    for k in indices:
-        psi_val = model.psi(k, q)
-        images[("L", k)] = IntPoly.var("u", 1) * ((-1) ** (k - 1)) * psi_val
-    value = x0.poly.substitute(images)
+    u = IntPoly.var("u", 1)
+    value = r.component(0).poly.substitute_family(
+        "L", lambda k: u * ((-1) ** (k - 1)) * model.psi(k, q)
+    )
     # truncate u^2 = 0 and read off the u-linear coefficient
     out = IntPoly.zero()
     for mono, c in value.terms.items():

@@ -118,15 +118,9 @@ class OperandParser:
 
     def atom(self, name: str) -> Val:
         if name == "chi":
-            self.expect("(")
-            d = int(self.take())
-            self.expect(")")
-            return Val("fn", chi(d))
+            return Val("fn", chi(self.int_argument(name)))
         if name == "const":
-            self.expect("(")
-            c = int(self.take())
-            self.expect(")")
-            return Val("fn", const(c))
+            return Val("fn", const(self.int_argument(name)))
         if name == "id":
             return Val("fn", IDENT)
         if name == "identity":
@@ -147,6 +141,15 @@ class OperandParser:
             if m:
                 return Val("poly", IntPoly.var("x", int(m.group(1))))
         raise ParseError(f"unknown symbol {name!r}")
+
+    def int_argument(self, name: str) -> int:
+        """Read the parenthesised integer argument of `name(...)`."""
+        self.expect("(")
+        tok = self.take()
+        if tok is None or not re.fullmatch(r"-?\d+", tok):
+            raise ParseError(f"{name}( expects an integer argument, got {tok!r}")
+        self.expect(")")
+        return int(tok)
 
     # -- combination rules -------------------------------------------------
 

@@ -208,21 +208,19 @@ def fn_coadd(f: FnZZ, w: Window) -> FnTensor:
 
     Evaluating the output at (a, b) in the window square returns f(a+b).
     """
-    table = {}
-    for i in w.indices():
-        for j in w.indices():
-            v = f.ev(i + j)
-            if v:
-                table[(i, j)] = v
-    return FnTensor(table, w)
+    return _fn_coproduct(f, w, lambda i, j: i + j)
 
 
 def fn_comult(f: FnZZ, w: Window) -> FnTensor:
     """Co-multiplication at window W: sum of f(i*j) chi_i (x) chi_j."""
+    return _fn_coproduct(f, w, lambda i, j: i * j)
+
+
+def _fn_coproduct(f: FnZZ, w: Window, index_op) -> FnTensor:
     table = {}
     for i in w.indices():
         for j in w.indices():
-            v = f.ev(i * j)
+            v = f.ev(index_op(i, j))
             if v:
                 table[(i, j)] = v
     return FnTensor(table, w)
@@ -248,9 +246,6 @@ class SampleRing:
     def one(self):
         return 1
 
-    def has_zero_divisors(self) -> bool:
-        raise NotImplementedError
-
 
 class IntegerRing(SampleRing):
     name = "Z"
@@ -260,9 +255,6 @@ class IntegerRing(SampleRing):
 
     def mul(self, a, b):
         return a * b
-
-    def has_zero_divisors(self):
-        return False
 
 
 class ModRing(SampleRing):
@@ -275,11 +267,6 @@ class ModRing(SampleRing):
 
     def mul(self, a, b):
         return (a * b) % self.n
-
-    def has_zero_divisors(self):
-        # composite moduli have zero divisors
-        m = self.n
-        return any(m % p == 0 for p in range(2, m) if (m // p) * p == m)
 
 
 class COIFamily:

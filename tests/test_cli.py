@@ -14,6 +14,12 @@ def run_cli(*argv):
     )
 
 
+def assert_one_error_line(got):
+    assert got.returncode == 1
+    lines = got.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), got.stderr
+
+
 def test_upoly_pk2_golden():
     got = run_cli("--format", "json", "upoly", "pk", "2")
     assert got.returncode == 0
@@ -28,8 +34,7 @@ def test_upoly_text_forms():
 
 
 def test_upoly_bad_indices():
-    got = run_cli("upoly", "pij", "3")
-    assert got.returncode != 0
+    assert_one_error_line(run_cli("upoly", "pij", "3"))
 
 
 def test_compose_identity():
@@ -51,8 +56,7 @@ def test_compose_single_argument_with_sign():
 
 
 def test_compose_parity_mismatch():
-    got = run_cli("compose", "l2", "L2")
-    assert got.returncode == 1
+    assert_one_error_line(run_cli("compose", "l2", "L2"))
 
 
 def test_act_examples():
@@ -117,6 +121,16 @@ def test_operand_errors_exit_nonzero():
     assert run_cli("compose", "nonsense(", "l1").returncode == 1
     assert run_cli("act", "--model", "zz", "identity", "u").returncode == 1
     assert run_cli("act", "--model", "nope", "identity", "1").returncode == 1
+    for argv in (
+        ["loop", "const("],
+        ["loop", "chi(x)"],
+        ["act", "l1", "1"],
+        ["act", "identity", "chi(1)"],
+        ["coprod", "mul", "chi(0)@L1", "--window", "-3"],
+        ["coprod", "mul", "chi(0)@L1", "--window", "0"],
+        ["check", "models", "--trunc", "0"],
+    ):
+        assert_one_error_line(run_cli(*argv))
 
 
 def test_byte_identical_reruns():

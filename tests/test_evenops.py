@@ -4,7 +4,6 @@ import pytest
 
 from lambdaops.errors import (
     ModelTruncationExceeded,
-    NotNormalised,
     WindowExhausted,
 )
 from lambdaops.evenops import (
@@ -108,13 +107,6 @@ def test_act_model_truncation_guard():
     r = ev([(const(1), gen(2, N))])
     with pytest.raises(ModelTruncationExceeded):
         act(r, sphere, IntPoly.var("u", 1))
-
-
-def test_raw_mode_requires_normalisation():
-    raw = EvenOp.from_pairs([(const(1), gen(1, N))], N, W, normalise=False)
-    with pytest.raises(NotNormalised):
-        op_cozero(raw)
-    assert raw.normalise().component(0) == gen(1, N)
 
 
 def test_compose_unit_laws():

@@ -54,6 +54,22 @@ def test_substitute_is_ring_map():
     assert got == (y1 + 1) * (y1 + 1) + 10 - 3
 
 
+def test_substitute_family_matches_full_substitution():
+    rng = random.Random(5)
+    for _ in range(20):
+        p = rand_poly(rng, families=("L", "y"))
+        full = {("L", k): IntPoly.var("z", k) * k - 1 for k in range(1, 4)}
+        called = []
+
+        def image(k):
+            called.append(k)
+            return full[("L", k)]
+
+        assert p.substitute_family("L", image) == p.substitute(full)
+        # only indices that occur are asked for, each once
+        assert sorted(called) == sorted({i for (f, i) in p.variables() if f == "L"})
+
+
 def test_evaluate():
     p = IntPoly.var("x", 1, 2) * IntPoly.var("y", 1) - 4
     assert p.evaluate({("x", 1): 3, ("y", 1): -2}) == -22

@@ -32,6 +32,8 @@ def test_truncation_on_construction():
     x = KBUElem(IntPoly.var("L", 7) + IntPoly.var("L", 3), N)
     assert x == gen(3, N)
     assert gen(9, N).is_zero
+    with pytest.raises(ValueError):
+        gen(1, N) + gen(1, N + 1)
 
 
 def test_coadd_generators():

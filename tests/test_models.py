@@ -164,6 +164,10 @@ def test_bun_restrict_examples():
     assert bun_restrict(bun_beta(3, 2)) == bun_beta(2, 2) + bun_beta(2, 1)
     assert bun_restrict(bun_beta(2, 1)) == bun_beta(1, 1) + bun_beta(1, 0)
     assert lambdak_from_beta(2, 1) == bun_beta(2, 1) - 2 * bun_beta(2, 0)
+    with pytest.raises(IndexOutOfRange):
+        bun_beta(3, 1) * bun_beta(2, 1)
+    with pytest.raises(IndexOutOfRange):
+        un_mu(3, 1) - un_mu(2, 1)
 
 
 def test_bun_restriction_identity():
