@@ -17,7 +17,7 @@ from .errors import LambdaOpsError
 from .evenops import compose_even, op_coadd, op_comult
 from .kbu import coadd, comult
 from .loopgrade import compose_odd, loop_even, loop_odd
-from .models import get_model
+from .models import ProjectiveModel, SplitModel, get_model
 from .parser import ParseError, parse_element, parse_operand
 from .symfun import left_linearise, newton_psi, universal_pij, universal_pk
 
@@ -29,12 +29,21 @@ def _emit(payload: dict, fmt: str, text: str) -> None:
         print(text)
 
 
+# Largest index (i*j for pij) each upoly kind computes in seconds; cost grows
+# several-fold per step beyond it.
+UPOLY_BOUNDS = {"pk": 12, "plin": 12, "pij": 25, "psi": 40}
+
+
 def cmd_upoly(args) -> int:
     kind = args.kind
     idx = args.indices
     need = 2 if kind == "pij" else 1
     if len(idx) != need:
         raise ParseError(f"upoly {kind} expects {need} index argument(s)")
+    size = idx[0] * idx[1] if kind == "pij" else idx[0]
+    if size > UPOLY_BOUNDS[kind]:
+        measure = "i*j" if kind == "pij" else "k"
+        raise ParseError(f"upoly {kind}: {measure} = {size} exceeds the bound {UPOLY_BOUNDS[kind]}")
     if kind == "pk":
         poly = universal_pk(idx[0])
     elif kind == "pij":
@@ -113,6 +122,8 @@ def cmd_act(args) -> int:
         elem = model.from_int(elem_val.payload)
     elif elem_val.kind == "poly":
         elem = elem_val.payload
+        if not elem.variables() <= _model_variables(model):
+            raise ParseError(f"element {args.element!r} is not in model {args.model}")
     else:
         raise ParseError(f"cannot read a model element from a {elem_val.kind} expression")
     result = act(op, model, elem)
@@ -125,6 +136,15 @@ def cmd_act(args) -> int:
     }
     _emit(payload, args.format, shown)
     return 0
+
+
+def _model_variables(model) -> set[tuple[str, int]]:
+    """The variables a polynomial element of `model` may contain."""
+    if isinstance(model, ProjectiveModel):
+        return {("u", 1)}
+    if isinstance(model, SplitModel):
+        return {("x", i) for i in range(1, model.m + 1)}
+    return set()
 
 
 def cmd_loop(args) -> int:
@@ -187,8 +207,15 @@ def _print_report(report: dict) -> None:
     print(f"{report['suite']}: {'PASS' if report['pass'] else 'FAIL'}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ParseError instead of exiting 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--trunc", type=int, default=argparse.SUPPRESS,
                         help="generator truncation level N (default 5)")
     common.add_argument("--window", type=int, default=argparse.SUPPRESS,
@@ -198,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", default=argparse.SUPPRESS,
                         help="model selector (zz, sphere, cp:m, split:m, coi)")
 
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="lambdaops",
         description="Exact computations in the lambda-operation plethory",
         parents=[common],
@@ -244,11 +271,11 @@ DEFAULTS = {"trunc": 5, "window": 16, "format": "text", "seed": 0, "model": "zz"
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for key, value in DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
     try:
+        args = build_parser().parse_args(argv)
+        for key, value in DEFAULTS.items():
+            if not hasattr(args, key):
+                setattr(args, key, value)
         for flag in ("trunc", "window"):
             if getattr(args, flag) < 1:
                 raise ParseError(f"--{flag} must be at least 1")

@@ -369,10 +369,11 @@ def get_model(selector: str) -> LambdaRingModel:
         return ProjectiveModel(1, name="sphere")
     if selector == "coi":
         return COIModel()
-    if selector.startswith("cp:"):
-        return ProjectiveModel(int(selector.split(":", 1)[1]))
-    if selector.startswith("split:"):
-        return SplitModel(int(selector.split(":", 1)[1]))
+    if selector.startswith(("cp:", "split:")):
+        m = int(selector.split(":", 1)[1])
+        if m < 1:
+            raise ValueError(f"model {selector}: m must be at least 1")
+        return ProjectiveModel(m) if selector.startswith("cp:") else SplitModel(m)
     raise ValueError(f"unknown model selector: {selector}")
 
 

@@ -23,6 +23,11 @@ class ParseError(ValueError):
     pass
 
 
+# Parentheses and unary minus signs together may nest this deep; each level
+# costs the recursive-descent parser up to three stack frames.
+MAX_NESTING = 200
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z]+\d*)|(?P<op>[()+*@⊗∘-]))"
 )
@@ -63,6 +68,7 @@ class OperandParser:
         self.trunc = trunc
         self.window = window
         self.elements = elements
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -101,13 +107,17 @@ class OperandParser:
 
     def factor(self) -> Val:
         tok = self.peek()
-        if tok == "-":
+        if tok in ("-", "("):
             self.take()
-            return self.scale(-1, self.factor())
-        if tok == "(":
-            self.take()
-            v = self.expr()
-            self.expect(")")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"operand nests deeper than {MAX_NESTING} parentheses and signs")
+            if tok == "-":
+                v = self.scale(-1, self.factor())
+            else:
+                v = self.expr()
+                self.expect(")")
+            self.depth -= 1
             return v
         if tok is None:
             raise ParseError("unexpected end of input")

@@ -1,10 +1,12 @@
-"""Symmetric-function engine: elementary-basis expansion and the universal
-polynomials of lambda-ring theory, all constructed from the splitting
-principle over formal line variables.
+"""Symmetric-function engine: the universal polynomials of lambda-ring
+theory, built from power sums by Newton's identity, and elementary-basis
+expansion.  `elementary_expand` is the public splitting-principle tool for
+symmetric polynomials in formal line variables; it is not the route to P_k
+or P_{i,j}.
 
 Families used here: "x"/"y" for the two elementary alphabets of the product
 polynomials, "L" for lambda-generator symbols, "e" for the generic
-elementary target, "A" for internal line variables.
+elementary target.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import NonSymmetricInput
-from .intpoly import IntPoly, _mono_mul
+from .errors import LambdaOpsError, NonSymmetricInput
+from .intpoly import IntPoly
 
 _ESYM_CACHE: dict[tuple[str, int, int], IntPoly] = {}
 _PK_CACHE: dict[int, IntPoly] = {}
@@ -116,67 +118,64 @@ def elementary_expand(p: IntPoly, family: str = "x", m: int | None = None,
         out = out + coeff * emono
 
 
+def _elementary_from_power_sums(k: int, power) -> IntPoly:
+    """e_k of an alphabet whose n-th power sum is power(n), by Newton's
+    identity n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i.
+    """
+    elem = [IntPoly.one()]
+    powers = []
+    for n in range(1, k + 1):
+        powers.append(power(n))
+        acc = IntPoly.zero()
+        for i in range(1, n + 1):
+            step = elem[n - i] * powers[i - 1]
+            acc = acc + step if i % 2 else acc - step
+        terms = {}
+        for mono, c in acc.terms.items():
+            quot, rem = divmod(c, n)
+            if rem:
+                raise LambdaOpsError(
+                    f"Newton step {n}: coefficient {c} of {mono} is not divisible by {n}"
+                )
+            terms[mono] = quot
+        elem.append(IntPoly(terms))
+    return elem[k]
+
+
 def universal_pk(k: int) -> IntPoly:
     """P_k(x_1..x_k; y_1..y_k): the polynomial with P_k(e(a); e(b)) equal to
     the k-th elementary symmetric polynomial of the k^2 products a_r * b_s.
 
-    Built by the splitting principle.  Each row r satisfies
-    prod_s (1 + a_r b_s t) = sum_j e_j(b) a_r^j t^j, so the second alphabet
-    enters already in elementary form; convolving the k row series and
-    expanding the first alphabet yields P_k.
+    The n-th power sum of the products is p_n(a) * p_n(b).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     cached = _PK_CACHE.get(k)
-    if cached is not None:
-        return cached
-
-    series = [IntPoly.one()] + [IntPoly.zero()] * k
-    for r in range(1, k + 1):
-        nxt = [IntPoly.zero() for _ in range(k + 1)]
-        for j in range(k + 1):
-            part = series[j]
-            if part.is_zero:
-                continue
-            nxt[j] = nxt[j] + part
-            for d in range(1, k - j + 1):
-                row_mono = _mono_mul((("A", r, d),), (("y", d, 1),))
-                nxt[j + d] = nxt[j + d] + part.map_terms(
-                    lambda mono, c: (_mono_mul(mono, row_mono), c)
-                )
-        series = nxt
-
-    result = elementary_expand(series[k], family="A", m=k, target="x")
-    _PK_CACHE[k] = result
-    return result
+    if cached is None:
+        cached = _elementary_from_power_sums(
+            k, lambda n: newton_psi(n).rename_family("L", "x")
+            * newton_psi(n).rename_family("L", "y"))
+        _PK_CACHE[k] = cached
+    return cached
 
 
 def universal_pij(i: int, j: int) -> IntPoly:
     """P_{i,j}(L_1..L_{ij}): with L_m the m-th elementary symmetric polynomial
     of ij line variables, P_{i,j} equals the i-th elementary symmetric
     polynomial of the products over j-element subsets of the lines.
+
+    The n-th power sum of those products is e_j of the lines' n-th powers,
+    whose m-th power sum is p_{nm}.
     """
     if i < 1 or j < 1:
         raise ValueError("indices must be >= 1")
     key = (i, j)
     cached = _PIJ_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    n = i * j
-    series = [IntPoly.one()] + [IntPoly.zero() for _ in range(i)]
-    for subset in itertools.combinations(range(1, n + 1), j):
-        item = tuple(("A", s, 1) for s in subset)
-        for t in range(i, 0, -1):
-            if series[t - 1].is_zero:
-                continue
-            series[t] = series[t] + series[t - 1].map_terms(
-                lambda mono, c: (_mono_mul(mono, item), c)
-            )
-
-    result = elementary_expand(series[i], family="A", m=n, target="L")
-    _PIJ_CACHE[key] = result
-    return result
+    if cached is None:
+        cached = _elementary_from_power_sums(
+            i, lambda n: _elementary_from_power_sums(j, lambda m: newton_psi(n * m)))
+        _PIJ_CACHE[key] = cached
+    return cached
 
 
 def left_linearise(p: IntPoly) -> IntPoly:

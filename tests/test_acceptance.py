@@ -10,6 +10,7 @@ import random
 import time
 
 from helpers import esym, grid_products
+from lambdaops.checks import _monomial_corpus
 from lambdaops.errors import InvalidFamily
 from lambdaops.evenops import EvenOp, act, compose_even, identity_op
 from lambdaops.intpoly import IntPoly
@@ -103,23 +104,7 @@ def test_criterion_02_golden_p2_and_pl2():
 def test_criterion_03_biring_laws_level_6():
     t0 = time.time()
     N = 6
-
-    def monomials():
-        out = []
-
-        def build(max_part, remaining, parts):
-            if parts:
-                mono = IntPoly.one()
-                for p in parts:
-                    mono = mono * IntPoly.var("L", p)
-                out.append(KBUElem(mono, N))
-            for p in range(min(max_part, remaining), 0, -1):
-                build(p, remaining - p, parts + [p])
-
-        build(N, N, [])
-        return out
-
-    corpus = monomials()
+    corpus = _monomial_corpus(N)
     for x in corpus:
         idx = sorted({i for (f, i) in x.poly.variables() if f == "L"})
         for image in (coadd_image, comult_image):

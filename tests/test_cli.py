@@ -34,7 +34,13 @@ def test_upoly_text_forms():
 
 
 def test_upoly_bad_indices():
-    assert_one_error_line(run_cli("upoly", "pij", "3"))
+    for argv in (
+        ["upoly", "pij", "3"],
+        ["upoly", "pk", "13"],
+        ["upoly", "pij", "5", "6"],
+        ["upoly", "psi", "41"],
+    ):
+        assert_one_error_line(run_cli(*argv))
 
 
 def test_compose_identity():
@@ -69,6 +75,7 @@ def test_act_examples():
 def test_loop_examples():
     assert run_cli("loop", "identity").stdout.strip() == "l1"
     assert run_cli("loop", "chi(3)@L1").stdout.strip() == "0"
+    assert run_cli("loop", "(" * 200 + "L1" + ")" * 200).stdout.strip() == "l1"
     looped = run_cli("loop", "l1").stdout.strip()
     assert looped.startswith("chi(-16)(x)(L1)")
 
@@ -119,9 +126,15 @@ def test_check_biring_text_report():
 
 def test_operand_errors_exit_nonzero():
     assert run_cli("compose", "nonsense(", "l1").returncode == 1
-    assert run_cli("act", "--model", "zz", "identity", "u").returncode == 1
     assert run_cli("act", "--model", "nope", "identity", "1").returncode == 1
     for argv in (
+        ["act", "--model", "zz", "identity", "u"],
+        ["act", "--model", "sphere", "1@L2", "x1"],
+        ["act", "--model", "zz", "L2", "x1"],
+        ["act", "--model", "coi", "L2", "u"],
+        ["act", "--model", "split:2", "L2", "x5"],
+        ["act", "--model", "split:0", "L2", "1"],
+        ["act", "--model", "split:-1", "L2", "x1"],
         ["loop", "const("],
         ["loop", "chi(x)"],
         ["act", "l1", "1"],
@@ -129,8 +142,14 @@ def test_operand_errors_exit_nonzero():
         ["coprod", "mul", "chi(0)@L1", "--window", "-3"],
         ["coprod", "mul", "chi(0)@L1", "--window", "0"],
         ["check", "models", "--trunc", "0"],
+        ["--window", "abc", "loop", "L1"],
+        ["nonsense"],
+        [],
+        ["loop", "(" * 400 + "L1" + ")" * 400],
+        ["loop", " " + "-" * 2000 + "L1"],
     ):
         assert_one_error_line(run_cli(*argv))
+    assert run_cli("--help").returncode == 0
 
 
 def test_byte_identical_reruns():

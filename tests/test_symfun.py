@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -103,6 +105,31 @@ def test_pij_splitting_oracle():
             assign = {("L", m): esym(lines, m) for m in range(1, n + 1)}
             lhs = universal_pij(i, j).evaluate(assign)
             assert lhs == esym(subset_products(lines, j), i)
+
+
+def _esym_of(items, k):
+    """e_k of the given polynomials, from the series prod (1 + item * t)."""
+    series = [IntPoly.one()] + [IntPoly.zero()] * k
+    for item in items:
+        for t in range(k, 0, -1):
+            series[t] = series[t] + series[t - 1] * item
+    return series[k]
+
+
+def test_universal_polynomials_match_symbolic_expansion():
+    # independent oracle: expand over formal line variables A_r (and B_s)
+    A = [IntPoly.var("A", r) for r in range(1, 10)]
+    B = [IntPoly.var("B", s) for s in range(1, 6)]
+    for k in range(1, 6):
+        grid = _esym_of([a * b for a in A[:k] for b in B[:k]], k)
+        in_x = elementary_expand(grid, family="A", m=k, target="x")
+        assert elementary_expand(in_x, family="B", m=k, target="y") == universal_pk(k)
+    for i in range(1, 9):
+        for j in range(1, 8 // i + 1):
+            subsets = itertools.combinations(A[: i * j], j)
+            products = [math.prod(subset, start=IntPoly.one()) for subset in subsets]
+            expected = elementary_expand(_esym_of(products, i), family="A", m=i * j, target="L")
+            assert expected == universal_pij(i, j), (i, j)
 
 
 # -- left linearisation --------------------------------------------------------
