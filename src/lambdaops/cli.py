@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .checks import run_suite
 from .errors import LambdaOpsError
@@ -22,11 +23,12 @@ from .parser import ParseError, parse_element, parse_operand
 from .symfun import left_linearise, newton_psi, universal_pij, universal_pk
 
 
-def _emit(payload: dict, fmt: str, text: str) -> None:
+def _emit(fmt: str, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the output in the requested format; only that form is built."""
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(payload(), sort_keys=True, separators=(",", ":")))
     else:
-        print(text)
+        print(text())
 
 
 # Largest index (i*j for pij) each upoly kind computes in seconds; cost grows
@@ -52,13 +54,9 @@ def cmd_upoly(args) -> int:
         poly = left_linearise(universal_pk(idx[0]))
     else:
         poly = newton_psi(idx[0])
-    payload = {
-        "command": "upoly",
-        "kind": kind,
-        "indices": idx,
-        "result": poly.to_obj(),
-    }
-    _emit(payload, args.format, str(poly))
+    _emit(args.format,
+          lambda: {"command": "upoly", "kind": kind, "indices": idx, "result": poly.to_obj()},
+          lambda: str(poly))
     return 0
 
 
@@ -80,26 +78,19 @@ def cmd_compose(args) -> int:
         if lhs.kind != "odd" or rhs.kind != "odd":
             raise ParseError("parity mismatch: cannot compose even with odd")
         result = compose_odd(lhs.payload, rhs.payload)
-        payload = {
-            "command": "compose",
-            "parity": "odd",
-            "trunc": args.trunc,
-            "result": result.to_obj(),
-        }
-        _emit(payload, args.format, str(result))
+        _emit(args.format,
+              lambda: {"command": "compose", "parity": "odd", "trunc": args.trunc,
+                       "result": result.to_obj()},
+              lambda: str(result))
         return 0
     parser_ctx = _operand_ctx(args)
     r = parser_ctx.promote_even(lhs).payload
     s = parser_ctx.promote_even(rhs).payload
     result = compose_even(r, s)
-    payload = {
-        "command": "compose",
-        "parity": "even",
-        "trunc": args.trunc,
-        "window": args.window,
-        "result": result.to_obj(),
-    }
-    _emit(payload, args.format, str(result))
+    _emit(args.format,
+          lambda: {"command": "compose", "parity": "even", "trunc": args.trunc,
+                   "window": args.window, "result": result.to_obj()},
+          lambda: str(result))
     return 0
 
 
@@ -128,13 +119,10 @@ def cmd_act(args) -> int:
         raise ParseError(f"cannot read a model element from a {elem_val.kind} expression")
     result = act(op, model, elem)
     shown = model.show(result)
-    payload = {
-        "command": "act",
-        "model": args.model,
-        "element": args.element,
-        "result": shown,
-    }
-    _emit(payload, args.format, shown)
+    _emit(args.format,
+          lambda: {"command": "act", "model": args.model, "element": args.element,
+                   "result": shown},
+          lambda: shown)
     return 0
 
 
@@ -151,14 +139,13 @@ def cmd_loop(args) -> int:
     val = parse_operand(args.op, args.trunc, args.window)
     if val.kind == "odd":
         result = loop_odd(val.payload, args.window)
-        payload = {"command": "loop", "parity": "odd->even",
-                   "result": result.to_obj()}
-        _emit(payload, args.format, str(result))
-        return 0
-    op = _operand_ctx(args).promote_even(val).payload
-    result = loop_even(op)
-    payload = {"command": "loop", "parity": "even->odd", "result": result.to_obj()}
-    _emit(payload, args.format, str(result))
+        parity = "odd->even"
+    else:
+        result = loop_even(_operand_ctx(args).promote_even(val).payload)
+        parity = "even->odd"
+    _emit(args.format,
+          lambda: {"command": "loop", "parity": parity, "result": result.to_obj()},
+          lambda: str(result))
     return 0
 
 
@@ -166,20 +153,21 @@ def cmd_coprod(args) -> int:
     val = parse_operand(args.op, args.trunc, args.window)
     if val.kind == "kbu":
         tensor = coadd(val.payload) if args.kind == "add" else comult(val.payload)
-        pairs = [[left.poly.to_obj(), right.poly.to_obj()]
-                 for left, right in tensor.pairs()]
-        payload = {"command": "coprod", "kind": args.kind, "carrier": "ring",
-                   "trunc": args.trunc, "result": pairs}
-        _emit(payload, args.format, str(tensor))
+        _emit(args.format,
+              lambda: {"command": "coprod", "kind": args.kind, "carrier": "ring",
+                       "trunc": args.trunc,
+                       "result": [[left.poly.to_obj(), right.poly.to_obj()]
+                                  for left, right in tensor.pairs()]},
+              lambda: str(tensor))
         return 0
     op = _operand_ctx(args).promote_even(val).payload
     tensor = op_coadd(op) if args.kind == "add" else op_comult(op)
-    entries = [[i, j, poly.to_obj()] for (i, j), poly in sorted(tensor.entries.items())]
-    text = "; ".join(f"({i},{j}): {poly}" for i, j, poly in
-                     ((i, j, tensor.entries[(i, j)]) for (i, j) in sorted(tensor.entries)))
-    payload = {"command": "coprod", "kind": args.kind, "carrier": "operation",
-               "trunc": args.trunc, "window": args.window, "result": entries}
-    _emit(payload, args.format, text if text else "0")
+    entries = sorted(tensor.entries.items())
+    _emit(args.format,
+          lambda: {"command": "coprod", "kind": args.kind, "carrier": "operation",
+                   "trunc": args.trunc, "window": args.window,
+                   "result": [[i, j, poly.to_obj()] for (i, j), poly in entries]},
+          lambda: "; ".join(f"({i},{j}): {poly}" for (i, j), poly in entries) or "0")
     return 0
 
 

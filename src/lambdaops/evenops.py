@@ -122,11 +122,6 @@ class EvenOp:
         }
 
 
-def unit_op(trunc: int, window: int) -> EvenOp:
-    """The multiplicative unit 1 (x) 1."""
-    return EvenOp.from_pairs([(const(1), KBUElem.from_int(1, trunc))], trunc, window)
-
-
 def identity_op(trunc: int, window: int) -> EvenOp:
     """The composition identity: 1 (x) L1 + iota (x) 1."""
     from .kbu import gen
@@ -170,17 +165,14 @@ def act(r: EvenOp, model: LambdaRingModel, alpha):
 
 class EvenOpTensor:
     """Two-leg tensor of even operations: entries ((i, j) -> polynomial in the
-    leg families T1/T2) meaning sum of (chi_i (x) T1-part) (x) (chi_j (x) T2-part).
+    leg families T1/T2, each truncated at `trunc`) meaning sum of
+    (chi_i (x) T1-part) (x) (chi_j (x) T2-part).
     """
 
     __slots__ = ("entries", "trunc", "window")
 
     def __init__(self, entries: dict[tuple[int, int], IntPoly], trunc: int, window: int):
-        self.entries = {}
-        for key, poly in entries.items():
-            poly = poly.truncate_family("T1", trunc).truncate_family("T2", trunc)
-            if not poly.is_zero:
-                self.entries[key] = poly
+        self.entries = {key: poly for key, poly in entries.items() if not poly.is_zero}
         self.trunc = trunc
         self.window = window
 
@@ -189,17 +181,6 @@ class EvenOpTensor:
             isinstance(other, EvenOpTensor)
             and (self.trunc, self.window) == (other.trunc, other.window)
             and self.entries == other.entries
-        )
-
-    def equal_within_reach(self, other: "EvenOpTensor", reach) -> bool:
-        """Compare entries only on index pairs accepted by `reach`; the window
-        section of the completed coproduct is only faithful there."""
-        keys = set(self.entries) | set(other.entries)
-        zero = IntPoly.zero()
-        return all(
-            self.entries.get(k, zero) == other.entries.get(k, zero)
-            for k in keys
-            if reach(*k)
         )
 
     def act2(self, model: LambdaRingModel, alpha, beta):
@@ -221,13 +202,18 @@ class EvenOpTensor:
 
 
 def tensor_of_ops(r: EvenOp, s: EvenOp) -> EvenOpTensor:
+    r._match(s)
     entries = {}
     for i, x in r.table.items():
         for j, y in s.table.items():
-            poly = x.poly.rename_family("L", "T1") * y.poly.rename_family("L", "T2")
-            if not poly.is_zero:
-                entries[(i, j)] = poly
+            entries[(i, j)] = x.poly.rename_family("L", "T1") * y.poly.rename_family("L", "T2")
     return EvenOpTensor(entries, r.trunc, r.window)
+
+
+def _coadd_leg(x: KBUElem) -> IntPoly:
+    """Delta+(x) as a truncated polynomial in the leg families T1/T2."""
+    return (x.poly.substitute_family("L", coadd_image)
+            .truncate_family("T1", x.trunc).truncate_family("T2", x.trunc))
 
 
 def op_coadd(r: EvenOp) -> EvenOpTensor:
@@ -236,59 +222,108 @@ def op_coadd(r: EvenOp) -> EvenOpTensor:
     W = r.window
     entries: dict[tuple[int, int], IntPoly] = {}
     for d, x in r.table.items():
-        two_leg = x.poly.substitute_family("L", coadd_image)
-        for i in range(-W, W + 1):
-            j = d - i
-            if abs(j) <= W:
-                entries[(i, j)] = entries.get((i, j), IntPoly.zero()) + two_leg
+        two_leg = _coadd_leg(x)
+        for i in range(max(-W, d - W), min(W, d + W) + 1):
+            entries[(i, d - i)] = two_leg
     return EvenOpTensor(entries, r.trunc, r.window)
 
 
 def op_is_primitive(r: EvenOp) -> bool:
-    """Delta+(r) = r (x) 1 + 1 (x) r, compared where the window is faithful
-    (index pairs whose sum stays inside the window)."""
-    one = unit_op(r.trunc, r.window)
-    left = tensor_of_ops(r, one).entries
-    right = tensor_of_ops(one, r).entries
-    expected = EvenOpTensor(
-        {
-            k: left.get(k, IntPoly.zero()) + right.get(k, IntPoly.zero())
-            for k in set(left) | set(right)
-        },
-        r.trunc,
-        r.window,
-    )
+    """Delta+(r) = r (x) 1 + 1 (x) r, compared where the window is faithful:
+    Delta+(x_{i+j}) = x_i (x) 1 + 1 (x) x_j whenever |i|, |j|, |i+j| <= W."""
     W = r.window
-    return op_coadd(r).equal_within_reach(expected, lambda i, j: abs(i + j) <= W)
+    zero = IntPoly.zero()
+    coadds = {d: _coadd_leg(x) for d, x in r.table.items()}
+    left = {i: x.poly.rename_family("L", "T1") for i, x in r.table.items()}
+    right = {j: x.poly.rename_family("L", "T2") for j, x in r.table.items()}
+    for i in range(-W, W + 1):
+        for j in range(max(-W, -W - i), min(W, W - i) + 1):
+            if coadds.get(i + j, zero) != left.get(i, zero) + right.get(j, zero):
+                return False
+    return True
+
+
+# Delta-x of a ring leg x_d, grouped for comult_entry: key (trunc, terms of
+# x_d) -> {t3 monomial: {t2 monomial: polynomial in T1/T2}}
+_COMULT_LEGS_CACHE: dict[tuple, dict] = {}
+# gamma(kappa) of a one-monomial leg, renamed to a tensor leg family:
+# key (monomial, kappa, family, trunc) -> polynomial
+_GAMMA_LEG_CACHE: dict[tuple, IntPoly] = {}
+
+
+def _comult_legs(x: KBUElem) -> dict:
+    """Group the four-leg expansion b(1)[1] b(1)[2] b(2) b(3) of x by its b(3)
+    and b(2) monomials; the b(1) part becomes a polynomial in T1/T2."""
+    key = (x.trunc, x.poly.key())
+    groups = _COMULT_LEGS_CACHE.get(key)
+    if groups is None:
+        three = coadd_multi(x, 3)  # families T1, T2, T3
+        four = three.substitute_family("T1", lambda k: comult_image(k, "U", "V"))
+        groups = {}
+        for mono, c in four.terms.items():
+            b1, t2, t3 = [], [], []
+            for (f, i, e) in mono:
+                if f == "U":
+                    b1.append(("T1", i, e))
+                elif f == "V":
+                    b1.append(("T2", i, e))
+                else:
+                    (t2 if f == "T2" else t3).append(("L", i, e))
+            # U sorts before V, so b1 is already sorted as a T1/T2 monomial
+            group = groups.setdefault(tuple(t3), {}).setdefault(tuple(t2), {})
+            group[tuple(b1)] = c
+        groups = {t3: {t2: IntPoly._trusted(terms) for t2, terms in by_t2.items()}
+                  for t3, by_t2 in groups.items()}
+        _COMULT_LEGS_CACHE[key] = groups
+    return groups
+
+
+def _gamma_leg(mono, kappa: int, family: str, trunc: int) -> IntPoly:
+    """gamma(kappa) of one leg monomial at level `trunc`, in `family`."""
+    key = (mono, kappa, family, trunc)
+    image = _GAMMA_LEG_CACHE.get(key)
+    if image is None:
+        leg = colinear(kappa, KBUElem(IntPoly({mono: 1}), trunc))
+        image = leg.poly.rename_family("L", family)
+        _GAMMA_LEG_CACHE[key] = image
+    return image
+
+
+def comult_entry(r: EvenOp, rho: int, s: int) -> IntPoly:
+    """Entry (rho, s) of Delta-x(r), a polynomial in T1/T2: with d = rho*s,
+
+    sum over the b(3) monomials t3 of
+    (sum over t2 of A[t2, t3] gamma(s)(t2)[T1]) * gamma(rho)(t3)[T2],
+
+    where A[t2, t3] collects b(1)[1] (x) b(1)[2] of the expansion of x_d.
+    Zero when |rho| or |s| exceeds the window or d is not in the table.
+    """
+    trunc = r.trunc
+    if abs(rho) > r.window or abs(s) > r.window or rho * s not in r.table:
+        return IntPoly.zero()
+    groups = _comult_legs(r.table[rho * s])
+    return IntPoly.sum_of_products(
+        (
+            IntPoly.sum_of_products(
+                (a, _gamma_leg(t2, s, "T1", trunc)) for t2, a in by_t2.items()
+            ),
+            _gamma_leg(t3, rho, "T2", trunc),
+        )
+        for t3, by_t2 in groups.items()
+    )
 
 
 def op_comult(r: EvenOp) -> EvenOpTensor:
     """Co-multiplication via the unitalised-biring formula: for each summand
     chi_d (x) b, sum over divisor pairs r*s = d of
     chi_r (x) b(1)[1] gamma(s)(b(2))  (x)  chi_s (x) b(1)[2] gamma(r)(b(3)),
-    where (1)(2)(3) is iterated co-addition and [1][2] co-multiplication.
+    where (1)(2)(3) is iterated co-addition and [1][2] co-multiplication;
+    see comult_entry.
     """
-    W = r.window
-    entries: dict[tuple[int, int], IntPoly] = {}
-    for d, x in r.table.items():
-        three = coadd_multi(x, 3)  # families T1, T2, T3
-        four = three.substitute_family("T1", lambda k: comult_image(k, "U", "V"))
-        for mono, c in four.terms.items():
-            u_part, v_part, t2_part, t3_part = [], [], [], []
-            for (f, i, e) in mono:
-                {"U": u_part, "V": v_part, "T2": t2_part, "T3": t3_part}[f].append((("L", i, e)))
-            u_poly = IntPoly({tuple(u_part): 1})
-            v_poly = IntPoly({tuple(v_part): 1})
-            t2_elem = KBUElem(IntPoly({tuple(t2_part): 1}), r.trunc)
-            t3_elem = KBUElem(IntPoly({tuple(t3_part): 1}), r.trunc)
-            for rho, s in divisor_pairs(d, W):
-                left = (u_poly * colinear(s, t2_elem).poly).rename_family("L", "T1")
-                right = (v_poly * colinear(rho, t3_elem).poly).rename_family("L", "T2")
-                prod = left * right * c
-                if prod.is_zero:
-                    continue
-                key = (rho, s)
-                entries[key] = entries.get(key, IntPoly.zero()) + prod
+    entries = {}
+    for d in r.table:
+        for rho, s in divisor_pairs(d, r.window):
+            entries[(rho, s)] = comult_entry(r, rho, s)
     return EvenOpTensor(entries, r.trunc, r.window)
 
 

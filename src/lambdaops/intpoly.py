@@ -44,6 +44,19 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(out)
 
 
+def _add_product(out: dict, a: Mapping[Mono, int], b: Mapping[Mono, int]) -> None:
+    """Add the product of the term maps `a` and `b` into `out` in place,
+    dropping every coefficient that cancels to zero."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = _mono_mul(ma, mb)
+            v = out.get(m, 0) + ca * cb
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+
+
 class IntPoly:
     """Immutable sparse polynomial with integer coefficients."""
 
@@ -51,6 +64,14 @@ class IntPoly:
 
     def __init__(self, terms: Mapping[Mono, int] | None = None):
         self.terms: dict[Mono, int] = {m: c for m, c in (terms or {}).items() if c}
+
+    @classmethod
+    def _trusted(cls, terms: dict[Mono, int]) -> "IntPoly":
+        """Wrap a term map that holds no zero coefficient, without copying or
+        filtering it; the caller hands the dict over."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -87,12 +108,12 @@ class IntPoly:
                 out[m] = v
             else:
                 out.pop(m, None)
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly({m: -c for m, c in self.terms.items()})
+        return IntPoly._trusted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "IntPoly":
         return self + (-_coerce(other))
@@ -104,19 +125,20 @@ class IntPoly:
         if isinstance(other, int):
             if other == 0:
                 return IntPoly()
-            return IntPoly({m: c * other for m, c in self.terms.items()})
+            return IntPoly._trusted({m: c * other for m, c in self.terms.items()})
         out: dict[Mono, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                v = out.get(m, 0) + ca * cb
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return IntPoly(out)
+        _add_product(out, self.terms, other.terms)
+        return IntPoly._trusted(out)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple["IntPoly", "IntPoly"]]) -> "IntPoly":
+        """The sum of a * b over the pairs (a, b), accumulated in one term map."""
+        out: dict[Mono, int] = {}
+        for a, b in pairs:
+            _add_product(out, a.terms, b.terms)
+        return IntPoly._trusted(out)
 
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
@@ -165,7 +187,7 @@ class IntPoly:
 
     def part_of_family_degree(self, family: str, degree: int) -> "IntPoly":
         """Keep exactly the monomials of the given total degree in `family`."""
-        return IntPoly(
+        return IntPoly._trusted(
             {m: c for m, c in self.terms.items() if self.family_degree(m, family) == degree}
         )
 
@@ -188,7 +210,7 @@ class IntPoly:
                 out[m2] = v
             else:
                 out.pop(m2, None)
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     def rename_family(self, src: str, dst: str) -> "IntPoly":
         def fn(m, c):
@@ -199,7 +221,7 @@ class IntPoly:
 
     def truncate_family(self, family: str, max_index: int) -> "IntPoly":
         """Drop every monomial containing a `family` variable above `max_index`."""
-        return IntPoly(
+        return IntPoly._trusted(
             {
                 m: c
                 for m, c in self.terms.items()
@@ -214,24 +236,29 @@ class IntPoly:
         a ring map, so the result is exact.
         """
         imgs = {v: _coerce(p) for v, p in images.items()}
-        pow_cache: dict[tuple[tuple[str, int], int], IntPoly] = {}
-        out = IntPoly()
+        pow_cache: dict[tuple[tuple[str, int], int], dict[Mono, int]] = {}
+        out: dict[Mono, int] = {}
         for m, c in self.terms.items():
-            acc = IntPoly.const(c)
+            factors = []
             for (f, i, e) in m:
                 v = (f, i)
                 if v in imgs:
                     p = pow_cache.get((v, e))
                     if p is None:
-                        p = imgs[v] ** e
+                        p = (imgs[v] ** e).terms
                         pow_cache[(v, e)] = p
-                    acc = acc * p
+                    factors.append(p)
                 else:
-                    acc = acc * IntPoly.var(f, i, e)
-                if acc.is_zero:
-                    break
-            out = out + acc
-        return out
+                    factors.append({((f, i, e),): 1})
+            # multiply all but the last factor into acc, then add acc times
+            # the last factor straight into the result
+            *head, last = factors or [{ONE_MONO: 1}]
+            acc = {ONE_MONO: c}
+            for p in head:
+                acc, prev = {}, acc
+                _add_product(acc, prev, p)
+            _add_product(out, acc, last)
+        return IntPoly._trusted(out)
 
     def substitute_family(self, family: str, image: Callable[[int], "IntPoly | int"]) -> "IntPoly":
         """The ring map sending each `family` variable of index k to image(k).

@@ -26,6 +26,11 @@ class ParseError(ValueError):
 # Parentheses and unary minus signs together may nest this deep; each level
 # costs the recursive-descent parser up to three stack frames.
 MAX_NESTING = 200
+# An operand may hold this many binary operators (+, -, *, @) in all.  A chain
+# of them folds into a left-deep function tree, which is evaluated and
+# serialised recursively, so the bound covers chains nested in parentheses
+# as well as a single long chain.
+MAX_OPERATORS = 200
 
 
 _TOKEN = re.compile(
@@ -69,6 +74,7 @@ class OperandParser:
         self.window = window
         self.elements = elements
         self.depth = 0
+        self.operators = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -89,10 +95,16 @@ class OperandParser:
             raise ParseError(f"trailing input at {self.peek()!r}")
         return v
 
+    def binary_operator(self) -> str:
+        self.operators += 1
+        if self.operators > MAX_OPERATORS:
+            raise ParseError(f"operand holds more than {MAX_OPERATORS} binary operators")
+        return self.take()
+
     def expr(self) -> Val:
         v = self.term()
         while self.peek() in ("+", "-"):
-            op = self.take()
+            op = self.binary_operator()
             w = self.term()
             v = self.add(v, w if op == "+" else self.scale(-1, w))
         return v
@@ -100,7 +112,7 @@ class OperandParser:
     def term(self) -> Val:
         v = self.factor()
         while self.peek() in ("*", "@", "⊗"):
-            op = self.take()
+            op = self.binary_operator()
             w = self.factor()
             v = self.tensor(v, w) if op in ("@", "⊗") else self.mul(v, w)
         return v

@@ -172,8 +172,12 @@ def universal_pij(i: int, j: int) -> IntPoly:
     key = (i, j)
     cached = _PIJ_CACHE.get(key)
     if cached is None:
-        cached = _elementary_from_power_sums(
-            i, lambda n: _elementary_from_power_sums(j, lambda m: newton_psi(n * m)))
+        if i == 1 or j == 1:
+            # lambda^1 and L_1 are the composition identity
+            cached = IntPoly.var("L", i * j)
+        else:
+            cached = _elementary_from_power_sums(
+                i, lambda n: _elementary_from_power_sums(j, lambda m: newton_psi(n * m)))
         _PIJ_CACHE[key] = cached
     return cached
 

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here works on plain integers (or lists of them) so that nothing
-depends on the polynomial kernel it is checking.
+The integer oracles work on plain integers (or lists of them) so that
+nothing depends on the polynomial kernel they check.  The reference
+coproducts at the end are the slow, literal constructions that the fast
+paths of `lambdaops.evenops` replaced; they use only public names.
 """
 
 from __future__ import annotations
@@ -58,3 +60,51 @@ def pk_assignment(a, b, k: int) -> dict:
 
 def lam_assignment(vals, family: str, kmax: int) -> dict:
     return {(family, k): esym(vals, k) for k in range(1, kmax + 1)}
+
+
+# -- reference coproducts of even operations -------------------------------------
+
+
+def reference_op_comult(r):
+    """Delta-x(r) term by term: every monomial of the four-leg expansion is
+    paired with every divisor pair of its index, gamma applied afresh."""
+    from lambdaops.evenops import EvenOpTensor, divisor_pairs
+    from lambdaops.intpoly import IntPoly
+    from lambdaops.kbu import KBUElem, coadd_multi, colinear, comult_image
+
+    entries = {}
+    for d, x in r.table.items():
+        four = coadd_multi(x, 3).substitute_family("T1", lambda k: comult_image(k, "U", "V"))
+        for mono, c in four.terms.items():
+            parts = {"U": [], "V": [], "T2": [], "T3": []}
+            for (f, i, e) in mono:
+                parts[f].append(("L", i, e))
+            u_poly, v_poly, t2_poly, t3_poly = (
+                IntPoly({tuple(parts[f]): 1}) for f in ("U", "V", "T2", "T3"))
+            for rho, s in divisor_pairs(d, r.window):
+                left = u_poly * colinear(s, KBUElem(t2_poly, r.trunc)).poly
+                right = v_poly * colinear(rho, KBUElem(t3_poly, r.trunc)).poly
+                prod = left.rename_family("L", "T1") * right.rename_family("L", "T2") * c
+                entries[(rho, s)] = entries.get((rho, s), IntPoly.zero()) + prod
+    return EvenOpTensor(entries, r.trunc, r.window)
+
+
+def reference_op_is_primitive(r):
+    """Delta+(r) = r (x) 1 + 1 (x) r, by building both sides as whole
+    tensors and comparing the entries whose index sum stays in the window."""
+    from lambdaops.evenops import EvenOp, op_coadd, tensor_of_ops
+    from lambdaops.intpoly import IntPoly
+    from lambdaops.kbu import KBUElem
+    from lambdaops.setzz import const
+
+    one = EvenOp.from_pairs([(const(1), KBUElem.from_int(1, r.trunc))], r.trunc, r.window)
+    left = tensor_of_ops(r, one).entries
+    right = tensor_of_ops(one, r).entries
+    coadd = op_coadd(r).entries
+    zero = IntPoly.zero()
+    keys = set(left) | set(right) | set(coadd)
+    return all(
+        coadd.get(k, zero) == left.get(k, zero) + right.get(k, zero)
+        for k in keys
+        if abs(k[0] + k[1]) <= r.window
+    )

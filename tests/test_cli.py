@@ -76,6 +76,10 @@ def test_loop_examples():
     assert run_cli("loop", "identity").stdout.strip() == "l1"
     assert run_cli("loop", "chi(3)@L1").stdout.strip() == "0"
     assert run_cli("loop", "(" * 200 + "L1" + ")" * 200).stdout.strip() == "l1"
+    # a chain of 200 binary operators (199 '+' and the '@') is the bound
+    assert run_cli("loop", "(" + "+".join(["chi(1)"] * 200) + ")@L1").stdout.strip() == "0"
+    got = run_cli("--model", "split:2", "act", "(" + "*".join(["chi(1)"] * 200) + ")@L1", "x1")
+    assert got.stdout.strip() == "-1 + x1"
     looped = run_cli("loop", "l1").stdout.strip()
     assert looped.startswith("chi(-16)(x)(L1)")
 
@@ -90,6 +94,15 @@ def test_coprod_ring_element():
     assert got.stdout.strip() == "(1)(x)(L2) + (L1)(x)(L1) + (L2)(x)(1)"
     got = run_cli("coprod", "mul", "L2")
     assert got.stdout.strip() == "(L1^2)(x)(L2) + (L2)(x)(L1^2 - 2*L2)"
+
+
+def test_coprod_operation_goldens():
+    op = "chi(2)@(L1*L2) + const(1)@L3"
+    for kind in ("mul", "add"):
+        got = run_cli("--format", "json", "--trunc", "4", "--window", "4", "coprod", kind, op)
+        assert got.returncode == 0
+        with open(osp.join(GOLDEN, f"cli_coprod_{kind}.json"), encoding="utf-8") as fh:
+            assert got.stdout == fh.read(), kind
 
 
 def test_coprod_operation_json():
@@ -147,6 +160,10 @@ def test_operand_errors_exit_nonzero():
         [],
         ["loop", "(" * 400 + "L1" + ")" * 400],
         ["loop", " " + "-" * 2000 + "L1"],
+        ["loop", "(" + "+".join(["chi(1)"] * 2000) + ")@L1"],
+        ["--model", "split:2", "act", "(" + "*".join(["chi(1)"] * 2000) + ")@L1", "x1"],
+        ["loop", "(" + "+".join(["chi(1)"] * 201) + ")@L1"],
+        ["loop", "(" * 20 + "chi(1)" + "+chi(1))" * 20 + "@L1" + "+L1" * 181],
     ):
         assert_one_error_line(run_cli(*argv))
     assert run_cli("--help").returncode == 0

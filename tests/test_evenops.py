@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import reference_op_comult, reference_op_is_primitive
 from lambdaops.errors import (
     ModelTruncationExceeded,
     WindowExhausted,
@@ -9,6 +10,7 @@ from lambdaops.errors import (
 from lambdaops.evenops import (
     EvenOp,
     act,
+    comult_entry,
     compose_even,
     compose_even_pair,
     divisor_pairs,
@@ -22,6 +24,7 @@ from lambdaops.evenops import (
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import KBUElem, gen, psi_kbu
 from lambdaops.models import ProjectiveModel, register_models
+from lambdaops.parser import OperandParser, parse_operand
 from lambdaops.setzz import IDENT, chi, const
 
 N, W = 4, 16
@@ -232,6 +235,50 @@ def test_even_primitivity():
     assert op_is_primitive(ev([(const(1), gen(1, N))]))
     assert op_is_primitive(ev([(const(1), psi_kbu(2, N))]))
     assert not op_is_primitive(ev([(const(1), gen(2, N))]))
+
+
+# operations whose ring legs differ between the gamma(s) and gamma(rho)
+# slots, so a swap of the two legs changes the co-multiplication
+COPRODUCT_CORPUS = [
+    "chi(2)@(L1*L2) + id@L3",
+    "chi(-3)@L2 + chi(0)@(2*L3)",
+    "const(-1)@L4",
+    "chi(1)@(L1*L1 - L2) + const(2)@L1",
+    "id@(L1*L2) + chi(-1)@3",
+]
+
+
+def parse_op(text, trunc, window):
+    return OperandParser([], trunc, window).promote_even(parse_operand(text, trunc, window)).payload
+
+
+@pytest.mark.parametrize("trunc,window", [(3, 3), (4, 3), (4, 6)])
+def test_coproducts_match_reference_constructions(trunc, window):
+    for text in COPRODUCT_CORPUS:
+        r = parse_op(text, trunc, window)
+        assert op_comult(r) == reference_op_comult(r), text
+        assert op_is_primitive(r) == reference_op_is_primitive(r), text
+    # primitive ones too, with legs that differ between indices
+    for text in ("identity", "id@1 + const(2)@(L1*L1 - 2*L2)", "const(3)@L1 - id@2"):
+        r = parse_op(text, trunc, window)
+        assert op_is_primitive(r) and reference_op_is_primitive(r), text
+
+
+def test_comult_entry_outside_table_and_window():
+    r = parse_op("chi(2)@(L1*L2) + const(1)@L3", 4, 3)
+    tensor = op_comult(r)
+    for rho in range(-5, 6):
+        for s in range(-5, 6):
+            entry = comult_entry(r, rho, s)
+            if abs(rho) > 3 or abs(s) > 3 or rho * s not in r.table:
+                assert entry.is_zero, (rho, s)
+            assert entry == tensor.entries.get((rho, s), IntPoly.zero())
+    # d = 0 is in the table, but (4, 0) leaves the window; d = 4 = 2 * 2 is not
+    assert comult_entry(r, 4, 0).is_zero and not comult_entry(r, 3, 0).is_zero
+    assert comult_entry(r, 2, 2).is_zero
+    # an index outside the window still fails through divisor_pairs
+    with pytest.raises(WindowExhausted):
+        op_comult(EvenOp({5: gen(1, 4)}, 4, 3))
 
 
 def test_tensor_window_guard():

@@ -24,6 +24,27 @@ def test_no_zero_coefficients_stored():
     assert q.is_zero
 
 
+def test_results_hold_no_zero_coefficient():
+    # operands built to cancel: p against -p plus a little, (a + b)(a - b),
+    # and substitutions whose images cancel each other
+    rng = random.Random(17)
+
+    def zero_free(q):
+        return all(c != 0 for c in q.terms.values())
+
+    for _ in range(30):
+        a, b = rand_poly(rng, terms=6), rand_poly(rng, terms=6)
+        near = -a + rand_poly(rng, terms=2)
+        results = [a + near, a - (a + b), -(a - a), near + a, 3 * (a - a), a * 0,
+                   (a + b) * (a - b), (a - b) ** 3, (b - b) ** 2,
+                   (a * b - b * a).truncate_family("x", 2), (a + near).truncate_family("y", 1)]
+        images = {("x", k): IntPoly.var("y", k) - IntPoly.var("x", k) for k in (1, 2, 3)}
+        results.append((a + IntPoly.var("x", 1) - IntPoly.var("y", 1)).substitute(images))
+        results.append((a - b).substitute({("y", 1): IntPoly.var("x", 1) - 1, ("y", 2): 0}))
+        assert all(zero_free(q) for q in results)
+        assert (a + near) == a + near - 0 and a - a == 0
+
+
 def test_ring_laws_randomized():
     rng = random.Random(42)
     for _ in range(40):

@@ -8,6 +8,7 @@ from helpers import esym, grid_products, pk_assignment, power_sum, subset_produc
 from lambdaops.errors import NonSymmetricInput
 from lambdaops.intpoly import IntPoly
 from lambdaops.symfun import (
+    _elementary_from_power_sums,
     elementary_expand,
     lambda_of_integer,
     left_linearise,
@@ -94,6 +95,15 @@ def test_pij_goldens():
     assert universal_pij(4, 1) == IntPoly.var("L", 4)
     expected = IntPoly.var("L", 1) * IntPoly.var("L", 3) - IntPoly.var("L", 4)
     assert universal_pij(2, 2) == expected
+
+
+def test_pij_with_a_unit_index_matches_the_recursion():
+    # P_{i,1} = L_i and P_{1,j} = L_j are returned directly
+    for i in range(1, 13):
+        for i_, j_ in ((i, 1), (1, i)):
+            recursion = _elementary_from_power_sums(
+                i_, lambda n: _elementary_from_power_sums(j_, lambda m: newton_psi(n * m)))
+            assert universal_pij(i_, j_) == recursion == IntPoly.var("L", i), (i_, j_)
 
 
 def test_pij_splitting_oracle():
