@@ -154,13 +154,39 @@ def act(r: EvenOp, model: LambdaRingModel, alpha):
     x = r.table.get(e)
     if x is None:
         return model.from_int(0)
-    reduced = model.sub(alpha, model.from_int(e))
-    indices = sorted({i for (f, i) in x.poly.variables() if f == "L"})
-    assign = {("L", k): model.lam(k, reduced) for k in indices}
-    return poly_eval_in_model(x.poly, model, assign)
+    return _eval_on_series(x.poly, model, {"L": (alpha, e)})
+
+
+def _eval_on_series(poly: IntPoly, model: LambdaRingModel, legs: dict):
+    """Evaluate `poly` with each generator (f, k) replaced by
+    lambda^k(alpha - e) for legs[f] = (alpha, e): one lambda series per leg,
+    up to the largest index the leg needs."""
+    indices: dict[str, set[int]] = {f: set() for f in legs}
+    for (f, i) in poly.variables():
+        indices[f].add(i)
+    assign = {}
+    for f, (alpha, e) in legs.items():
+        if indices[f]:
+            series = model.lambda_series(model.sub(alpha, model.from_int(e)), max(indices[f]))
+            assign |= {(f, i): series[i] for i in indices[f]}
+    return poly_eval_in_model(poly, model, assign)
 
 
 # -- coalgebra structure -------------------------------------------------------
+
+
+def act_pair(entry, model: LambdaRingModel, alpha, beta, window: int):
+    """Pair one tensor entry against two model elements (product in the
+    model): `entry(ea, eb)` gives the polynomial in T1/T2 at the
+    augmentations of alpha and beta, and is asked only once both lie in the
+    window."""
+    ea, eb = model.eps(alpha), model.eps(beta)
+    if abs(ea) > window or abs(eb) > window:
+        raise WindowExhausted(f"augmentations ({ea}, {eb}) outside window {window}")
+    poly = entry(ea, eb)
+    if poly.is_zero:
+        return model.from_int(0)
+    return _eval_on_series(poly, model, {"T1": (alpha, ea), "T2": (beta, eb)})
 
 
 class EvenOpTensor:
@@ -185,20 +211,8 @@ class EvenOpTensor:
 
     def act2(self, model: LambdaRingModel, alpha, beta):
         """Pair the tensor against two model elements (product in the model)."""
-        ea, eb = model.eps(alpha), model.eps(beta)
-        if abs(ea) > self.window or abs(eb) > self.window:
-            raise WindowExhausted(
-                f"augmentations ({ea}, {eb}) outside window {self.window}"
-            )
-        poly = self.entries.get((ea, eb))
-        if poly is None:
-            return model.from_int(0)
-        ra = model.sub(alpha, model.from_int(ea))
-        rb = model.sub(beta, model.from_int(eb))
-        assign = {}
-        for (f, i) in poly.variables():
-            assign[(f, i)] = model.lam(i, ra if f == "T1" else rb)
-        return poly_eval_in_model(poly, model, assign)
+        return act_pair(lambda ea, eb: self.entries.get((ea, eb), IntPoly.zero()),
+                        model, alpha, beta, self.window)
 
 
 def tensor_of_ops(r: EvenOp, s: EvenOp) -> EvenOpTensor:
@@ -214,6 +228,14 @@ def _coadd_leg(x: KBUElem) -> IntPoly:
     """Delta+(x) as a truncated polynomial in the leg families T1/T2."""
     return (x.poly.substitute_family("L", coadd_image)
             .truncate_family("T1", x.trunc).truncate_family("T2", x.trunc))
+
+
+def coadd_entry(r: EvenOp, i: int, j: int) -> IntPoly:
+    """Entry (i, j) of Delta+(r), a polynomial in T1/T2: Delta+(x_{i+j}).
+    Zero when |i| or |j| exceeds the window or i + j is not in the table."""
+    if abs(i) > r.window or abs(j) > r.window or i + j not in r.table:
+        return IntPoly.zero()
+    return _coadd_leg(r.table[i + j])
 
 
 def op_coadd(r: EvenOp) -> EvenOpTensor:

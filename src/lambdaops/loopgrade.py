@@ -9,8 +9,7 @@ bookkeeping in the coefficients and are deliberately not part of the API.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import NotAugmented, NotReduced, TruncationExceeded
 from .exterior import ExtElem, wedge_mono
@@ -282,17 +281,16 @@ class GradedOp:
 # -- augmentation ideal, primitives, indecomposables ----------------------------
 
 
-@dataclass
-class AugmentationView:
+class AugmentationView(NamedTuple):
     """Membership/structure view of one parity at a fixed (trunc, window)."""
 
     part: str
     trunc: int
     window: int
-    primitives: list = field(default_factory=list)
-    indecomposables: list = field(default_factory=list)
-    in_ip: Callable = None
-    is_primitive: Callable = None
+    primitives: list
+    indecomposables: list
+    in_ip: Callable
+    is_primitive: Callable
 
 
 def augmentation_view(part: str, trunc: int, window: int) -> AugmentationView:
@@ -484,6 +482,8 @@ def _pair_suspension_eval(poly: IntPoly, model: SplitModel, alpha, beta_red):
     """One comultiplication entry paired against (alpha, u*beta): the left leg
     acts on alpha, the right leg loops and acts on beta through suspension."""
     alpha_red = model.sub(alpha, model.from_int(model.eps(alpha)))
+    top = max((i for (f, i) in poly.variables() if f == "T1"), default=0)
+    lam_alpha = model.lambda_series(alpha_red, top)
     total = model.from_int(0)
     for mono, c in poly.terms.items():
         left = [t for t in mono if t[0] == "T1"]
@@ -495,7 +495,7 @@ def _pair_suspension_eval(poly: IntPoly, model: SplitModel, alpha, beta_red):
         left_val = model.from_int(c)
         for (_, i, e) in left:
             for _ in range(e):
-                left_val = model.mul(left_val, model.lam(i, alpha_red))
+                left_val = model.mul(left_val, lam_alpha[i])
         signed_psi = model.mul(
             model.from_int((-1) ** (k - 1)), model_psi(model, k, beta_red)
         )

@@ -53,6 +53,10 @@ class LambdaRingModel:
     def lam(self, k: int, a):
         raise NotImplementedError
 
+    def lambda_series(self, a, n: int) -> list:
+        """A fresh list [lambda^0(a), ..., lambda^n(a)]."""
+        return [self.lam(k, a) for k in range(n + 1)]
+
     def samples(self, rng: random.Random, count: int) -> list:
         raise NotImplementedError
 
@@ -100,6 +104,15 @@ class LineClassModel(LambdaRingModel):
     series for negative multiplicities.
     """
 
+    # Series kept per model instance, oldest dropped first, so that acting on
+    # a long stream of distinct elements holds bounded memory.  Validation
+    # plus 300 compose-and-act pairs on three samples reuse under 60.
+    SERIES_MEMO_SIZE = 64
+
+    def __init__(self):
+        # element term key -> the longest lambda series built for it
+        self._series: dict[tuple, list[IntPoly]] = {}
+
     def _reduce(self, p: IntPoly) -> IntPoly:
         return p
 
@@ -118,24 +131,38 @@ class LineClassModel(LambdaRingModel):
     def mul(self, a, b):
         return self._reduce(a * b)
 
-    def lam(self, k, a):
-        self._check_order(k)
-        series = [IntPoly.one()] + [IntPoly.zero() for _ in range(k)]
-        for cls, mult in self._line_decomposition(a):
-            powers = [IntPoly.one()]
-            for _ in range(k):
-                powers.append(self._reduce(powers[-1] * cls))
-            factor = [IntPoly.const(lambda_of_integer(mult, i)) * powers[i] for i in range(k + 1)]
-            nxt = [IntPoly.zero() for _ in range(k + 1)]
-            for i in range(k + 1):
-                if series[i].is_zero:
-                    continue
-                for j in range(k + 1 - i):
-                    if factor[j].is_zero:
+    def lambda_series(self, a, n):
+        """[lambda^0(a), ..., lambda^n(a)] from one product of line series
+        truncated at t^n.  The longest series built for each element is
+        memoised on its term key (see SERIES_MEMO_SIZE); callers get a fresh
+        prefix."""
+        self._check_order(n)
+        key = a.key()
+        series = self._series.get(key)
+        if series is None or len(series) <= n:
+            series = [IntPoly.one()] + [IntPoly.zero() for _ in range(n)]
+            for cls, mult in self._line_decomposition(a):
+                powers = [IntPoly.one()]
+                for _ in range(n):
+                    powers.append(self._reduce(powers[-1] * cls))
+                factor = [IntPoly.const(lambda_of_integer(mult, i)) * powers[i]
+                          for i in range(n + 1)]
+                nxt = [IntPoly.zero() for _ in range(n + 1)]
+                for i in range(n + 1):
+                    if series[i].is_zero:
                         continue
-                    nxt[i + j] = nxt[i + j] + self._reduce(series[i] * factor[j])
-            series = nxt
-        return series[k]
+                    for j in range(n + 1 - i):
+                        if factor[j].is_zero:
+                            continue
+                        nxt[i + j] = nxt[i + j] + self._reduce(series[i] * factor[j])
+                series = nxt
+            if key not in self._series and len(self._series) >= self.SERIES_MEMO_SIZE:
+                del self._series[next(iter(self._series))]  # the oldest entry
+            self._series[key] = series
+        return series[:n + 1]
+
+    def lam(self, k, a):
+        return self.lambda_series(a, k)[k]
 
     def psi(self, k: int, a: IntPoly) -> IntPoly:
         """Adams value from the line decomposition: sum of n_i C_i^k."""
@@ -152,6 +179,7 @@ class SplitModel(LineClassModel):
     """Polynomials in m line variables; every monomial is a line class."""
 
     def __init__(self, m: int):
+        super().__init__()
         self.m = m
         self.name = f"split:{m}"
 
@@ -187,6 +215,7 @@ class ProjectiveModel(LineClassModel):
     """
 
     def __init__(self, m: int, name: str | None = None):
+        super().__init__()
         self.m = m
         self.name = name or f"cp:{m}"
 
@@ -277,7 +306,7 @@ def model_psi(model: LambdaRingModel, k: int, a):
     """Adams value via Newton's identities over the model's lambda values."""
     if isinstance(model, LineClassModel):
         return model.psi(k, a)
-    lams = [model.from_int(1)] + [model.lam(i, a) for i in range(1, k + 1)]
+    lams = model.lambda_series(a, k)
     psis = [None] * (k + 1)
     for n in range(1, k + 1):
         acc = model.from_int(0)
@@ -315,31 +344,38 @@ def validate_model(model: LambdaRingModel, max_k: int = 4,
 
     one = model.from_int(1)
     for a in elems:
-        if not model.eq(model.lam(0, a), one):
+        lam_a = model.lambda_series(a, 2)
+        if not model.eq(lam_a[0], one):
             fail("lambda^0 = 1", model.show(a))
-        if not model.eq(model.lam(1, a), a):
+        if not model.eq(lam_a[1], a):
             fail("lambda^1 = id", model.show(a))
-        if model.eps(model.lam(2, a)) != lambda_of_integer(model.eps(a), 2):
+        if model.eps(lam_a[2]) != lambda_of_integer(model.eps(a), 2):
             fail("eps compatibility", model.show(a))
 
     for a, b in zip(elems[0::2], elems[1::2]):
+        # the composition rule below reads lambda^m(a) up to m = 4
+        lam_a = model.lambda_series(a, max(max_k, 4))
+        lam_b = model.lambda_series(b, max_k)
+        lam_sum = model.lambda_series(model.add(a, b), max_k)
+        lam_prod = model.lambda_series(model.mul(a, b), max_k)
         for k in range(1, max_k + 1):
-            lhs = model.lam(k, model.add(a, b))
             rhs = model.from_int(0)
             for i in range(k + 1):
-                rhs = model.add(rhs, model.mul(model.lam(i, a), model.lam(k - i, b)))
-            if not model.eq(lhs, rhs):
+                rhs = model.add(rhs, model.mul(lam_a[i], lam_b[k - i]))
+            if not model.eq(lam_sum[k], rhs):
                 fail(f"sum rule k={k}", f"{model.show(a)}, {model.show(b)}")
-            assign = {("x", i): model.lam(i, a) for i in range(1, k + 1)}
-            assign |= {("y", j): model.lam(j, b) for j in range(1, k + 1)}
+            assign = {("x", i): lam_a[i] for i in range(1, k + 1)}
+            assign |= {("y", j): lam_b[j] for j in range(1, k + 1)}
             rhs = poly_eval_in_model(universal_pk(k), model, assign)
-            if not model.eq(model.lam(k, model.mul(a, b)), rhs):
+            if not model.eq(lam_prod[k], rhs):
                 fail(f"product rule k={k}", f"{model.show(a)}, {model.show(b)}")
+        # lambda^i(lambda^j(a)) for every i * j <= 4
+        lam_lam = {j: model.lambda_series(lam_a[j], 4 // j) for j in range(1, 5)}
         for i in range(1, 5):
-            for j in range(1, 4 // i + 1):  # every (i, j) with i * j <= 4
-                assign = {("L", m): model.lam(m, a) for m in range(1, i * j + 1)}
+            for j in range(1, 4 // i + 1):
+                assign = {("L", m): lam_a[m] for m in range(1, i * j + 1)}
                 rhs = poly_eval_in_model(universal_pij(i, j), model, assign)
-                if not model.eq(model.lam(i, model.lam(j, a)), rhs):
+                if not model.eq(lam_lam[j][i], rhs):
                     fail(f"composition rule ({i},{j})", model.show(a))
 
 

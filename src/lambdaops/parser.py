@@ -10,7 +10,7 @@ an operation means 1 (x) L2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .evenops import EvenOp, identity_op
 from .intpoly import IntPoly
@@ -60,8 +60,7 @@ def tokenise(text: str) -> list[str]:
     return out
 
 
-@dataclass
-class Val:
+class Val(NamedTuple):
     kind: str  # int | fn | kbu | odd | even | poly
     payload: object
 

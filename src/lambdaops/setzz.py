@@ -9,16 +9,50 @@ coproduct output records the window it was computed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidFamily
 
 
 # -- expression trees ---------------------------------------------------
 
 
-class FnZZ:
+class _Value:
+    """Immutable value object: the fields are named in `_fields` (which
+    subclasses also use as `__slots__`), set positionally, and define
+    equality within one class, the hash and the repr."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FnZZ(_Value):
     """Base class for function expression trees."""
+
+    __slots__ = ()
 
     def ev(self, n: int) -> int:
         raise NotImplementedError
@@ -33,9 +67,8 @@ class FnZZ:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class FnConst(FnZZ):
-    c: int
+    __slots__ = _fields = ("c",)
 
     def ev(self, n):
         return self.c
@@ -44,8 +77,9 @@ class FnConst(FnZZ):
         return f"const({self.c})"
 
 
-@dataclass(frozen=True)
 class FnId(FnZZ):
+    __slots__ = ()
+
     def ev(self, n):
         return n
 
@@ -53,9 +87,8 @@ class FnId(FnZZ):
         return "id"
 
 
-@dataclass(frozen=True)
 class FnChi(FnZZ):
-    d: int
+    __slots__ = _fields = ("d",)
 
     def ev(self, n):
         return 1 if n == self.d else 0
@@ -64,9 +97,8 @@ class FnChi(FnZZ):
         return f"chi({self.d})"
 
 
-@dataclass(frozen=True)
 class FnSum(FnZZ):
-    parts: tuple
+    __slots__ = _fields = ("parts",)
 
     def ev(self, n):
         return sum(p.ev(n) for p in self.parts)
@@ -75,9 +107,8 @@ class FnSum(FnZZ):
         return "(sum " + " ".join(p.serialise() for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
 class FnProd(FnZZ):
-    parts: tuple
+    __slots__ = _fields = ("parts",)
 
     def ev(self, n):
         out = 1
@@ -89,10 +120,8 @@ class FnProd(FnZZ):
         return "(prod " + " ".join(p.serialise() for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
 class FnCompose(FnZZ):
-    outer: FnZZ
-    inner: FnZZ
+    __slots__ = _fields = ("outer", "inner")
 
     def ev(self, n):
         return self.outer.ev(self.inner.ev(n))
@@ -128,13 +157,13 @@ def fn_compose(f: FnZZ, g: FnZZ) -> FnZZ:
 # -- windows ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Window:
-    W: int
+class Window(_Value):
+    __slots__ = _fields = ("W",)
 
-    def __post_init__(self):
-        if self.W < 1:
+    def __init__(self, W: int):
+        if W < 1:
             raise ValueError("window must be >= 1")
+        super().__init__(W)
 
     def indices(self):
         return range(-self.W, self.W + 1)

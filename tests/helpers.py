@@ -108,3 +108,30 @@ def reference_op_is_primitive(r):
         for k in keys
         if abs(k[0] + k[1]) <= r.window
     )
+
+
+# -- reference lambda values of the models ------------------------------------
+
+
+def reference_lam(model, k: int, a):
+    """lambda^k(a) with a fresh product truncated at t^k for every k, the
+    construction that `lambda_series` replaced.  For line-class models it
+    reads the model's `_line_decomposition` and `_reduce`; the integer-like
+    models (zz, coi) get the binomial of the augmentation."""
+    from lambdaops.intpoly import IntPoly
+    from lambdaops.models import LineClassModel
+
+    if not isinstance(model, LineClassModel):
+        return model.from_int(binom(model.eps(a), k))
+    series = [IntPoly.one()] + [IntPoly.zero() for _ in range(k)]
+    for cls, mult in model._line_decomposition(a):
+        powers = [IntPoly.one()]
+        for _ in range(k):
+            powers.append(model._reduce(powers[-1] * cls))
+        factor = [binom(mult, i) * powers[i] for i in range(k + 1)]
+        nxt = [IntPoly.zero() for _ in range(k + 1)]
+        for i in range(k + 1):
+            for j in range(k + 1 - i):
+                nxt[i + j] = nxt[i + j] + model._reduce(series[i] * factor[j])
+        series = nxt
+    return series[k]

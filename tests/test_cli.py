@@ -3,6 +3,8 @@ import os.path as osp
 import subprocess
 import sys
 
+import pytest
+
 GOLDEN = osp.join(osp.dirname(osp.abspath(__file__)), "golden")
 
 
@@ -25,6 +27,14 @@ def test_upoly_pk2_golden():
     assert got.returncode == 0
     with open(osp.join(GOLDEN, "cli_upoly_pk2.json")) as fh:
         assert json.loads(got.stdout) == json.load(fh)
+
+
+@pytest.mark.parametrize("suite", ["models", "compose"])
+def test_check_golden_bytes(suite):
+    got = run_cli("--format", "json", "--trunc", "4", "--seed", "3", "check", suite)
+    assert got.returncode == 0 and got.stderr == ""
+    with open(osp.join(GOLDEN, f"cli_check_{suite}.json")) as fh:
+        assert got.stdout == fh.read()
 
 
 def test_upoly_text_forms():

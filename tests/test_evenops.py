@@ -10,6 +10,8 @@ from lambdaops.errors import (
 from lambdaops.evenops import (
     EvenOp,
     act,
+    act_pair,
+    coadd_entry,
     comult_entry,
     compose_even,
     compose_even_pair,
@@ -279,6 +281,21 @@ def test_comult_entry_outside_table_and_window():
     # an index outside the window still fails through divisor_pairs
     with pytest.raises(WindowExhausted):
         op_comult(EvenOp({5: gen(1, 4)}, 4, 3))
+
+
+def test_coadd_entry_outside_table_and_window():
+    r = parse_op("chi(2)@(L1*L2) + const(1)@L3", 4, 3)
+    tensor = op_coadd(r)
+    for i in range(-5, 6):
+        for j in range(-5, 6):
+            assert coadd_entry(r, i, j) == tensor.entries.get((i, j), IntPoly.zero()), (i, j)
+
+
+def test_act_pair_checks_window_before_entry():
+    asked = []
+    with pytest.raises(WindowExhausted, match=r"augmentations \(17, 0\) outside window 16"):
+        act_pair(lambda ea, eb: asked.append((ea, eb)), MODELS["zz"], 17, 0, W)
+    assert not asked
 
 
 def test_tensor_window_guard():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import binom
+from helpers import binom, reference_lam
 from lambdaops.errors import (
     IndexOutOfRange,
     ModelTruncationExceeded,
@@ -112,6 +112,80 @@ def test_validate_model_catches_broken_lambda():
 
     with pytest.raises(RegistrationFailure):
         validate_model(Broken())
+
+
+def _series_models():
+    extra = [ProjectiveModel(m) for m in (1, 2, 3)] + [SplitModel(m) for m in (1, 2, 3)]
+    return list(register_models(validate=False).values()) + extra
+
+
+def test_lambda_series_matches_reference():
+    rng = random.Random(19)
+    for model in _series_models():
+        for a in model.samples(rng, 4):
+            for n in range(7):
+                got = model.lambda_series(a, n)
+                assert len(got) == n + 1
+                for k, value in enumerate(got):
+                    assert model.eq(value, reference_lam(model, k, a)), (model.name, k)
+
+
+def test_lambda_series_memo_prefix_and_regrowth():
+    rng = random.Random(20)
+    for model in _series_models():
+        for a in model.samples(rng, 3):
+            want = [reference_lam(model, k, a) for k in range(8)]
+            for n in (5, 2, 7):
+                got = model.lambda_series(a, n)
+                assert len(got) == n + 1
+                assert all(model.eq(x, y) for x, y in zip(got, want)), (model.name, n)
+                assert model.eq(model.lam(n, a), want[n])
+            # a caller that mutates its list changes no later answer
+            got[1] = model.from_int(99)
+            model.lambda_series(a, 3)[2] = model.from_int(99)
+            again = model.lambda_series(a, 7)
+            assert all(model.eq(x, y) for x, y in zip(again, want)), model.name
+
+
+def test_lambda_series_memo_is_bounded():
+    split = SplitModel(2)
+    x1, x2 = IntPoly.var("x", 1), IntPoly.var("x", 2)
+    elems = [x1 + c * x2 for c in range(split.SERIES_MEMO_SIZE + 10)]
+    for a in elems:
+        split.lambda_series(a, 3)
+    assert len(split._series) == split.SERIES_MEMO_SIZE
+    for a in elems[:3] + elems[-3:]:  # the oldest were dropped and are rebuilt
+        want = [reference_lam(split, k, a) for k in range(5)]
+        assert split.lambda_series(a, 4) == want
+    assert len(split._series) == split.SERIES_MEMO_SIZE
+
+
+def test_lambda_series_guard_after_cached_call():
+    x1, x2, u = IntPoly.var("x", 1), IntPoly.var("x", 2), IntPoly.var("u", 1)
+    for model, a in ((ProjectiveModel(1, name="sphere"), 2 * u), (SplitModel(2), x1 + x2),
+                     (IntegerModel(), 2)):
+        model.lambda_series(a, 5)
+        model.max_lambda = 3
+        assert len(model.lambda_series(a, 3)) == 4
+        with pytest.raises(ModelTruncationExceeded):
+            model.lambda_series(a, 4)
+        with pytest.raises(ModelTruncationExceeded):
+            model.lam(5, a)
+
+
+def test_validate_model_catches_broken_series():
+    class BrokenSeries(SplitModel):
+        def lambda_series(self, a, n):
+            series = super().lambda_series(a, n)
+            if n >= 3:
+                series[3] = self.add(series[3], self.from_int(1))  # wrong on purpose
+            return series
+
+    broken = BrokenSeries(2)
+    x1 = IntPoly.var("x", 1)
+    assert broken.eq(broken.lambda_series(x1, 2)[2], SplitModel(2).lam(2, x1))
+    with pytest.raises(RegistrationFailure):
+        validate_model(broken)
 
 
 def test_get_model_selectors():

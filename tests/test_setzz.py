@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -80,6 +82,20 @@ def test_window_normalise_idempotent():
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(0)
+
+
+def test_trees_and_windows_are_immutable_values():
+    f = fn_sum(chi(-1), fn_prod(const(2), IDENT))
+    assert f == fn_sum(chi(-1), fn_prod(const(2), IDENT))
+    assert hash(f) == hash(fn_sum(chi(-1), fn_prod(const(2), IDENT)))
+    assert chi(2) != const(2) and fn_sum(IDENT) != fn_prod(IDENT)
+    assert len({chi(1), chi(1), const(1), IDENT, FnCompose(IDENT, IDENT)}) == 4
+    assert Window(3) == Window(3) != Window(4)
+    assert repr(FnCompose(FnChi(1), IDENT)) == "FnCompose(outer=FnChi(d=1), inner=FnId())"
+    for value, name in ((chi(1), "d"), (Window(2), "W")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+    assert pickle.loads(pickle.dumps(f)) == f and copy.deepcopy(Window(2)) == Window(2)
 
 
 def test_serialised_prefix_form():
