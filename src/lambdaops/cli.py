@@ -113,7 +113,7 @@ def cmd_act(args) -> int:
         elem = model.from_int(elem_val.payload)
     elif elem_val.kind == "poly":
         elem = elem_val.payload
-        if not elem.variables() <= _model_variables(model):
+        if not elem.variables().keys() <= _model_variables(model):
             raise ParseError(f"element {args.element!r} is not in model {args.model}")
     else:
         raise ParseError(f"cannot read a model element from a {elem_val.kind} expression")

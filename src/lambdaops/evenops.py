@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import WindowExhausted
 from .intpoly import IntPoly
-from .kbu import KBUElem, colinear, compose_kbu, cozero, coadd_image, comult_image, coadd_multi
+from .kbu import KBUElem, coadd, coadd_multi, colinear, comult_image, compose_kbu, cozero
 from .models import LambdaRingModel, poly_eval_in_model
 from .setzz import FnZZ, FnChi, FnCompose, const
 
@@ -224,18 +224,12 @@ def tensor_of_ops(r: EvenOp, s: EvenOp) -> EvenOpTensor:
     return EvenOpTensor(entries, r.trunc, r.window)
 
 
-def _coadd_leg(x: KBUElem) -> IntPoly:
-    """Delta+(x) as a truncated polynomial in the leg families T1/T2."""
-    return (x.poly.substitute_family("L", coadd_image)
-            .truncate_family("T1", x.trunc).truncate_family("T2", x.trunc))
-
-
 def coadd_entry(r: EvenOp, i: int, j: int) -> IntPoly:
     """Entry (i, j) of Delta+(r), a polynomial in T1/T2: Delta+(x_{i+j}).
     Zero when |i| or |j| exceeds the window or i + j is not in the table."""
     if abs(i) > r.window or abs(j) > r.window or i + j not in r.table:
         return IntPoly.zero()
-    return _coadd_leg(r.table[i + j])
+    return coadd(r.table[i + j]).poly
 
 
 def op_coadd(r: EvenOp) -> EvenOpTensor:
@@ -244,7 +238,7 @@ def op_coadd(r: EvenOp) -> EvenOpTensor:
     W = r.window
     entries: dict[tuple[int, int], IntPoly] = {}
     for d, x in r.table.items():
-        two_leg = _coadd_leg(x)
+        two_leg = coadd(x).poly
         for i in range(max(-W, d - W), min(W, d + W) + 1):
             entries[(i, d - i)] = two_leg
     return EvenOpTensor(entries, r.trunc, r.window)
@@ -255,7 +249,7 @@ def op_is_primitive(r: EvenOp) -> bool:
     Delta+(x_{i+j}) = x_i (x) 1 + 1 (x) x_j whenever |i|, |j|, |i+j| <= W."""
     W = r.window
     zero = IntPoly.zero()
-    coadds = {d: _coadd_leg(x) for d, x in r.table.items()}
+    coadds = {d: coadd(x).poly for d, x in r.table.items()}
     left = {i: x.poly.rename_family("L", "T1") for i, x in r.table.items()}
     right = {j: x.poly.rename_family("L", "T2") for j, x in r.table.items()}
     for i in range(-W, W + 1):
@@ -266,7 +260,7 @@ def op_is_primitive(r: EvenOp) -> bool:
 
 
 # Delta-x of a ring leg x_d, grouped for comult_entry: key (trunc, terms of
-# x_d) -> {t3 monomial: {t2 monomial: polynomial in T1/T2}}
+# x_d) -> {t3 monomial: {t2 monomial: polynomial in T1/T2}}, monomials in L
 _COMULT_LEGS_CACHE: dict[tuple, dict] = {}
 # gamma(kappa) of a one-monomial leg, renamed to a tensor leg family:
 # key (monomial, kappa, family, trunc) -> polynomial
@@ -281,31 +275,23 @@ def _comult_legs(x: KBUElem) -> dict:
     if groups is None:
         three = coadd_multi(x, 3)  # families T1, T2, T3
         four = three.substitute_family("T1", lambda k: comult_image(k, "U", "V"))
-        groups = {}
-        for mono, c in four.terms.items():
-            b1, t2, t3 = [], [], []
-            for (f, i, e) in mono:
-                if f == "U":
-                    b1.append(("T1", i, e))
-                elif f == "V":
-                    b1.append(("T2", i, e))
-                else:
-                    (t2 if f == "T2" else t3).append(("L", i, e))
-            # U sorts before V, so b1 is already sorted as a T1/T2 monomial
-            group = groups.setdefault(tuple(t3), {}).setdefault(tuple(t2), {})
-            group[tuple(b1)] = c
-        groups = {t3: {t2: IntPoly._trusted(terms) for t2, terms in by_t2.items()}
-                  for t3, by_t2 in groups.items()}
+        groups = {
+            t3.rename_family("T3", "L"): {
+                t2.rename_family("T2", "L"): b1.rename_family("U", "T1").rename_family("V", "T2")
+                for t2, b1 in by_t3.collect("T2")
+            }
+            for t3, by_t3 in four.collect("T3")
+        }
         _COMULT_LEGS_CACHE[key] = groups
     return groups
 
 
-def _gamma_leg(mono, kappa: int, family: str, trunc: int) -> IntPoly:
-    """gamma(kappa) of one leg monomial at level `trunc`, in `family`."""
+def _gamma_leg(mono: IntPoly, kappa: int, family: str, trunc: int) -> IntPoly:
+    """gamma(kappa) of one leg monomial (in L) at level `trunc`, in `family`."""
     key = (mono, kappa, family, trunc)
     image = _GAMMA_LEG_CACHE.get(key)
     if image is None:
-        leg = colinear(kappa, KBUElem(IntPoly({mono: 1}), trunc))
+        leg = colinear(kappa, KBUElem(mono, trunc))
         image = leg.poly.rename_family("L", family)
         _GAMMA_LEG_CACHE[key] = image
     return image

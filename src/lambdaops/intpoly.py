@@ -4,7 +4,8 @@ A variable is a (family, index) pair such as ("L", 3); a monomial is a
 sorted tuple of (family, index, exponent) triples with positive exponents;
 a polynomial maps monomials to nonzero integer coefficients.  Values are
 treated as immutable after construction, so they are safe to share, hash
-and memoise.
+and memoise.  No other module depends on this layout: they read monomials
+through the query and monomial-view methods and build them from `var`.
 """
 
 from __future__ import annotations
@@ -176,20 +177,28 @@ class IntPoly:
     def constant_term(self) -> int:
         return self.terms.get(ONE_MONO, 0)
 
-    def coefficient(self, mono: Mono) -> int:
-        return self.terms.get(mono, 0)
+    def coefficient(self, mono: "IntPoly") -> int:
+        """The coefficient of the monomial `mono` (a one-term polynomial)."""
+        ((m, _),) = mono.terms.items()
+        return self.terms.get(m, 0)
 
-    def variables(self) -> set[tuple[str, int]]:
-        return {(f, i) for m in self.terms for (f, i, _) in m}
+    def variables(self) -> dict[tuple[str, int], int]:
+        """Each variable that occurs, mapped to its highest exponent."""
+        out: dict[tuple[str, int], int] = {}
+        for m in self.terms:
+            for (f, i, e) in m:
+                if e > out.get((f, i), 0):
+                    out[(f, i)] = e
+        return out
 
-    def family_degree(self, mono: Mono, family: str) -> int:
-        return sum(e for (f, _, e) in mono if f == family)
-
-    def part_of_family_degree(self, family: str, degree: int) -> "IntPoly":
-        """Keep exactly the monomials of the given total degree in `family`."""
-        return IntPoly._trusted(
-            {m: c for m, c in self.terms.items() if self.family_degree(m, family) == degree}
-        )
+    def part_of_family_degree(self, family: str, low: int, high: int | None = None) -> "IntPoly":
+        """Keep the monomials whose total degree in `family` lies in
+        [low, high]; high defaults to low."""
+        high = low if high is None else high
+        return IntPoly._trusted({
+            m: c for m, c in self.terms.items()
+            if low <= sum(e for (f, _, e) in m if f == family) <= high
+        })
 
     def weight(self, family: str) -> int:
         """Max over monomials of sum(index * exponent) within `family`."""
@@ -198,6 +207,48 @@ class IntPoly:
             w = sum(i * e for (f, i, e) in m if f == family)
             best = max(best, w)
         return best
+
+    # -- monomial views -------------------------------------------------
+    # A monomial handed out is a one-term polynomial with coefficient 1, so
+    # no caller depends on how monomials are stored.
+
+    def sorted_terms(self) -> list[tuple["IntPoly", int]]:
+        """The terms as (monomial, coefficient) pairs, sorted by monomial."""
+        return [(IntPoly._trusted({m: 1}), c) for m, c in sorted(self.terms.items())]
+
+    def split_first(self) -> tuple["IntPoly", "IntPoly"]:
+        """For a monomial other than 1: its first variable and the monomial
+        divided by that variable."""
+        ((m, c),) = self.terms.items()
+        f, i, e = m[0]
+        rest = ((f, i, e - 1),) + m[1:] if e > 1 else m[1:]
+        return IntPoly.var(f, i), IntPoly._trusted({rest: c})
+
+    def collect(self, family: str) -> list[tuple["IntPoly", "IntPoly"]]:
+        """Group the terms by their `family` part: (monomial in `family`,
+        coefficient polynomial in the other families) pairs, sorted by
+        monomial."""
+        groups: dict[Mono, dict[Mono, int]] = {}
+        for m, c in self.terms.items():
+            inside = tuple(t for t in m if t[0] == family)
+            groups.setdefault(inside, {})[tuple(t for t in m if t[0] != family)] = c
+        return [(IntPoly._trusted({m: 1}), IntPoly._trusted(groups[m])) for m in sorted(groups)]
+
+    def linear_coefficients(self, family: str) -> dict[int, int]:
+        """{index: coefficient} of the terms that are a single `family`
+        variable to the first power."""
+        return {m[0][1]: c for m, c in self.terms.items()
+                if len(m) == 1 and m[0][0] == family and m[0][2] == 1}
+
+    def div_exact(self, n: int) -> "IntPoly":
+        """Divide every coefficient by n; ValueError unless each one divides."""
+        out: dict[Mono, int] = {}
+        for m, c in self.terms.items():
+            quot, rem = divmod(c, n)
+            if rem:
+                raise ValueError(f"coefficient {c} of {m} is not divisible by {n}")
+            out[m] = quot
+        return IntPoly._trusted(out)
 
     # -- structural maps ------------------------------------------------
 
@@ -269,26 +320,35 @@ class IntPoly:
             {v: image(v[1]) for v in sorted(self.variables()) if v[0] == family}
         )
 
-    def evaluate(self, assign: Mapping[tuple[str, int], int]) -> int:
-        """Evaluate at an integer point; every variable must be assigned."""
-        total = 0
+    def evaluate(self, assign: Mapping[tuple[str, int], object], ring=None):
+        """Evaluate with every variable assigned.  The values are integers,
+        or elements of `ring`, an object with from_int, add and mul (such as
+        a lambda-ring model)."""
+        if ring is None:
+            total = 0
+            for m, c in self.terms.items():
+                v = c
+                for (f, i, e) in m:
+                    v *= assign[(f, i)] ** e
+                total += v
+            return total
+        total = ring.from_int(0)
         for m, c in self.terms.items():
-            v = c
+            acc = ring.from_int(c)
             for (f, i, e) in m:
-                v *= assign[(f, i)] ** e
-            total += v
+                value = assign[(f, i)]
+                for _ in range(e):
+                    acc = ring.mul(acc, value)
+            total = ring.add(total, acc)
         return total
 
     # -- serialisation ----------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[Mono, int]]:
-        return sorted(self.terms.items())
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items()):
             factors = "*".join(
                 f"{f}{i}" if e == 1 else f"{f}{i}^{e}" for (f, i, e) in m
             )
@@ -312,7 +372,7 @@ class IntPoly:
         """JSON-ready form: sorted terms, decimal-string coefficients."""
         return [
             {"mono": [[f, i, e] for (f, i, e) in m], "coeff": str(c)}
-            for m, c in self.sorted_terms()
+            for m, c in sorted(self.terms.items())
         ]
 
     def to_json(self) -> str:

@@ -103,18 +103,9 @@ class TensorKBU:
     def pairs(self) -> list[tuple[KBUElem, KBUElem]]:
         """Sumless-Sweedler view: (left monomial, right element) pairs with
         distinct left factors, sorted canonically."""
-        grouped: dict[tuple, IntPoly] = {}
-        for mono, c in self.poly.terms.items():
-            left = tuple(t for t in mono if t[0] == "T1")
-            right = tuple(t for t in mono if t[0] == "T2")
-            grouped[left] = grouped.get(left, IntPoly.zero()) + IntPoly({right: c})
-        out = []
-        for left in sorted(grouped):
-            lmono = tuple(("L", i, e) for (_, i, e) in left)
-            lpoly = IntPoly({lmono: 1})
-            rpoly = grouped[left].rename_family("T2", "L")
-            out.append((KBUElem(lpoly, self.trunc), KBUElem(rpoly, self.trunc)))
-        return out
+        return [(KBUElem(left.rename_family("T1", "L"), self.trunc),
+                 KBUElem(right.rename_family("T2", "L"), self.trunc))
+                for left, right in self.poly.collect("T1")]
 
     def __str__(self):
         parts = []
@@ -241,8 +232,9 @@ def _gen_compose(g: int, ypoly: IntPoly) -> IntPoly:
 
     terms = ypoly.sorted_terms()
     if len(terms) > 1:
-        head = IntPoly({terms[0][0]: terms[0][1]})
-        rest = IntPoly(dict(terms[1:]))
+        mono, c = terms[0]
+        head = c * mono
+        rest = ypoly - head
         result = IntPoly.zero()
         for i in range(g + 1):
             left = _gen_compose(i, head)
@@ -253,17 +245,16 @@ def _gen_compose(g: int, ypoly: IntPoly) -> IntPoly:
                 continue
             result = result + left * right
     else:
-        mono, c = terms[0]
+        ((mono, c),) = terms
+        linear = mono.linear_coefficients("L")
         if c != 1:
-            result = _poly_compose(gamma_gen(c, g), IntPoly({mono: 1}))
-        elif len(mono) == 1 and mono[0][2] == 1:
-            result = universal_pij(g, mono[0][1])
+            result = _poly_compose(gamma_gen(c, g), mono)
+        elif linear:
+            (j,) = linear
+            result = universal_pij(g, j)
         else:
             # split one generator factor off the monomial
-            f0, i0, e0 = mono[0]
-            m1 = IntPoly({((f0, i0, 1),): 1})
-            rest_mono = ((f0, i0, e0 - 1),) + mono[1:] if e0 > 1 else mono[1:]
-            m2 = IntPoly({tuple(rest_mono): 1})
+            m1, m2 = mono.split_first()
             images = {}
             for i in range(1, g + 1):
                 images[("x", i)] = _gen_compose(i, m1)

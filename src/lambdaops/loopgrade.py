@@ -23,7 +23,7 @@ from .evenops import (
 )
 from .intpoly import IntPoly, Truncated
 from .kbu import KBUElem, gen, psi_kbu
-from .models import SplitModel, model_psi
+from .models import SplitModel, model_psi, poly_eval_in_model
 from .setzz import chi, const
 from .symfun import left_linearise, universal_pij, universal_pk
 
@@ -157,18 +157,8 @@ def loop_even(r: EvenOp) -> OddOp:
     decomposables die.  Requires r in the augmentation ideal."""
     if op_cozero(r) != 0:
         raise NotAugmented("loop requires vanishing augmentation")
-    return _loop_even_linear(r)
-
-
-def _loop_even_linear(r: EvenOp) -> OddOp:
-    """Linear-part extraction without the augmentation guard (internal use:
-    Sweedler legs need the extension by zero on constants)."""
-    x0 = r.component(0)
-    terms = {}
-    for mono, c in x0.poly.terms.items():
-        if len(mono) == 1 and mono[0][2] == 1:
-            terms[(mono[0][1],)] = c
-    return OddOp(ExtElem(terms), r.trunc)
+    linear = r.component(0).poly.linear_coefficients("L")
+    return OddOp(ExtElem({(k,): c for k, c in linear.items()}), r.trunc)
 
 
 def loop_odd(x: OddOp, window: int) -> EvenOp:
@@ -194,11 +184,8 @@ def _odd_gen_compose(i: int, j: int, trunc: int) -> ExtElem:
     key = (i, j)
     cached = _ODD_GEN_CACHE.get(key)
     if cached is None:
-        linear = universal_pij(i, j).part_of_family_degree("L", 1)
-        terms = {}
-        for mono, c in linear.terms.items():
-            terms[(mono[0][1],)] = c
-        cached = ExtElem(terms)
+        linear = universal_pij(i, j).linear_coefficients("L")
+        cached = ExtElem({(k,): c for k, c in linear.items()})
         _ODD_GEN_CACHE[key] = cached
     return cached
 
@@ -469,13 +456,7 @@ def _suspension_eval(r: EvenOp, model: SplitModel, q):
         "L", lambda k: u * ((-1) ** (k - 1)) * model.psi(k, q)
     )
     # truncate u^2 = 0 and read off the u-linear coefficient
-    out = IntPoly.zero()
-    for mono, c in value.terms.items():
-        ucount = sum(e for (f, _, e) in mono if f == "u")
-        if ucount == 1:
-            rest = tuple(t for t in mono if t[0] != "u")
-            out = out + IntPoly({rest: c})
-    return out
+    return dict(value.collect("u")).get(u, IntPoly.zero())
 
 
 def _pair_suspension_eval(poly: IntPoly, model: SplitModel, alpha, beta_red):
@@ -484,22 +465,16 @@ def _pair_suspension_eval(poly: IntPoly, model: SplitModel, alpha, beta_red):
     alpha_red = model.sub(alpha, model.from_int(model.eps(alpha)))
     top = max((i for (f, i) in poly.variables() if f == "T1"), default=0)
     lam_alpha = model.lambda_series(alpha_red, top)
+    assign = {("T1", i): lam_alpha[i] for i in range(1, top + 1)}
     total = model.from_int(0)
-    for mono, c in poly.terms.items():
-        left = [t for t in mono if t[0] == "T1"]
-        right = [t for t in mono if t[0] == "T2"]
+    for right, left in poly.collect("T2"):
         # the right leg must be generator-linear to survive looping
-        if len(right) != 1 or right[0][2] != 1:
-            continue
-        k = right[0][1]
-        left_val = model.from_int(c)
-        for (_, i, e) in left:
-            for _ in range(e):
-                left_val = model.mul(left_val, lam_alpha[i])
-        signed_psi = model.mul(
-            model.from_int((-1) ** (k - 1)), model_psi(model, k, beta_red)
-        )
-        total = model.add(total, model.mul(left_val, signed_psi))
+        for k in right.linear_coefficients("T2"):
+            signed_psi = model.mul(
+                model.from_int((-1) ** (k - 1)), model_psi(model, k, beta_red)
+            )
+            left_val = poly_eval_in_model(left, model, assign)
+            total = model.add(total, model.mul(left_val, signed_psi))
     return total
 
 

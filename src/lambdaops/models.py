@@ -184,7 +184,7 @@ class SplitModel(LineClassModel):
         self.name = f"split:{m}"
 
     def _line_decomposition(self, a):
-        return [(IntPoly({mono: 1}), c) for mono, c in a.terms.items()]
+        return a.sorted_terms()
 
     def eps(self, a):
         return a.evaluate({("x", i): 1 for i in range(1, self.m + 1)})
@@ -220,10 +220,7 @@ class ProjectiveModel(LineClassModel):
         self.name = name or f"cp:{m}"
 
     def _reduce(self, p: IntPoly):
-        def udeg(mono):
-            return sum(e for (f, _, e) in mono if f == "u")
-
-        return IntPoly({m: c for m, c in p.terms.items() if udeg(m) <= self.m})
+        return p.part_of_family_degree("u", 0, self.m)
 
     def _xi_power(self, j: int) -> IntPoly:
         # (1 + u)^j truncated at u^(m+1)
@@ -233,12 +230,8 @@ class ProjectiveModel(LineClassModel):
         return out
 
     def _line_decomposition(self, a):
-        coeffs = [0] * (self.m + 1)
-        for mono, c in a.terms.items():
-            if not mono:
-                coeffs[0] = c
-            else:
-                coeffs[mono[0][2]] = c
+        u = IntPoly.var("u", 1)
+        coeffs = [a.coefficient(u ** i) for i in range(self.m + 1)]
         # u^i = (xi - 1)^i  =>  multiplicity of xi^j is sum_i a_i C(i, j) (-1)^(i-j)
         out = []
         for j in range(self.m + 1):
@@ -320,14 +313,7 @@ def model_psi(model: LambdaRingModel, k: int, a):
 
 def poly_eval_in_model(poly: IntPoly, model: LambdaRingModel, assign: dict):
     """Evaluate an integer polynomial with carrier values for its variables."""
-    total = model.from_int(0)
-    for mono, c in poly.terms.items():
-        acc = model.from_int(c)
-        for (f, i, e) in mono:
-            for _ in range(e):
-                acc = model.mul(acc, assign[(f, i)])
-        total = model.add(total, acc)
-    return total
+    return poly.evaluate(assign, model)
 
 
 def validate_model(model: LambdaRingModel, max_k: int = 4,
@@ -397,6 +383,11 @@ def register_models(validate: bool = True) -> dict[str, LambdaRingModel]:
     return models
 
 
+# Largest m accepted in 'cp:m' and 'split:m'.  Every registered model has
+# m <= 3; the cost of the line-class models grows quickly with m.
+MAX_MODEL_M = 64
+
+
 def get_model(selector: str) -> LambdaRingModel:
     """Resolve a CLI selector such as 'sphere', 'cp:3' or 'split:4'."""
     if selector == "zz":
@@ -409,6 +400,8 @@ def get_model(selector: str) -> LambdaRingModel:
         m = int(selector.split(":", 1)[1])
         if m < 1:
             raise ValueError(f"model {selector}: m must be at least 1")
+        if m > MAX_MODEL_M:
+            raise ValueError(f"model {selector}: m must be at most {MAX_MODEL_M}")
         return ProjectiveModel(m) if selector.startswith("cp:") else SplitModel(m)
     raise ValueError(f"unknown model selector: {selector}")
 

@@ -11,7 +11,6 @@ elementary target.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import LambdaOpsError, NonSymmetricInput
@@ -24,7 +23,8 @@ _PSI_CACHE: dict[int, IntPoly] = {}
 
 
 def esym_poly(family: str, m: int, k: int) -> IntPoly:
-    """The k-th elementary symmetric polynomial in family_1..family_m, expanded."""
+    """The k-th elementary symmetric polynomial in family_1..family_m, expanded
+    by e_k(x_1..x_m) = e_k(x_1..x_{m-1}) + x_m e_{k-1}(x_1..x_{m-1})."""
     if k == 0:
         return IntPoly.one()
     if k > m:
@@ -32,39 +32,10 @@ def esym_poly(family: str, m: int, k: int) -> IntPoly:
     key = (family, m, k)
     cached = _ESYM_CACHE.get(key)
     if cached is None:
-        terms = {}
-        for subset in itertools.combinations(range(1, m + 1), k):
-            mono = tuple((family, i, 1) for i in subset)
-            terms[mono] = 1
-        cached = IntPoly(terms)
+        cached = (esym_poly(family, m - 1, k)
+                  + IntPoly.var(family, m) * esym_poly(family, m - 1, k - 1))
         _ESYM_CACHE[key] = cached
     return cached
-
-
-def _swap_indices(p: IntPoly, family: str, i: int, j: int) -> IntPoly:
-    def fn(mono, c):
-        out = []
-        for (f, idx, e) in mono:
-            if f == family and idx == i:
-                idx = j
-            elif f == family and idx == j:
-                idx = i
-            out.append((f, idx, e))
-        return tuple(sorted(out)), c
-
-    return p.map_terms(fn)
-
-
-def _family_vector(mono, family: str, m: int) -> tuple[int, ...]:
-    vec = [0] * m
-    for (f, idx, e) in mono:
-        if f == family:
-            vec[idx - 1] = e
-    return tuple(vec)
-
-
-def _strip_family(mono, family: str):
-    return tuple(t for t in mono if t[0] != family)
 
 
 def elementary_expand(p: IntPoly, family: str = "x", m: int | None = None,
@@ -77,13 +48,17 @@ def elementary_expand(p: IntPoly, family: str = "x", m: int | None = None,
     strictly lowers it.  Coefficients may involve other variable families;
     they ride along untouched.
 
-    Raises NonSymmetricInput if any adjacent transposition changes p.
+    Raises ValueError if p holds a `family` variable of index above m, and
+    NonSymmetricInput if any adjacent transposition changes p.
     """
+    indices = [i for (f, i) in p.variables() if f == family]
     if m is None:
-        indices = [i for (f, i) in p.variables() if f == family]
-        m = max(indices) if indices else 0
+        m = max(indices, default=0)
+    elif indices and max(indices) > m:
+        raise ValueError(f"{family}{max(indices)} lies above m = {m}")
     for i in range(1, m):
-        if _swap_indices(p, family, i, i + 1) != p:
+        xi, xj = IntPoly.var(family, i), IntPoly.var(family, i + 1)
+        if p.substitute({(family, i): xj, (family, i + 1): xi}) != p:
             raise NonSymmetricInput(
                 f"not symmetric under swapping {family}{i} <-> {family}{i + 1}"
             )
@@ -91,21 +66,15 @@ def elementary_expand(p: IntPoly, family: str = "x", m: int | None = None,
     work = p
     out = IntPoly.zero()
     while True:
-        lead = None
-        for mono in work.terms:
-            vec = _family_vector(mono, family, m)
+        lead = coeff = None
+        for mono, c in work.collect(family):
+            degrees = mono.variables()
+            vec = tuple(degrees.get((family, i), 0) for i in range(1, m + 1))
             if any(vec) and (lead is None or vec > lead):
-                lead = vec
+                lead, coeff = vec, c
         if lead is None:
             return out + work
 
-        coeff = IntPoly(
-            {
-                _strip_family(mono, family): c
-                for mono, c in work.terms.items()
-                if _family_vector(mono, family, m) == lead
-            }
-        )
         expansion = IntPoly.one()
         emono = IntPoly.one()
         padded = lead + (0,)
@@ -130,15 +99,10 @@ def _elementary_from_power_sums(k: int, power) -> IntPoly:
         for i in range(1, n + 1):
             step = elem[n - i] * powers[i - 1]
             acc = acc + step if i % 2 else acc - step
-        terms = {}
-        for mono, c in acc.terms.items():
-            quot, rem = divmod(c, n)
-            if rem:
-                raise LambdaOpsError(
-                    f"Newton step {n}: coefficient {c} of {mono} is not divisible by {n}"
-                )
-            terms[mono] = quot
-        elem.append(IntPoly(terms))
+        try:
+            elem.append(acc.div_exact(n))
+        except ValueError as exc:
+            raise LambdaOpsError(f"Newton step {n}: {exc}") from None
     return elem[k]
 
 

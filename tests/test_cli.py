@@ -179,6 +179,18 @@ def test_operand_errors_exit_nonzero():
     assert run_cli("--help").returncode == 0
 
 
+def test_model_m_bound():
+    # m above 64 fails with one error line before any model is built
+    for selector in ("cp:65", "split:65", "cp:3000", "split:99999999"):
+        got = run_cli("act", "--model", selector, "L1", "3")
+        assert_one_error_line(got)
+        assert got.stderr == f"error: model {selector}: m must be at most 64\n"
+    for selector, element, value in (("cp:64", "u", "-u^2"),
+                                     ("split:64", "x64", "-2 + 3*x64 - x64^2")):
+        got = run_cli("act", "--model", selector, "L1*L2 + chi(1)@L3", element)
+        assert got.returncode == 0 and got.stdout == value + "\n"
+
+
 def test_byte_identical_reruns():
     for argv in (
         ["--format", "json", "upoly", "pk", "3"],

@@ -108,6 +108,67 @@ def test_family_degree_filter():
     p = IntPoly.var("x", 1, 2) * IntPoly.var("y", 2) + x2 * y1 * y1 - 2 * x2
     linear = p.part_of_family_degree("x", 1)
     assert linear == x2 * y1 * y1 - 2 * x2
+    assert (p + 5).part_of_family_degree("x", 0, 1) == linear + 5
+    assert (p + 5).part_of_family_degree("y", 1, 2) == p + 2 * x2
+
+
+def test_monomial_views_randomized():
+    """collect, linear_coefficients, sorted_terms, split_first, coefficient,
+    variables and div_exact against brute force on random polynomials."""
+    rng = random.Random(31)
+    families = ("L", "T1", "x")
+    for _ in range(40):
+        p = rand_poly(rng, families=families, terms=8)
+        p = p + rng.randint(-3, 3) * IntPoly.var(rng.choice(families), rng.randint(1, 3))
+        terms = p.sorted_terms()
+        assert IntPoly.sum_of_products((m, IntPoly.const(c)) for m, c in terms) == p
+        assert [m.to_obj() for m, _ in terms] == [[dict(t, coeff="1")] for t in p.to_obj()]
+        for m, c in terms:
+            assert p.coefficient(m) == c and len(m.sorted_terms()) == 1
+            if m != 1:
+                first, rest = m.split_first()
+                assert first * rest == m and len(first.variables()) == 1
+        for family in families:
+            groups = p.collect(family)
+            assert IntPoly.sum_of_products(groups) == p
+            keys = [m.to_obj()[0]["mono"] for m, _ in groups]
+            assert keys == sorted(keys) and len(set(map(str, keys))) == len(keys)
+            for m, coeff in groups:
+                assert {f for (f, _) in m.variables()} <= {family}
+                assert family not in {f for (f, _) in coeff.variables()}
+            expected = {i: p.coefficient(IntPoly.var(family, i)) for i in range(1, 4)}
+            assert p.linear_coefficients(family) == {i: c for i, c in expected.items() if c}
+        degrees = {}
+        for t in p.to_obj():
+            for f, i, e in t["mono"]:
+                degrees[(f, i)] = max(e, degrees.get((f, i), 0))
+        assert p.variables() == degrees
+        assert (6 * p).div_exact(3) == 2 * p
+
+
+def test_div_exact_rejects_remainder():
+    p = 4 * IntPoly.var("x", 1) + 3 * IntPoly.var("x", 2)
+    assert p.div_exact(1) == p
+    with pytest.raises(ValueError, match="coefficient 3 of .* is not divisible by 2"):
+        p.div_exact(2)
+
+
+def test_evaluate_in_a_ring():
+    class Mod7:
+        def from_int(self, n):
+            return n % 7
+
+        def add(self, a, b):
+            return (a + b) % 7
+
+        def mul(self, a, b):
+            return a * b % 7
+
+    rng = random.Random(3)
+    for _ in range(10):
+        p = rand_poly(rng, terms=6)
+        assign = {(f, i): rng.randint(-9, 9) for f in ("x", "y") for i in (1, 2, 3)}
+        assert p.evaluate(assign, Mod7()) == p.evaluate(assign) % 7
 
 
 def test_serialisation_roundtrip_and_determinism():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import esym, grid_products, pk_assignment, power_sum, subset_products
-from lambdaops.errors import NonSymmetricInput
+from lambdaops.errors import LambdaOpsError, NonSymmetricInput
 from lambdaops.intpoly import IntPoly
 from lambdaops.symfun import (
     _elementary_from_power_sums,
@@ -35,6 +35,24 @@ def test_expand_rejects_nonsymmetric():
         elementary_expand(X1 + 2 * X2)
     with pytest.raises(NonSymmetricInput):
         elementary_expand(X1 * X1 + X2, m=2)
+
+
+def test_expand_rejects_index_above_m():
+    with pytest.raises(ValueError, match="x2 lies above m = 1"):
+        elementary_expand(X1 + X2, "x", m=1)
+    with pytest.raises(ValueError, match="x3 lies above m = 2"):
+        elementary_expand(X1 * X2 * X3, m=2)
+    assert elementary_expand(X1 + X2 + X3, m=3) == E1
+    with pytest.raises(NonSymmetricInput):
+        elementary_expand(X1 + X2, m=3)
+
+
+def test_newton_step_rejects_inexact_division():
+    # power sums that no alphabet has: e_2 = (L1^2 - L1) / 2
+    with pytest.raises(LambdaOpsError) as err:
+        _elementary_from_power_sums(2, lambda n: IntPoly.var("L", 1))
+    assert str(err.value) == (
+        "Newton step 2: coefficient 1 of (('L', 1, 2),) is not divisible by 2")
 
 
 def test_expand_roundtrip_randomized():
