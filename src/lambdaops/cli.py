@@ -16,6 +16,7 @@ from typing import Callable
 from .checks import run_suite
 from .errors import LambdaOpsError
 from .evenops import compose_even, op_coadd, op_comult
+from .intpoly import IntPoly
 from .kbu import coadd, comult
 from .loopgrade import compose_odd, loop_even, loop_odd
 from .models import ProjectiveModel, SplitModel, get_model
@@ -25,10 +26,20 @@ from .symfun import left_linearise, newton_psi, universal_pij, universal_pk
 
 def _emit(fmt: str, payload: Callable[[], dict], text: Callable[[], str]) -> None:
     """Print the output in the requested format; only that form is built."""
-    if fmt == "json":
-        print(json.dumps(payload(), sort_keys=True, separators=(",", ":")))
-    else:
-        print(text())
+    print(_json(payload(), {}) if fmt == "json" else text())
+
+
+def _json(obj, memo: dict) -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    for a tree of dicts with string keys, lists and scalars whose IntPoly
+    leaves stand for their to_obj() form; they share one monomial memo."""
+    if isinstance(obj, IntPoly):
+        return obj.to_json(memo)
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_json(obj[k], memo)}" for k in sorted(obj)) + "}"
+    if isinstance(obj, list):
+        return "[" + ",".join([_json(x, memo) for x in obj]) + "]"
+    return json.dumps(obj)
 
 
 # Largest index (i*j for pij) each upoly kind computes in seconds; cost grows
@@ -55,7 +66,7 @@ def cmd_upoly(args) -> int:
     else:
         poly = newton_psi(idx[0])
     _emit(args.format,
-          lambda: {"command": "upoly", "kind": kind, "indices": idx, "result": poly.to_obj()},
+          lambda: {"command": "upoly", "kind": kind, "indices": idx, "result": poly},
           lambda: str(poly))
     return 0
 
@@ -89,7 +100,7 @@ def cmd_compose(args) -> int:
     result = compose_even(r, s)
     _emit(args.format,
           lambda: {"command": "compose", "parity": "even", "trunc": args.trunc,
-                   "window": args.window, "result": result.to_obj()},
+                   "window": args.window, "result": result.to_obj(poly_leaves=True)},
           lambda: str(result))
     return 0
 
@@ -139,12 +150,12 @@ def cmd_loop(args) -> int:
     val = parse_operand(args.op, args.trunc, args.window)
     if val.kind == "odd":
         result = loop_odd(val.payload, args.window)
-        parity = "odd->even"
+        parity, obj = "odd->even", lambda: result.to_obj(poly_leaves=True)
     else:
         result = loop_even(_operand_ctx(args).promote_even(val).payload)
-        parity = "even->odd"
+        parity, obj = "even->odd", result.to_obj
     _emit(args.format,
-          lambda: {"command": "loop", "parity": parity, "result": result.to_obj()},
+          lambda: {"command": "loop", "parity": parity, "result": obj()},
           lambda: str(result))
     return 0
 
@@ -156,43 +167,43 @@ def cmd_coprod(args) -> int:
         _emit(args.format,
               lambda: {"command": "coprod", "kind": args.kind, "carrier": "ring",
                        "trunc": args.trunc,
-                       "result": [[left.poly.to_obj(), right.poly.to_obj()]
-                                  for left, right in tensor.pairs()]},
+                       "result": [[left.poly, right.poly] for left, right in tensor.pairs()]},
               lambda: str(tensor))
         return 0
     op = _operand_ctx(args).promote_even(val).payload
     tensor = op_coadd(op) if args.kind == "add" else op_comult(op)
     entries = sorted(tensor.entries.items())
+
+    def text():
+        memo = {}
+        return "; ".join(f"({i},{j}): {poly.to_text(memo)}" for (i, j), poly in entries) or "0"
+
     _emit(args.format,
           lambda: {"command": "coprod", "kind": args.kind, "carrier": "operation",
                    "trunc": args.trunc, "window": args.window,
-                   "result": [[i, j, poly.to_obj()] for (i, j), poly in entries]},
-          lambda: "; ".join(f"({i},{j}): {poly}" for (i, j), poly in entries) or "0")
+                   "result": [[i, j, poly] for (i, j), poly in entries]},
+          text)
     return 0
 
 
 def cmd_check(args) -> int:
     report = run_suite(args.suite, args.trunc, args.window, args.seed)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        _print_report(report)
+    _emit(args.format, lambda: report, lambda: "\n".join(_report_lines(report)))
     return 0 if report["pass"] else 1
 
 
-def _print_report(report: dict) -> None:
+def _report_lines(report: dict) -> list[str]:
     if "suites" in report:
-        for sub in report["suites"]:
-            _print_report(sub)
-        print(f"ALL: {'PASS' if report['pass'] else 'FAIL'}")
-        return
+        lines = [line for sub in report["suites"] for line in _report_lines(sub)]
+        return lines + [f"ALL: {'PASS' if report['pass'] else 'FAIL'}"]
+    lines = []
     for prop in report["properties"]:
         status = "PASS" if prop["pass"] else "FAIL"
         line = f"{report['suite']}/{prop['id']}: {status} ({prop['instances']} instances)"
         if prop["counterexample"]:
             line += f" first counterexample: {prop['counterexample']}"
-        print(line)
-    print(f"{report['suite']}: {'PASS' if report['pass'] else 'FAIL'}")
+        lines.append(line)
+    return lines + [f"{report['suite']}: {'PASS' if report['pass'] else 'FAIL'}"]
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -112,12 +112,15 @@ class EvenOp:
 
     __repr__ = __str__
 
-    def to_obj(self):
+    def to_obj(self, poly_leaves: bool = False):
+        """JSON-ready form; with poly_leaves each coefficient polynomial stays
+        an IntPoly, for the CLI's JSON writer to encode."""
         return {
             "trunc": self.trunc,
             "window": self.window,
             "summands": [
-                [f"chi({d})", self.table[d].poly.to_obj()] for d in sorted(self.table)
+                [f"chi({d})", x.poly if poly_leaves else x.poly.to_obj()]
+                for d, x in sorted(self.table.items())
             ],
         }
 
@@ -259,8 +262,8 @@ def op_is_primitive(r: EvenOp) -> bool:
     return True
 
 
-# Delta-x of a ring leg x_d, grouped for comult_entry: key (trunc, terms of
-# x_d) -> {t3 monomial: {t2 monomial: polynomial in T1/T2}}, monomials in L
+# Delta-x of a ring leg x_d, grouped for comult_entry: key (trunc, polynomial
+# of x_d) -> {t3 monomial: {t2 monomial: polynomial in T1/T2}}, monomials in L
 _COMULT_LEGS_CACHE: dict[tuple, dict] = {}
 # gamma(kappa) of a one-monomial leg, renamed to a tensor leg family:
 # key (monomial, kappa, family, trunc) -> polynomial
@@ -270,7 +273,7 @@ _GAMMA_LEG_CACHE: dict[tuple, IntPoly] = {}
 def _comult_legs(x: KBUElem) -> dict:
     """Group the four-leg expansion b(1)[1] b(1)[2] b(2) b(3) of x by its b(3)
     and b(2) monomials; the b(1) part becomes a polynomial in T1/T2."""
-    key = (x.trunc, x.poly.key())
+    key = (x.trunc, x.poly)
     groups = _COMULT_LEGS_CACHE.get(key)
     if groups is None:
         three = coadd_multi(x, 3)  # families T1, T2, T3

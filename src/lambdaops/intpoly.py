@@ -159,7 +159,7 @@ class IntPoly:
         return isinstance(other, IntPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -167,7 +167,9 @@ class IntPoly:
     # -- queries --------------------------------------------------------
 
     def key(self):
-        """Canonical hashable form (sorted term list)."""
+        """Canonical hashable form: the term list sorted by monomial.  Hash
+        the polynomial itself where order does not matter; this form is the
+        `_COMPOSE_CACHE` key that `perfbench/tracer.py` rebuilds."""
         return tuple(sorted(self.terms.items()))
 
     @property
@@ -344,29 +346,31 @@ class IntPoly:
 
     # -- serialisation ----------------------------------------------------
 
-    def __str__(self) -> str:
+    def to_text(self, memo: dict | None = None) -> str:
+        """Readable form such as `3*L1^2*L2 - L3 + 1`, terms sorted by
+        monomial.  `memo` maps each monomial written so far to its factor
+        text; pass one dict to every polynomial of one output so that each
+        monomial's text is built once."""
         if not self.terms:
             return "0"
+        if memo is None:
+            memo = {}
+        terms = self.terms
         parts = []
-        for m, c in sorted(self.terms.items()):
-            factors = "*".join(
-                f"{f}{i}" if e == 1 else f"{f}{i}^{e}" for (f, i, e) in m
-            )
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = factors
-            else:
-                body = f"{abs(c)}*{factors}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        for m in sorted(terms):
+            c = terms[m]
+            factors = memo.get(m)
+            if factors is None:
+                factors = memo[m] = "*".join(
+                    f"{f}{i}" if e == 1 else f"{f}{i}^{e}" for (f, i, e) in m
+                )
+            a = -c if c < 0 else c
+            body = f"{a}*{factors}" if factors and a != 1 else factors or str(a)
+            parts.append((" - " if c < 0 else " + ") + body)
+        text = "".join(parts)
+        return ("-" if text[1] == "-" else "") + text[3:]
 
-    __repr__ = __str__
+    __str__ = __repr__ = to_text
 
     def to_obj(self) -> list:
         """JSON-ready form: sorted terms, decimal-string coefficients."""
@@ -375,8 +379,22 @@ class IntPoly:
             for m, c in sorted(self.terms.items())
         ]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
+    def to_json(self, memo: dict | None = None) -> str:
+        """The JSON text of `to_obj()` with sorted keys and no spaces: the
+        bytes of json.dumps(p.to_obj(), sort_keys=True, separators=(",", ":")).
+        `memo` maps each monomial written so far to its text; pass one dict to
+        every polynomial of one output (and no dict `to_text` filled) so that
+        each monomial is encoded once."""
+        if memo is None:
+            memo = {}
+        terms = self.terms
+        monos = sorted(terms)
+        for m in monos:
+            if m not in memo:
+                memo[m] = ',"mono":[' + ",".join(
+                    f"[{json.dumps(f)},{i},{e}]" for (f, i, e) in m
+                ) + "]}"
+        return "[" + ",".join([f'{{"coeff":"{terms[m]}"{memo[m]}' for m in monos]) + "]"
 
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "IntPoly":

@@ -41,7 +41,7 @@ class KBUElem(Truncated, value="poly", level="trunc"):
         return KBUElem(self.poly, level)
 
     def __hash__(self):
-        return hash((self.trunc, self.poly.key()))
+        return hash((self.trunc, self.poly))
 
     def __str__(self):
         return str(self.poly)

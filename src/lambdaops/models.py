@@ -110,8 +110,8 @@ class LineClassModel(LambdaRingModel):
     SERIES_MEMO_SIZE = 64
 
     def __init__(self):
-        # element term key -> the longest lambda series built for it
-        self._series: dict[tuple, list[IntPoly]] = {}
+        # element -> the longest lambda series built for it
+        self._series: dict[IntPoly, list[IntPoly]] = {}
 
     def _reduce(self, p: IntPoly) -> IntPoly:
         return p
@@ -134,11 +134,10 @@ class LineClassModel(LambdaRingModel):
     def lambda_series(self, a, n):
         """[lambda^0(a), ..., lambda^n(a)] from one product of line series
         truncated at t^n.  The longest series built for each element is
-        memoised on its term key (see SERIES_MEMO_SIZE); callers get a fresh
+        memoised per element (see SERIES_MEMO_SIZE); callers get a fresh
         prefix."""
         self._check_order(n)
-        key = a.key()
-        series = self._series.get(key)
+        series = self._series.get(a)
         if series is None or len(series) <= n:
             series = [IntPoly.one()] + [IntPoly.zero() for _ in range(n)]
             for cls, mult in self._line_decomposition(a):
@@ -156,9 +155,9 @@ class LineClassModel(LambdaRingModel):
                             continue
                         nxt[i + j] = nxt[i + j] + self._reduce(series[i] * factor[j])
                 series = nxt
-            if key not in self._series and len(self._series) >= self.SERIES_MEMO_SIZE:
+            if a not in self._series and len(self._series) >= self.SERIES_MEMO_SIZE:
                 del self._series[next(iter(self._series))]  # the oldest entry
-            self._series[key] = series
+            self._series[a] = series
         return series[:n + 1]
 
     def lam(self, k, a):

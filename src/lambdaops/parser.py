@@ -207,13 +207,14 @@ class OperandParser:
             other = a if a.kind != "int" else b
             num = a if a.kind == "int" else b
             return Val(other.kind, other.payload + num.payload)
-        if "even" in kinds:
+        if "even" in kinds or kinds == {"fn", "kbu"}:
             return Val("even", self.promote_even(a).payload + self.promote_even(b).payload)
         if kinds == {"int", "fn"}:
             fa = a.payload if a.kind == "fn" else FnConst(a.payload)
             fb = b.payload if b.kind == "fn" else FnConst(b.payload)
             return Val("fn", FnSum((fa, fb)))
-        raise ParseError(f"cannot add {a.kind} and {b.kind} (parity mismatch?)")
+        hint = " (parity mismatch?)" if "odd" in kinds else ""
+        raise ParseError(f"cannot add {a.kind} and {b.kind}{hint}")
 
     def mul(self, a: Val, b: Val) -> Val:
         if a.kind == "int":

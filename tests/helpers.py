@@ -135,3 +135,37 @@ def reference_lam(model, k: int, a):
                 nxt[i + j] = nxt[i + j] + model._reduce(series[i] * factor[j])
         series = nxt
     return series[k]
+
+
+# -- reference serialisation ----------------------------------------------------
+
+
+def reference_to_json(p) -> str:
+    """The JSON text the CLI wrote before IntPoly.to_json: the to_obj() tree
+    encoded by json.dumps with sorted keys and no spaces."""
+    import json
+
+    return json.dumps(p.to_obj(), sort_keys=True, separators=(",", ":"))
+
+
+def reference_str(p) -> str:
+    """The text form as IntPoly.__str__ built it before the monomial memo,
+    read from the to_obj() form."""
+    parts = []
+    for term in p.to_obj():
+        c = int(term["coeff"])
+        factors = "*".join(f"{f}{i}" if e == 1 else f"{f}{i}^{e}" for f, i, e in term["mono"])
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = factors
+        else:
+            body = f"{abs(c)}*{factors}"
+        parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text

@@ -198,3 +198,52 @@ def test_byte_identical_reruns():
         ["--format", "json", "loop", "l2"],
     ):
         assert run_cli(*argv).stdout == run_cli(*argv).stdout
+
+
+# one command of each kind, as printed with --format json
+EVERY_KIND = [
+    ["upoly", "pij", "2", "3"],
+    ["compose", "chi(1)@L2 + const(1)@(L1*L1)", "chi(2)@(L1*L1)"],
+    ["compose", "l1*l2", "l3", "--trunc", "8"],
+    ["act", "--model", "cp:3", "chi(1)@L2 + id@L1", "2*u + 1"],
+    ["loop", "chi(1)@L2 - chi(0)@L2"],
+    ["loop", "l1*l2 + 3*l3"],
+    ["coprod", "add", "L3 - 2*L1*L2"],
+    ["coprod", "mul", "const(-1)@L3 + chi(2)@(L1*L2)"],
+    ["check", "models", "--trunc", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_KIND)
+def test_json_output_is_compact_with_sorted_keys(argv):
+    got = run_cli("--format", "json", *argv)
+    assert got.returncode == 0, got.stderr
+    out = got.stdout.rstrip("\n")
+    assert json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) == out
+
+
+@pytest.mark.parametrize("argv, explicit", [
+    (["loop", "const(2) + L1"], ["loop", "const(2)@1 + const(1)@L1"]),
+    (["loop", "L1 + const(2)"], ["loop", "const(2)@1 + const(1)@L1"]),
+    (["loop", "chi(1) - chi(2) + L1"], ["loop", "(chi(1) - chi(2))@1 + const(1)@L1"]),
+    (["loop", "L1 + chi(1) - chi(2)"], ["loop", "(chi(1) - chi(2))@1 + const(1)@L1"]),
+    (["compose", "chi(2)@L2", "const(2) + L1"],
+     ["compose", "chi(2)@L2", "const(2)@1 + const(1)@L1"]),
+    (["compose", "chi(2)@L2", "L1 + const(2)"],
+     ["compose", "chi(2)@L2", "const(2)@1 + const(1)@L1"]),
+])
+def test_function_plus_ring_element_is_an_even_operation(argv, explicit):
+    # each summand promotes on its own, so the sum is the explicit even form
+    for fmt in ("json", "text"):
+        got, want = run_cli("--format", fmt, *argv), run_cli("--format", fmt, *explicit)
+        assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr)
+    assert "parity" not in got.stderr
+
+
+def test_parity_hint_only_for_odd_values():
+    got = run_cli("loop", "l1 + L1")
+    assert_one_error_line(got)
+    assert got.stderr == "error: cannot add odd and kbu (parity mismatch?)\n"
+    got = run_cli("act", "--model", "sphere", "identity", "u + chi(1)")
+    assert_one_error_line(got)
+    assert got.stderr == "error: cannot add poly and fn\n"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import reference_str, reference_to_json
 from lambdaops.intpoly import IntPoly
 
 
@@ -194,6 +195,48 @@ def test_str_forms():
     p = IntPoly.var("x", 1, 2) - 2 * IntPoly.var("x", 2)
     assert str(p) == "x1^2 - 2*x2"
     assert str(IntPoly.zero()) == "0"
+
+
+def _serialisation_cases():
+    """Seeded random polynomials over the T1/T2/U/V/L families with large
+    indices, exponents and coefficients, plus the edge cases by name."""
+    rng = random.Random(23)
+    cases = [IntPoly.zero(), IntPoly.one(), IntPoly.const(-7), IntPoly.const(10**40),
+             IntPoly.var("T1", 12, 10) * -(10**40) + IntPoly.var("U", 3) - 1,
+             IntPoly.var("V", 100, 11) * IntPoly.var("T2", 1) + IntPoly.var("L", 10, 1) * 3]
+    for _ in range(60):
+        p = IntPoly.zero()
+        for _ in range(rng.randint(0, 8)):
+            mono = IntPoly.const(rng.choice([1, -1, 2, -12, 10**40, -(10**40)]))
+            for f in rng.sample(["T1", "T2", "U", "V", "L"], rng.randint(0, 3)):
+                mono = mono * IntPoly.var(f, rng.choice([1, 2, 9, 10, 123]), rng.choice([1, 2, 10, 13]))
+            p = p + mono
+        cases.append(p)
+    return cases
+
+
+def test_serialisation_matches_the_reference_forms():
+    cases = _serialisation_cases()
+    assert IntPoly.zero().to_json() == "[]" and str(IntPoly.zero()) == "0"
+    assert IntPoly.one().to_json() == '[{"coeff":"1","mono":[]}]'
+    for p in cases:
+        assert p.to_json() == reference_to_json(p)
+        assert str(p) == reference_str(p)
+    # one memo per form shared by every polynomial of an output, as the CLI does
+    json_memo, text_memo = {}, {}
+    for p in cases + cases[::-1]:
+        assert p.to_json(json_memo) == reference_to_json(p)
+        assert p.to_text(text_memo) == reference_str(p)
+
+
+def test_key_and_hash_ignore_insertion_order():
+    rng = random.Random(11)
+    for _ in range(20):
+        p = rand_poly(rng, families=("L", "T1", "x"), terms=8)
+        q = IntPoly(dict(reversed(p.terms.items())))
+        assert q == p
+        assert q.key() == p.key() and hash(q) == hash(p)
+        assert {p: 1}[q] == 1
 
 
 def test_negative_exponent_rejected():
