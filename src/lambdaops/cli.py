@@ -100,7 +100,7 @@ def cmd_compose(args) -> int:
     result = compose_even(r, s)
     _emit(args.format,
           lambda: {"command": "compose", "parity": "even", "trunc": args.trunc,
-                   "window": args.window, "result": result.to_obj(poly_leaves=True)},
+                   "window": args.window, "result": result.to_obj()},
           lambda: str(result))
     return 0
 
@@ -150,12 +150,12 @@ def cmd_loop(args) -> int:
     val = parse_operand(args.op, args.trunc, args.window)
     if val.kind == "odd":
         result = loop_odd(val.payload, args.window)
-        parity, obj = "odd->even", lambda: result.to_obj(poly_leaves=True)
+        parity = "odd->even"
     else:
         result = loop_even(_operand_ctx(args).promote_even(val).payload)
-        parity, obj = "even->odd", result.to_obj
+        parity = "even->odd"
     _emit(args.format,
-          lambda: {"command": "loop", "parity": parity, "result": obj()},
+          lambda: {"command": "loop", "parity": parity, "result": result.to_obj()},
           lambda: str(result))
     return 0
 
@@ -173,16 +173,11 @@ def cmd_coprod(args) -> int:
     op = _operand_ctx(args).promote_even(val).payload
     tensor = op_coadd(op) if args.kind == "add" else op_comult(op)
     entries = sorted(tensor.entries.items())
-
-    def text():
-        memo = {}
-        return "; ".join(f"({i},{j}): {poly.to_text(memo)}" for (i, j), poly in entries) or "0"
-
     _emit(args.format,
           lambda: {"command": "coprod", "kind": args.kind, "carrier": "operation",
                    "trunc": args.trunc, "window": args.window,
                    "result": [[i, j, poly] for (i, j), poly in entries]},
-          text)
+          lambda: "; ".join(f"({i},{j}): {poly}" for (i, j), poly in entries) or "0")
     return 0
 
 

@@ -112,16 +112,13 @@ class EvenOp:
 
     __repr__ = __str__
 
-    def to_obj(self, poly_leaves: bool = False):
-        """JSON-ready form; with poly_leaves each coefficient polynomial stays
-        an IntPoly, for the CLI's JSON writer to encode."""
+    def to_obj(self):
+        """Object form for the CLI's JSON writer; each coefficient polynomial
+        stays an IntPoly leaf, written by IntPoly.to_json."""
         return {
             "trunc": self.trunc,
             "window": self.window,
-            "summands": [
-                [f"chi({d})", x.poly if poly_leaves else x.poly.to_obj()]
-                for d, x in sorted(self.table.items())
-            ],
+            "summands": [[f"chi({d})", self.table[d].poly] for d in sorted(self.table)],
         }
 
 

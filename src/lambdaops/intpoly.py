@@ -346,31 +346,29 @@ class IntPoly:
 
     # -- serialisation ----------------------------------------------------
 
-    def to_text(self, memo: dict | None = None) -> str:
-        """Readable form such as `3*L1^2*L2 - L3 + 1`, terms sorted by
-        monomial.  `memo` maps each monomial written so far to its factor
-        text; pass one dict to every polynomial of one output so that each
-        monomial's text is built once."""
+    def __str__(self) -> str:
         if not self.terms:
             return "0"
-        if memo is None:
-            memo = {}
-        terms = self.terms
         parts = []
-        for m in sorted(terms):
-            c = terms[m]
-            factors = memo.get(m)
-            if factors is None:
-                factors = memo[m] = "*".join(
-                    f"{f}{i}" if e == 1 else f"{f}{i}^{e}" for (f, i, e) in m
-                )
-            a = -c if c < 0 else c
-            body = f"{a}*{factors}" if factors and a != 1 else factors or str(a)
-            parts.append((" - " if c < 0 else " + ") + body)
-        text = "".join(parts)
-        return ("-" if text[1] == "-" else "") + text[3:]
+        for m, c in sorted(self.terms.items()):
+            factors = "*".join(
+                f"{f}{i}" if e == 1 else f"{f}{i}^{e}" for (f, i, e) in m
+            )
+            if not factors:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = factors
+            else:
+                body = f"{abs(c)}*{factors}"
+            sign = "-" if c < 0 else "+"
+            parts.append((sign, body))
+        first_sign, first_body = parts[0]
+        text = ("-" if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        return text
 
-    __str__ = __repr__ = to_text
+    __repr__ = __str__
 
     def to_obj(self) -> list:
         """JSON-ready form: sorted terms, decimal-string coefficients."""
@@ -383,8 +381,7 @@ class IntPoly:
         """The JSON text of `to_obj()` with sorted keys and no spaces: the
         bytes of json.dumps(p.to_obj(), sort_keys=True, separators=(",", ":")).
         `memo` maps each monomial written so far to its text; pass one dict to
-        every polynomial of one output (and no dict `to_text` filled) so that
-        each monomial is encoded once."""
+        every polynomial of one output so that each monomial is encoded once."""
         if memo is None:
             memo = {}
         terms = self.terms

@@ -149,8 +149,7 @@ def reference_to_json(p) -> str:
 
 
 def reference_str(p) -> str:
-    """The text form as IntPoly.__str__ built it before the monomial memo,
-    read from the to_obj() form."""
+    """The text form of IntPoly.__str__, rebuilt from the to_obj() form."""
     parts = []
     for term in p.to_obj():
         c = int(term["coeff"])
