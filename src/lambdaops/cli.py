@@ -8,9 +8,11 @@ error writes one `error:` line to stderr.
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import Callable
 
 from .checks import run_suite
@@ -201,80 +203,120 @@ def _report_lines(report: dict) -> list[str]:
     return lines + [f"{report['suite']}: {'PASS' if report['pass'] else 'FAIL'}"]
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a malformed command line as a ParseError instead of exiting 2."""
-
-    def error(self, message):
-        raise ParseError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--trunc", type=int, default=argparse.SUPPRESS,
-                        help="generator truncation level N (default 5)")
-    common.add_argument("--window", type=int, default=argparse.SUPPRESS,
-                        help="integer window half-width W (default 16)")
-    common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--model", default=argparse.SUPPRESS,
-                        help="model selector (zz, sphere, cp:m, split:m, coi)")
-
-    ap = _ArgumentParser(
-        prog="lambdaops",
-        description="Exact computations in the lambda-operation plethory",
-        parents=[common],
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("upoly", parents=[common], help="print a universal polynomial")
-    p.add_argument("kind", choices=("pk", "pij", "plin", "psi"))
-    p.add_argument("indices", type=int, nargs="+")
-    p.set_defaults(fn=cmd_upoly)
-
-    p = sub.add_parser("compose", parents=[common],
-                       help="compose two operations of equal parity")
-    p.add_argument("lhs")
-    p.add_argument("rhs", nargs="?", default=None)
-    p.set_defaults(fn=cmd_compose)
-
-    p = sub.add_parser("act", parents=[common],
-                       help="apply an even operation to a model element")
-    p.add_argument("op")
-    p.add_argument("element")
-    p.set_defaults(fn=cmd_act)
-
-    p = sub.add_parser("loop", parents=[common],
-                       help="loop an operation (swaps parity)")
-    p.add_argument("op")
-    p.set_defaults(fn=cmd_loop)
-
-    p = sub.add_parser("coprod", parents=[common],
-                       help="co-addition or co-multiplication")
-    p.add_argument("kind", choices=("add", "mul"))
-    p.add_argument("op")
-    p.set_defaults(fn=cmd_coprod)
-
-    p = sub.add_parser("check", parents=[common], help="run a verification suite")
-    p.add_argument("suite", choices=("all", "biring", "compose", "looping", "models", "main"))
-    p.set_defaults(fn=cmd_check)
-
-    return ap
+# The command line.  FLAGS: name -> (converter or choices, default).  COMMANDS:
+# name -> (help line, *positionals), each a (shown name, converter or choices)
+# pair: "[<x>]" is optional and "<x>..." takes one or more, in the last place.
+# The handler cmd_<name> is looked up per run, so wrappers on it see the call.
+FLAGS = {"trunc": (int, 5), "window": (int, 16), "format": (("json", "text"), "text"),
+         "seed": (int, 0), "model": (str, "zz")}
+COMMANDS = {
+    "upoly": ("print a universal polynomial",
+              ("kind", ("pk", "pij", "plin", "psi")), ("<indices>...", int)),
+    "compose": ("compose two operations of equal parity", ("<lhs>", str), ("[<rhs>]", str)),
+    "act": ("apply an even operation to a model element", ("<op>", str), ("<element>", str)),
+    "loop": ("loop an operation (swaps parity)", ("<op>", str)),
+    "coprod": ("co-addition or co-multiplication", ("kind", ("add", "mul")), ("<op>", str)),
+    "check": ("run a verification suite",
+              ("suite", ("all", "biring", "compose", "looping", "models", "main"))),
+}
 
 
-DEFAULTS = {"trunc": 5, "window": 16, "format": "text", "seed": 0, "model": "zz"}
+def _shown(name: str, conv) -> str:
+    return "{" + "|".join(conv) + "}" if isinstance(conv, tuple) else name
+
+
+def _help(args) -> int:
+    """Print the usage, rendered from FLAGS and COMMANDS."""
+    rows = [(" ".join([name, *(_shown(*p) for p in spec)]), text)
+            for name, (text, *spec) in COMMANDS.items()]
+    rows += [(f"--{name} " + _shown(f"<{getattr(conv, '__name__', '')}>", conv), f"default {default}")
+             for name, (conv, default) in FLAGS.items()] + [("-h, --help", "print this text")]
+    lines = [f"  {left:<{max(len(r[0]) for r in rows) + 2}}{text}" for left, text in rows]
+    lines.insert(len(COMMANDS), "flags, before, after or between the arguments (the last one wins):")
+    print("usage: lambdaops <command> <arguments> [flags]", *lines, sep="\n")
+    return 0
+
+
+def _read_flag(tok: str):
+    """As argparse read a token before `--`: None for a positional, else
+    (flag name, "help" or "" if unknown; the text after "=" or None)."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    opt, eq, value = tok.partition("=")
+    names = [name for name in (*FLAGS, "help") if f"--{name}".startswith(opt)] if tok[1] == "-" else []
+    if len(names) > 1:
+        raise ParseError(f"ambiguous option: {tok}")
+    if names:
+        return names[0], value if eq else None
+    if tok[1] == "h":  # -hh and -h=h ask for help too
+        return "help", None if re.fullmatch(r"-h(=?h+)?", tok) else tok[2:]
+    return None if re.match(r"-\d+$|-\d*\.\d+$", tok) or " " in tok else ("", None)
+
+
+def _convert(name: str, conv, tok: str):
+    try:
+        return conv(tok) if callable(conv) else conv[conv.index(tok)]
+    except ValueError:
+        choices = f" (choose from {', '.join(conv)})" if isinstance(conv, tuple) else ""
+        raise ParseError(f"invalid {name}: {tok!r}{choices}") from None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The flags, positionals and handler `fn` of a command line, read in one pass
+    with the grammar the README states.  Help (fn=_help) wins over later errors."""
+    cut = argv.index("--") if "--" in argv else len(argv)  # the first `--` ends the flags
+    kinds = [*map(_read_flag, argv[:cut]), "--", *[None] * len(argv)][:len(argv)]
+    args = SimpleNamespace(**{name: default for name, (_, default) in FLAGS.items()})
+    specs, run, unread = None, [], []
+    tokens = zip([*argv, ""], [*kinds, ()])  # () marks the end
+    for tok, kind in tokens:
+        if kind is None or kind == "--":
+            if specs is None:  # the command; a separator before it is no command either
+                args.fn = globals()["cmd_" + _convert("command", tuple(COMMANDS), tok)]
+                specs = list(COMMANDS[tok][1:])
+            else:
+                run.append(None if kind else tok)  # None stands for the separator
+            continue
+        # A flag, or the end: the positionals since the last flag fill what they can.
+        real = [t for t in run if t is not None]
+        while specs and (real or specs[0][0].startswith("[")):  # an optional one may stay None
+            name, conv = specs.pop(0)
+            many = name.endswith("...")
+            values = [_convert(name, conv, t) for t in (real if many else real[:1])]
+            setattr(args, name.strip("<>[]."), values if many else (values or [None])[0])
+            del real[:len(values)]
+        unread, run = unread + real + ["--"] * (run == [None]), []
+        name, value = kind or ("", "")  # the end reads as no flag
+        if name == "help":
+            if value is not None:
+                raise ParseError(f"{tok}: help takes no value")
+            return SimpleNamespace(fn=_help)
+        if name and value is None:
+            value, after = next(tokens)
+            if after is not None:
+                raise ParseError(f"{tok} expects one value")
+        if name:
+            setattr(args, name, _convert(f"--{name}", FLAGS[name][0], value))
+        elif kind:
+            unread.append(tok)
+    if specs is None or unread or any(not name.startswith("[") for name, _ in specs):
+        raise ParseError(f"unrecognized arguments: {' '.join(unread)}" if unread else
+                         f"missing {' '.join(name for name, _ in specs or [('<command>', 0)])}")
+    for name in ("trunc", "window"):
+        if getattr(args, name) < 1:
+            raise ParseError(f"--{name} must be at least 1")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        for key, value in DEFAULTS.items():
-            if not hasattr(args, key):
-                setattr(args, key, value)
-        for flag in ("trunc", "window"):
-            if getattr(args, flag) < 1:
-                raise ParseError(f"--{flag} must be at least 1")
-        return args.fn(args)
-    except (ParseError, LambdaOpsError, ValueError) as exc:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except (ParseError, LambdaOpsError, ValueError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout closed early: exit's flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -396,7 +396,10 @@ def get_model(selector: str) -> LambdaRingModel:
     if selector == "coi":
         return COIModel()
     if selector.startswith(("cp:", "split:")):
-        m = int(selector.split(":", 1)[1])
+        try:
+            m = int(selector.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"model {selector}: m must be an integer") from None
         if m < 1:
             raise ValueError(f"model {selector}: m must be at least 1")
         if m > MAX_MODEL_M:

@@ -2,14 +2,19 @@
 
 The integer oracles work on plain integers (or lists of them) so that
 nothing depends on the polynomial kernel they check.  The reference
-coproducts at the end are the slow, literal constructions that the fast
-paths of `lambdaops.evenops` replaced; they use only public names.
+coproducts are the slow, literal constructions that the fast paths of
+`lambdaops.evenops` replaced; they use only public names.  The argparse
+parser at the end is the reference for `lambdaops.cli.parse_args`.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
+
+from lambdaops.cli import cmd_act, cmd_check, cmd_compose, cmd_coprod, cmd_loop, cmd_upoly
+from lambdaops.parser import ParseError
 
 
 def esym(vals, k: int) -> int:
@@ -168,3 +173,85 @@ def reference_str(p) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+# -- reference command-line reader -----------------------------------------------
+# The argparse parser `lambdaops.cli.parse_args` replaced, kept as it was, and
+# the steps the old `main` took after it (defaults, then the --trunc/--window
+# floor), without running the command.
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ParseError instead of exiting 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _ArgumentParser(add_help=False)
+    common.add_argument("--trunc", type=int, default=argparse.SUPPRESS,
+                        help="generator truncation level N (default 5)")
+    common.add_argument("--window", type=int, default=argparse.SUPPRESS,
+                        help="integer window half-width W (default 16)")
+    common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--model", default=argparse.SUPPRESS,
+                        help="model selector (zz, sphere, cp:m, split:m, coi)")
+
+    ap = _ArgumentParser(
+        prog="lambdaops",
+        description="Exact computations in the lambda-operation plethory",
+        parents=[common],
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("upoly", parents=[common], help="print a universal polynomial")
+    p.add_argument("kind", choices=("pk", "pij", "plin", "psi"))
+    p.add_argument("indices", type=int, nargs="+")
+    p.set_defaults(fn=cmd_upoly)
+
+    p = sub.add_parser("compose", parents=[common],
+                       help="compose two operations of equal parity")
+    p.add_argument("lhs")
+    p.add_argument("rhs", nargs="?", default=None)
+    p.set_defaults(fn=cmd_compose)
+
+    p = sub.add_parser("act", parents=[common],
+                       help="apply an even operation to a model element")
+    p.add_argument("op")
+    p.add_argument("element")
+    p.set_defaults(fn=cmd_act)
+
+    p = sub.add_parser("loop", parents=[common],
+                       help="loop an operation (swaps parity)")
+    p.add_argument("op")
+    p.set_defaults(fn=cmd_loop)
+
+    p = sub.add_parser("coprod", parents=[common],
+                       help="co-addition or co-multiplication")
+    p.add_argument("kind", choices=("add", "mul"))
+    p.add_argument("op")
+    p.set_defaults(fn=cmd_coprod)
+
+    p = sub.add_parser("check", parents=[common], help="run a verification suite")
+    p.add_argument("suite", choices=("all", "biring", "compose", "looping", "models", "main"))
+    p.set_defaults(fn=cmd_check)
+
+    return ap
+
+
+DEFAULTS = {"trunc": 5, "window": 16, "format": "text", "seed": 0, "model": "zz"}
+
+
+def reference_parse_args(argv, parser=None):
+    """What the old `main` made of argv before running the command: the
+    namespace, or ParseError, or SystemExit(0) after printing the help.
+    `parser` is a build_parser() to reuse."""
+    args = (parser or build_parser()).parse_args(argv)
+    for key, value in DEFAULTS.items():
+        if not hasattr(args, key):
+            setattr(args, key, value)
+    for flag in ("trunc", "window"):
+        if getattr(args, flag) < 1:
+            raise ParseError(f"--{flag} must be at least 1")
+    return args

@@ -1,4 +1,5 @@
 import json
+import os
 import os.path as osp
 import subprocess
 import sys
@@ -185,10 +186,31 @@ def test_model_m_bound():
         got = run_cli("act", "--model", selector, "L1", "3")
         assert_one_error_line(got)
         assert got.stderr == f"error: model {selector}: m must be at most 64\n"
+    for selector in ("cp:x", "split:", "cp:1.5"):
+        got = run_cli("act", "--model", selector, "L1", "3")
+        assert got.stderr == f"error: model {selector}: m must be an integer\n"
     for selector, element, value in (("cp:64", "u", "-u^2"),
                                      ("split:64", "x64", "-2 + 3*x64 - x64^2")):
         got = run_cli("act", "--model", selector, "L1*L2 + chi(1)@L3", element)
         assert got.returncode == 0 and got.stdout == value + "\n"
+
+
+def test_closed_stdout_is_one_error_line():
+    # block-buffered stdout, as in a shell pipeline: the write fails in main,
+    # or (small output, reader gone first) only at main's flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv, keep in ((["coprod", "mul", "const(1)@L5", "--format", "json"], 100),  # ~2 MB
+                       (["upoly", "pk", "3"], 0)):
+        proc = subprocess.Popen([sys.executable, "-m", "lambdaops.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert len(proc.stdout.read(keep)) == keep
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1, argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_byte_identical_reruns():
