@@ -159,8 +159,10 @@ def biring_suite(trunc: int, seed: int = 0) -> dict:
 def _operation_corpus(trunc: int, window: int, rng: random.Random,
                       size: int) -> list[EvenOp]:
     """Random operations whose composites stay representable: ring weights are
-    capped, and the unbounded function Id is only paired with constant-free
-    ring elements so that component augmentations stay inside the window."""
+    capped at the square root of the truncation, so that a composite's weight
+    (at most the product of two) stays inside it, and the unbounded function
+    Id is only paired with constant-free ring elements so that component
+    augmentations stay inside the window."""
     fns = [chi(0), chi(1), chi(-1), chi(2), chi(-2), chi(3), const(1), const(-1), const(2)]
     xs = [
         gen(1, trunc),
@@ -172,7 +174,7 @@ def _operation_corpus(trunc: int, window: int, rng: random.Random,
         gen(2, trunc) + 3,
         KBUElem.from_int(1, trunc),
     ]
-    xs = [x for x in xs if x.weight() <= 2]
+    xs = [x for x in xs if x.weight() ** 2 <= trunc]
     xs_reduced = [x.reduced() for x in xs if not x.reduced().is_zero]
     out = []
     for _ in range(size):
@@ -330,15 +332,9 @@ def models_suite(trunc: int, seed: int = 0) -> dict:
 
 def looping_suite(trunc: int, window: int, seed: int = 0) -> dict:
     rep = check_looping_axioms(trunc, window, random.Random(seed))
-    props = [
-        {
-            "id": f"axiom-{aid}",
-            "instances": entry["instances"],
-            "pass": entry["pass"],
-            "counterexample": entry["witnesses"][0] if entry["witnesses"] else None,
-        }
-        for aid, entry in sorted(rep["axioms"].items())
-    ]
+    props = []
+    for aid, entry in sorted(rep["axioms"].items()):
+        _prop(props, f"axiom-{aid}", entry["instances"], entry["witnesses"])
     return {"suite": "looping",
             "config": {"trunc": trunc, "window": window, "seed": seed},
             "properties": props, "pass": rep["pass"]}
@@ -346,15 +342,9 @@ def looping_suite(trunc: int, window: int, seed: int = 0) -> dict:
 
 def main_suite(trunc: int, window: int, seed: int = 0) -> dict:
     rep = main_relations_check(min(trunc, 5), trunc, window)
-    props = [
-        {
-            "id": f"relations-p{entry['p']}",
-            "instances": entry["instances"],
-            "pass": entry["pass"],
-            "counterexample": entry["witnesses"][0] if entry["witnesses"] else None,
-        }
-        for entry in rep["relations"]
-    ]
+    props = []
+    for entry in rep["relations"]:
+        _prop(props, f"relations-p{entry['p']}", entry["instances"], entry["witnesses"])
     return {"suite": "main",
             "config": {"trunc": trunc, "window": window, "seed": seed},
             "properties": props, "pass": rep["pass"]}

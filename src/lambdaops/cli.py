@@ -17,12 +17,12 @@ from typing import Callable
 
 from .checks import run_suite
 from .errors import LambdaOpsError
-from .evenops import compose_even, op_coadd, op_comult
+from .evenops import act, compose_even, op_coadd, op_comult
 from .intpoly import IntPoly
 from .kbu import coadd, comult
 from .loopgrade import compose_odd, loop_even, loop_odd
 from .models import ProjectiveModel, SplitModel, get_model
-from .parser import ParseError, parse_element, parse_operand
+from .parser import OperandParser, ParseError, parse_element, parse_operand
 from .symfun import left_linearise, newton_psi, universal_pij, universal_pk
 
 
@@ -108,14 +108,10 @@ def cmd_compose(args) -> int:
 
 
 def _operand_ctx(args):
-    from .parser import OperandParser
-
     return OperandParser([], args.trunc, args.window)
 
 
 def cmd_act(args) -> int:
-    from .evenops import act
-
     op_val = parse_operand(args.op, args.trunc, args.window)
     if op_val.kind == "odd":
         raise ParseError("act applies even operations; odd classes act through suspension")

@@ -16,8 +16,6 @@ from .kbu import KBUElem, coadd, coadd_multi, colinear, comult_image, compose_kb
 from .models import LambdaRingModel, poly_eval_in_model
 from .setzz import FnZZ, FnChi, FnCompose, const
 
-DEFAULT_WINDOW = 16
-
 
 def divisor_pairs(d: int, W: int) -> list[tuple[int, int]]:
     """All (r, s) with r*s = d and |r|, |s| <= W; for d = 0 the window-bounded

@@ -1,8 +1,9 @@
 """Integer exterior algebra on indexed odd generators.
 
-Monomials are strictly increasing index tuples; the wedge of overlapping
-monomials vanishes, and merging counts transpositions for the sign.  The
-empty monomial is the unit, so elements may carry an integer unit part.
+Monomials are strictly increasing tuples of generator keys; the wedge of
+overlapping monomials vanishes, and merging counts transpositions for the
+sign.  The empty monomial is the unit, so elements may carry an integer unit
+part.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ def wedge_mono(a: tuple, b: tuple):
 
 
 class ExtElem:
-    """Integer-linear combination of exterior monomials (unit part allowed)."""
+    """Integer-linear combination of exterior monomials (unit part allowed).
+
+    Generator keys only need a total order: plain indices for l_k, and
+    (leg, index) pairs for the two legs of a tensor square."""
 
     __slots__ = ("terms",)
 
@@ -49,8 +53,13 @@ class ExtElem:
         return ExtElem({(): c} if c else {})
 
     @staticmethod
-    def generator(i: int) -> "ExtElem":
+    def generator(i) -> "ExtElem":
         return ExtElem({(i,): 1})
+
+    @staticmethod
+    def linear(coeffs: dict) -> "ExtElem":
+        """The sum of c * generator(i) over the items (i, c) of coeffs."""
+        return ExtElem({(i,): c for i, c in coeffs.items()})
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -111,17 +120,15 @@ class ExtElem:
     def unit_part(self) -> int:
         return self.terms.get((), 0)
 
-    def coefficient(self, mono: tuple) -> int:
-        return self.terms.get(mono, 0)
+    def linear_coefficients(self) -> dict:
+        """Generator key -> coefficient of that generator (the inverse of linear)."""
+        return {m[0]: c for m, c in self.terms.items() if len(m) == 1}
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
-    def max_index(self) -> int:
-        return max((m[-1] for m in self.terms if m), default=0)
-
     def substitute(self, image) -> "ExtElem":
-        """The algebra map sending each generator of index i to image(i)."""
+        """The algebra map sending each generator of key i to image(i)."""
         total = ExtElem()
         for mono, c in self.terms.items():
             acc = ExtElem.unit(c)

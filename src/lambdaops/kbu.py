@@ -59,9 +59,6 @@ class KBUElem(Truncated, value="poly", level="trunc"):
         """Subtract the constant term (projection to the augmentation ideal)."""
         return KBUElem(self.poly - IntPoly.const(self.poly.constant_term()), self.trunc)
 
-    def to_obj(self):
-        return {"trunc": self.trunc, "poly": self.poly.to_obj()}
-
 
 def gen(k: int, trunc: int) -> KBUElem:
     """The generator L_k at level N (zero when k exceeds N)."""

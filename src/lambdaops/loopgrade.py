@@ -12,7 +12,7 @@ import random
 from typing import Callable, NamedTuple
 
 from .errors import NotAugmented, NotReduced, TruncationExceeded
-from .exterior import ExtElem, wedge_mono
+from .exterior import ExtElem
 from .evenops import (
     EvenOp,
     comult_entry,
@@ -63,7 +63,7 @@ class OddOp(Truncated, value="ext", level="trunc"):
         return self.ext.unit_part()
 
     def generator_coefficients(self) -> dict[int, int]:
-        return {m[0]: c for m, c in self.ext.terms.items() if len(m) == 1}
+        return self.ext.linear_coefficients()
 
     def __str__(self):
         return self.ext.render("l")
@@ -85,68 +85,27 @@ def lgen(k: int, trunc: int) -> OddOp:
 
 
 # -- odd coalgebra (for primitivity checks) -----------------------------------
+#
+# The tensor square of the exterior algebra, with the Koszul sign, is the
+# exterior algebra on two copies of the generators with the left copy ordered
+# first: the key (0, k) stands for l_k (x) 1 and (1, k) for 1 (x) l_k.
 
 
-class OddTensor:
-    """Tensor square of the exterior algebra with the Koszul sign rule."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[tuple, tuple], int] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return OddTensor(out)
-
-    def __mul__(self, other):
-        out: dict[tuple[tuple, tuple], int] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                left = wedge_mono(a1, a2)
-                right = wedge_mono(b1, b2)
-                if left is None or right is None:
-                    continue
-                s1, ml = left
-                s2, mr = right
-                koszul = -1 if (len(b1) % 2 == 1 and len(a2) % 2 == 1) else 1
-                key = (ml, mr)
-                v = out.get(key, 0) + koszul * s1 * s2 * c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return OddTensor(out)
-
-    def __eq__(self, other):
-        return isinstance(other, OddTensor) and self.terms == other.terms
+def _on_leg(x: OddOp, leg: int) -> ExtElem:
+    """x (x) 1 for leg 0, 1 (x) x for leg 1."""
+    return x.ext.substitute(lambda i: ExtElem.generator((leg, i)))
 
 
-def coadd_odd(x: OddOp) -> OddTensor:
-    """Algebra-map co-addition with primitive generators l_k."""
-    total = OddTensor()
-    for mono, c in x.ext.terms.items():
-        acc = OddTensor({((), ()): c})
-        for i in mono:
-            acc = acc * OddTensor({((i,), ()): 1, ((), (i,)): 1})
-        total = total + acc
-    return total
+def coadd_odd(x: OddOp) -> ExtElem:
+    """Algebra-map co-addition with primitive generators l_k, on two legs."""
+    return x.ext.substitute(
+        lambda i: ExtElem.generator((0, i)) + ExtElem.generator((1, i))
+    )
 
 
 def odd_is_primitive(x: OddOp) -> bool:
-    expected = OddTensor()
-    for mono, c in x.ext.terms.items():
-        if mono:
-            expected = expected + OddTensor({(mono, ()): c, ((), mono): c})
-        else:
-            expected = expected + OddTensor({((), ()): c})
-    return coadd_odd(x) == expected
+    """Whether Delta(x) = x (x) 1 + 1 (x) x, less the double-counted unit part."""
+    return coadd_odd(x) == _on_leg(x, 0) + _on_leg(x, 1) - x.unit_part()
 
 
 # -- looping -------------------------------------------------------------------
@@ -158,7 +117,7 @@ def loop_even(r: EvenOp) -> OddOp:
     if op_cozero(r) != 0:
         raise NotAugmented("loop requires vanishing augmentation")
     linear = r.component(0).poly.linear_coefficients("L")
-    return OddOp(ExtElem({(k,): c for k, c in linear.items()}), r.trunc)
+    return OddOp(ExtElem.linear(linear), r.trunc)
 
 
 def loop_odd(x: OddOp, window: int) -> EvenOp:
@@ -167,9 +126,8 @@ def loop_odd(x: OddOp, window: int) -> EvenOp:
     if x.unit_part() != 0:
         raise NotAugmented("loop requires vanishing unit part")
     total = IntPoly.zero()
-    for mono, c in x.ext.terms.items():
-        if len(mono) == 1:
-            total = total + c * loop_polynomial(mono[0])
+    for k, c in x.generator_coefficients().items():
+        total = total + c * loop_polynomial(k)
     return EvenOp.from_pairs(
         [(const(1), KBUElem(total, x.trunc))], x.trunc, window
     )
@@ -184,8 +142,7 @@ def _odd_gen_compose(i: int, j: int, trunc: int) -> ExtElem:
     key = (i, j)
     cached = _ODD_GEN_CACHE.get(key)
     if cached is None:
-        linear = universal_pij(i, j).linear_coefficients("L")
-        cached = ExtElem({(k,): c for k, c in linear.items()})
+        cached = ExtElem.linear(universal_pij(i, j).linear_coefficients("L"))
         _ODD_GEN_CACHE[key] = cached
     return cached
 
@@ -197,14 +154,14 @@ def compose_odd(x: OddOp, y: OddOp) -> OddOp:
     additive, so integer right multiples come out linearly)."""
     if y.unit_part() != 0:
         raise NotReduced("right operand must have zero unit part")
-    if any(len(m) > 1 for m in y.ext.terms):
+    y_coeffs = y.generator_coefficients()
+    if y.ext != ExtElem.linear(y_coeffs):
         raise NotReduced(
             "right operand must be a combination of generators; "
             "composition against decomposable odd classes is mixed-parity"
         )
     if x.trunc != y.trunc:
         raise ValueError("truncation levels differ")
-    y_coeffs = y.generator_coefficients()
 
     def gen_image(i: int) -> ExtElem:
         out = ExtElem()
@@ -253,13 +210,8 @@ class GradedOp:
 
     def loop(self, window: int) -> "GradedOp":
         """Omega swaps the parities: the even part loops to odd and vice versa."""
-        new_odd = loop_even(self.even) if not self.even.is_zero else OddOp(ExtElem(), self.even.trunc)
-        new_even = (
-            loop_odd(self.odd, window)
-            if not self.odd.is_zero
-            else EvenOp({}, self.odd.trunc, window)
-        )
-        return GradedOp(new_even, new_odd)
+        new_odd = loop_even(self.even)  # an unaugmented even part is reported first
+        return GradedOp(loop_odd(self.odd, window), new_odd)
 
     def __eq__(self, other):
         return isinstance(other, GradedOp) and self.even == other.even and self.odd == other.odd
@@ -385,7 +337,8 @@ def check_looping_axioms(trunc: int, window: int,
     # (2) The comultiplication of a looped operation, through the action
     # oracle on a suspension-extended split model.  Both operation bidegrees
     # are (0, 0), so the sign and antipode twists in the general statement
-    # are trivial here.
+    # are trivial here.  Pairs whose augmentation leaves the window are
+    # skipped: the comultiplication entry there is not represented.
     failures = []
     count = 0
     model = SplitModel(2)
@@ -396,6 +349,8 @@ def check_looping_axioms(trunc: int, window: int,
         for f in (chi(0), chi(1), chi(-1), const(1)):
             r = EvenOp.from_pairs([(f, gen(k, trunc))], trunc, window)
             for alpha, beta in zip(alphas, betas):
+                if abs(model.eps(alpha)) > window:
+                    continue
                 count += 1
                 beta_red = model.sub(beta, model.from_int(model.eps(beta)))
                 q = model.mul(alpha, beta_red)

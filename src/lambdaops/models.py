@@ -204,9 +204,6 @@ class SplitModel(LineClassModel):
                 out.append(p)
         return out
 
-    def show(self, a):
-        return str(a)
-
 
 class ProjectiveModel(LineClassModel):
     """Z[u]/(u^(m+1)) with u the reduced class of a line; lambda is induced

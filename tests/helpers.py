@@ -3,8 +3,9 @@
 The integer oracles work on plain integers (or lists of them) so that
 nothing depends on the polynomial kernel they check.  The reference
 coproducts are the slow, literal constructions that the fast paths of
-`lambdaops.evenops` replaced; they use only public names.  The argparse
-parser at the end is the reference for `lambdaops.cli.parse_args`.
+`lambdaops.evenops` and `lambdaops.loopgrade` replaced; they use only
+public names.  The argparse parser at the end is the reference for
+`lambdaops.cli.parse_args`.
 """
 
 from __future__ import annotations
@@ -113,6 +114,84 @@ def reference_op_is_primitive(r):
         for k in keys
         if abs(k[0] + k[1]) <= r.window
     )
+
+
+# -- reference odd coproduct ----------------------------------------------------
+
+
+class OddTensor:
+    """Tensor square of the exterior algebra with the Koszul sign rule, keyed
+    by (left monomial, right monomial): the construction that the two-leg
+    exterior algebra of `loopgrade.coadd_odd` replaced."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            v = out.get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+        return OddTensor(out)
+
+    def __mul__(self, other):
+        from lambdaops.exterior import wedge_mono
+
+        out = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                left = wedge_mono(a1, a2)
+                right = wedge_mono(b1, b2)
+                if left is None or right is None:
+                    continue
+                s1, ml = left
+                s2, mr = right
+                koszul = -1 if (len(b1) % 2 == 1 and len(a2) % 2 == 1) else 1
+                key = (ml, mr)
+                v = out.get(key, 0) + koszul * s1 * s2 * c1 * c2
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        return OddTensor(out)
+
+    def __eq__(self, other):
+        return isinstance(other, OddTensor) and self.terms == other.terms
+
+
+def reference_coadd_odd(x) -> OddTensor:
+    """Co-addition of an OddOp with primitive generators l_k, as an OddTensor."""
+    total = OddTensor()
+    for mono, c in x.ext.terms.items():
+        acc = OddTensor({((), ()): c})
+        for i in mono:
+            acc = acc * OddTensor({((i,), ()): 1, ((), (i,)): 1})
+        total = total + acc
+    return total
+
+
+def reference_odd_is_primitive(x) -> bool:
+    expected = OddTensor()
+    for mono, c in x.ext.terms.items():
+        if mono:
+            expected = expected + OddTensor({(mono, ()): c, ((), mono): c})
+        else:
+            expected = expected + OddTensor({((), ()): c})
+    return reference_coadd_odd(x) == expected
+
+
+def two_leg_terms(t) -> dict:
+    """An ExtElem on (leg, index) keys as {(left monomial, right monomial): c};
+    the left leg's keys sort first, so no sign arises."""
+    return {
+        (tuple(i for leg, i in m if leg == 0), tuple(i for leg, i in m if leg == 1)): c
+        for m, c in t.terms.items()
+    }
 
 
 # -- reference lambda values of the models ------------------------------------

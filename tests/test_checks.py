@@ -1,0 +1,27 @@
+"""The property suites behind `check` at the smallest truncations and
+windows the command line accepts."""
+
+import pytest
+
+from lambdaops.checks import run_suite
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3])
+def test_compose_suite_passes_at_small_truncations(trunc):
+    rep = run_suite("compose", trunc, 16)
+    assert rep["pass"], [p for p in rep["properties"] if not p["pass"]]
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_looping_suite_passes_at_small_windows(window):
+    for trunc in (1, 3, 5):
+        rep = run_suite("looping", trunc, window)
+        assert rep["pass"], [p for p in rep["properties"] if not p["pass"]]
+
+
+def test_looping_axiom_2_counts_only_pairs_inside_the_window():
+    def axiom_2(window):
+        props = run_suite("looping", 5, window)["properties"]
+        return next(p["instances"] for p in props if p["id"] == "axiom-2")
+
+    assert 0 < axiom_2(1) < axiom_2(2) < axiom_2(3) == axiom_2(16) == 80

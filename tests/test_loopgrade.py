@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import reference_coadd_odd, reference_odd_is_primitive, two_leg_terms
 from lambdaops.errors import NotAugmented, NotReduced, TruncationExceeded
 from lambdaops.evenops import EvenOp, act, identity_op, op_is_primitive
 from lambdaops.exterior import ExtElem
@@ -161,9 +162,29 @@ def test_odd_primitivity():
     assert odd_is_primitive(lgen(3, N))
     assert not odd_is_primitive(wedge(1, 2))
     t = coadd_odd(wedge(1, 2))
-    # the cross terms carry the Koszul sign
-    assert t.terms[((1,), (2,))] == 1
-    assert t.terms[((2,), (1,))] == -1
+    # the cross terms carry the Koszul sign: l1 (x) l2 and -(l2 (x) l1)
+    assert t.terms[((0, 1), (1, 2))] == 1
+    assert t.terms[((0, 2), (1, 1))] == -1
+
+
+def test_odd_coproduct_matches_the_koszul_tensor_reference():
+    """coadd_odd and odd_is_primitive against the (left, right) tensor with
+    the Koszul sign, on random elements with unit parts, repeated indices
+    and generators above the truncation."""
+    rng = random.Random(29)
+    primitive = 0
+    for n in range(400):
+        x = ExtElem.unit(rng.randint(-2, 2))
+        for _ in range(rng.randint(0, 4)):
+            mono = ExtElem.unit(rng.choice([-3, -1, 1, 2]))
+            for _ in range(rng.randint(1, 3) if n % 3 else 1):
+                mono = mono * ExtElem.generator(rng.randint(1, N + 1))
+            x = x + mono
+        op = OddOp(x, N)
+        assert two_leg_terms(coadd_odd(op)) == reference_coadd_odd(op).terms, op
+        assert odd_is_primitive(op) == reference_odd_is_primitive(op), op
+        primitive += odd_is_primitive(op)
+    assert 100 < primitive < 300
 
 
 # -- suspension action -----------------------------------------------------------------
