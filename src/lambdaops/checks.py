@@ -40,7 +40,7 @@ from .models import (
     un_restrict,
     validate_model,
 )
-from .errors import RegistrationFailure
+from .errors import RegistrationFailure, WindowExhausted
 from .setzz import chi, const, IDENT
 from .symfun import lambda_of_integer
 
@@ -192,7 +192,9 @@ def compose_suite(trunc: int, window: int, seed: int = 0) -> dict:
     """Composition versus the action oracle, plus the monoid laws.
 
     Corpus ring weights are capped so every composite stays inside the
-    truncation level (the quotient only respects composition there).
+    truncation level (the quotient only respects composition there).  An
+    instance that needs an augmentation outside the window is skipped and
+    not counted; the draws do not depend on which instances are skipped.
     """
     rng = random.Random(seed)
     props = []
@@ -205,12 +207,18 @@ def compose_suite(trunc: int, window: int, seed: int = 0) -> dict:
     count = 0
     for _ in range(40):
         r, s = rng.choice(corpus), rng.choice(corpus)
-        comp = compose_even(r, s)
+        try:
+            comp = compose_even(r, s)
+        except WindowExhausted:
+            continue
         for name, m in models.items():
             for a in elements[name]:
+                try:
+                    lhs = act(comp, m, a)
+                    rhs = act(r, m, act(s, m, a))
+                except WindowExhausted:
+                    continue
                 count += 1
-                lhs = act(comp, m, a)
-                rhs = act(r, m, act(s, m, a))
                 if not m.eq(lhs, rhs):
                     failures.append(f"oracle mismatch on {name} at {m.show(a)}")
     _prop(props, "compose-vs-action", count, failures)
@@ -219,18 +227,25 @@ def compose_suite(trunc: int, window: int, seed: int = 0) -> dict:
     count = 0
     ident = identity_op(trunc, window)
     for r in corpus:
+        try:
+            left, right = compose_even(ident, r), compose_even(r, ident)
+        except WindowExhausted:
+            continue
         count += 2
-        if compose_even(ident, r) != r:
+        if left != r:
             failures.append(f"left unit at {r}")
-        if compose_even(r, ident) != r:
+        if right != r:
             failures.append(f"right unit at {r}")
     assoc_trunc = max(trunc, 8)
     assoc_corpus = _operation_corpus(assoc_trunc, window, rng, 30)
     for _ in range(25):
         r, s, t = (rng.choice(assoc_corpus) for _ in range(3))
+        try:
+            lhs = compose_even(compose_even(r, s), t)
+            rhs = compose_even(r, compose_even(s, t))
+        except WindowExhausted:
+            continue
         count += 1
-        lhs = compose_even(compose_even(r, s), t)
-        rhs = compose_even(r, compose_even(s, t))
         if lhs != rhs:
             failures.append(f"associativity at ({r}) o ({s}) o ({t})")
     _prop(props, "compose-monoid-laws", count, failures)
@@ -241,17 +256,19 @@ def compose_suite(trunc: int, window: int, seed: int = 0) -> dict:
     zz = models["zz"]
     for _ in range(20):
         r, s = rng.choice(corpus), rng.choice(corpus)
-        if abs(op_counit(s)) > window:
+        try:  # raises when s's counit, its augmentation at 1, leaves the window
+            lhs = op_counit(compose_even(r, s))
+            rhs = act(r, zz, act(s, zz, 1))
+        except WindowExhausted:
             continue
         count += 1
-        lhs = op_counit(compose_even(r, s))
-        rhs = act(r, zz, act(s, zz, 1))
         if lhs != rhs:
             failures.append(f"counit of composition at ({r}) o ({s})")
     _prop(props, "counit-composition", count, failures)
 
     # coproducts against the action on sums and products; the comparison is
-    # only meaningful while the combined augmentation stays inside the window
+    # only meaningful while both augmentations and their combination stay
+    # inside the window
     failures = []
     count = 0
     for name in ("zz", "sphere", "split:2"):
@@ -261,6 +278,8 @@ def compose_suite(trunc: int, window: int, seed: int = 0) -> dict:
             coadd_r, comult_r = partial(coadd_entry, r), partial(comult_entry, r)
             for a, b in zip(es, es[1:]):
                 ea, eb = m.eps(a), m.eps(b)
+                if abs(ea) > window or abs(eb) > window:
+                    continue
                 if abs(ea + eb) <= window:
                     count += 1
                     if not m.eq(act_pair(coadd_r, m, a, b, r.window),

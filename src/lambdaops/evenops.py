@@ -48,16 +48,21 @@ class EvenOp:
     @staticmethod
     def from_pairs(pairs, trunc: int, window: int) -> "EvenOp":
         """Build from raw (FnZZ, KBUElem) summands: the left factors are
-        expanded in the indicator basis over the window and grouped."""
+        expanded in the indicator basis over the window and grouped.  Each
+        leg is scaled once per distinct function value."""
         table: dict[int, KBUElem] = {}
         for f, x in pairs:
             if isinstance(x, int):
                 x = KBUElem.from_int(x, trunc)
+            scaled: dict[int, KBUElem] = {}
             for d in range(-window, window + 1):
                 v = f.ev(d)
                 if v:
+                    vx = scaled.get(v)
+                    if vx is None:
+                        vx = scaled[v] = v * x
                     cur = table.get(d)
-                    table[d] = v * x if cur is None else cur + v * x
+                    table[d] = vx if cur is None else cur + vx
         return EvenOp(table, trunc, window)
 
     def _match(self, other: "EvenOp"):
@@ -234,12 +239,24 @@ def op_coadd(r: EvenOp) -> EvenOpTensor:
     """Co-addition: the function leg dualises addition of augmentations and
     the ring leg coadds; entry (i, j) is Delta+(x_{i+j})."""
     W = r.window
+    two_legs = _per_distinct_leg(r, lambda x: coadd(x).poly)
     entries: dict[tuple[int, int], IntPoly] = {}
-    for d, x in r.table.items():
-        two_leg = coadd(x).poly
+    for d, two_leg in two_legs.items():
         for i in range(max(-W, d - W), min(W, d + W) + 1):
             entries[(i, d - i)] = two_leg
     return EvenOpTensor(entries, r.trunc, r.window)
+
+
+def _per_distinct_leg(r: EvenOp, fn) -> dict:
+    """{d: fn(x_d)} over the table, calling fn once per distinct leg."""
+    done: dict[IntPoly, object] = {}
+    out = {}
+    for d, x in r.table.items():
+        value = done.get(x.poly)
+        if value is None:
+            value = done[x.poly] = fn(x)
+        out[d] = value
+    return out
 
 
 def op_is_primitive(r: EvenOp) -> bool:
@@ -247,9 +264,9 @@ def op_is_primitive(r: EvenOp) -> bool:
     Delta+(x_{i+j}) = x_i (x) 1 + 1 (x) x_j whenever |i|, |j|, |i+j| <= W."""
     W = r.window
     zero = IntPoly.zero()
-    coadds = {d: coadd(x).poly for d, x in r.table.items()}
-    left = {i: x.poly.rename_family("L", "T1") for i, x in r.table.items()}
-    right = {j: x.poly.rename_family("L", "T2") for j, x in r.table.items()}
+    coadds = _per_distinct_leg(r, lambda x: coadd(x).poly)
+    left = _per_distinct_leg(r, lambda x: x.poly.rename_family("L", "T1"))
+    right = _per_distinct_leg(r, lambda x: x.poly.rename_family("L", "T2"))
     for i in range(-W, W + 1):
         for j in range(max(-W, -W - i), min(W, W - i) + 1):
             if coadds.get(i + j, zero) != left.get(i, zero) + right.get(j, zero):
@@ -257,21 +274,24 @@ def op_is_primitive(r: EvenOp) -> bool:
     return True
 
 
-# Delta-x of a ring leg x_d, grouped for comult_entry: key (trunc, polynomial
-# of x_d) -> {t3 monomial: {t2 monomial: polynomial in T1/T2}}, monomials in L
+# Delta-x of a primitive ring leg p, grouped for comult_entry: key (trunc, p)
+# -> {t3 monomial: {t2 monomial: polynomial in T1/T2}}, monomials in L.  A leg
+# x_d = c * p expands as c times the expansion of p, so legs that differ by an
+# integer factor share one entry.
 _COMULT_LEGS_CACHE: dict[tuple, dict] = {}
 # gamma(kappa) of a one-monomial leg, renamed to a tensor leg family:
 # key (monomial, kappa, family, trunc) -> polynomial
 _GAMMA_LEG_CACHE: dict[tuple, IntPoly] = {}
 
 
-def _comult_legs(x: KBUElem) -> dict:
-    """Group the four-leg expansion b(1)[1] b(1)[2] b(2) b(3) of x by its b(3)
-    and b(2) monomials; the b(1) part becomes a polynomial in T1/T2."""
-    key = (x.trunc, x.poly)
+def _comult_legs(prim: IntPoly, trunc: int) -> dict:
+    """Group the four-leg expansion b(1)[1] b(1)[2] b(2) b(3) of the primitive
+    leg `prim` by its b(3) and b(2) monomials; the b(1) part becomes a
+    polynomial in T1/T2."""
+    key = (trunc, prim)
     groups = _COMULT_LEGS_CACHE.get(key)
     if groups is None:
-        three = coadd_multi(x, 3)  # families T1, T2, T3
+        three = coadd_multi(KBUElem(prim, trunc), 3)  # families T1, T2, T3
         four = three.substitute_family("T1", lambda k: comult_image(k, "U", "V"))
         groups = {
             t3.rename_family("T3", "L"): {
@@ -295,6 +315,23 @@ def _gamma_leg(mono: IntPoly, kappa: int, family: str, trunc: int) -> IntPoly:
     return image
 
 
+def _s_contraction(groups: dict, s: int, trunc: int) -> list[tuple[IntPoly, IntPoly]]:
+    """(sum over t2 of A[t2, t3] gamma(s)(t2)[T1], t3) for each b(3) monomial t3."""
+    return [
+        (IntPoly.sum_of_products((a, _gamma_leg(t2, s, "T1", trunc)) for t2, a in by_t2.items()),
+         t3)
+        for t3, by_t2 in groups.items()
+    ]
+
+
+def _rho_entry(contraction: list, rho: int, trunc: int, content: int) -> IntPoly:
+    """content * sum over t3 of contraction[t3] * gamma(rho)(t3)[T2]."""
+    entry = IntPoly.sum_of_products(
+        (inner, _gamma_leg(t3, rho, "T2", trunc)) for inner, t3 in contraction
+    )
+    return entry if content == 1 else entry * content
+
+
 def comult_entry(r: EvenOp, rho: int, s: int) -> IntPoly:
     """Entry (rho, s) of Delta-x(r), a polynomial in T1/T2: with d = rho*s,
 
@@ -302,21 +339,15 @@ def comult_entry(r: EvenOp, rho: int, s: int) -> IntPoly:
     (sum over t2 of A[t2, t3] gamma(s)(t2)[T1]) * gamma(rho)(t3)[T2],
 
     where A[t2, t3] collects b(1)[1] (x) b(1)[2] of the expansion of x_d.
+    The expansion is linear in x_d, so it is built for the primitive part of
+    x_d and the entry is scaled by the content.
     Zero when |rho| or |s| exceeds the window or d is not in the table.
     """
     trunc = r.trunc
     if abs(rho) > r.window or abs(s) > r.window or rho * s not in r.table:
         return IntPoly.zero()
-    groups = _comult_legs(r.table[rho * s])
-    return IntPoly.sum_of_products(
-        (
-            IntPoly.sum_of_products(
-                (a, _gamma_leg(t2, s, "T1", trunc)) for t2, a in by_t2.items()
-            ),
-            _gamma_leg(t3, rho, "T2", trunc),
-        )
-        for t3, by_t2 in groups.items()
-    )
+    content, prim = r.table[rho * s].poly.content_split()
+    return _rho_entry(_s_contraction(_comult_legs(prim, trunc), s, trunc), rho, trunc, content)
 
 
 def op_comult(r: EvenOp) -> EvenOpTensor:
@@ -324,12 +355,21 @@ def op_comult(r: EvenOp) -> EvenOpTensor:
     chi_d (x) b, sum over divisor pairs r*s = d of
     chi_r (x) b(1)[1] gamma(s)(b(2))  (x)  chi_s (x) b(1)[2] gamma(r)(b(3)),
     where (1)(2)(3) is iterated co-addition and [1][2] co-multiplication;
-    see comult_entry.
+    see comult_entry.  The s-contraction depends only on the primitive part
+    of x_d and on s, so it is formed once per (primitive part, s).
     """
+    trunc = r.trunc
+    contractions: dict[IntPoly, dict[int, list]] = {}
     entries = {}
-    for d in r.table:
+    for d, x in r.table.items():
+        content, prim = x.poly.content_split()
+        by_s = contractions.setdefault(prim, {})
+        groups = _comult_legs(prim, trunc)
         for rho, s in divisor_pairs(d, r.window):
-            entries[(rho, s)] = comult_entry(r, rho, s)
+            contraction = by_s.get(s)
+            if contraction is None:
+                contraction = by_s[s] = _s_contraction(groups, s, trunc)
+            entries[(rho, s)] = _rho_entry(contraction, rho, trunc, content)
     return EvenOpTensor(entries, r.trunc, r.window)
 
 
@@ -369,11 +409,14 @@ def compose_even(r: EvenOp, s: EvenOp) -> EvenOp:
     (distinct indicators are orthogonal idempotents), leaving per-component
     compositions: the output component at a is x_{c_a} o (y_a - c_a) with
     c_a = eps+(y_a).  Each component agrees with the literal single-summand
-    formula of compose_even_pair projected to its own indicator.
+    formula of compose_even_pair projected to its own indicator.  Equal
+    right components give equal composites, so each distinct y_a is composed
+    once.
     """
     r._match(s)
     W = r.window
     zero = KBUElem.from_int(0, r.trunc)
+    composed: dict[IntPoly, KBUElem] = {}
     table = {}
     for a in range(-W, W + 1):
         y_a = s.table.get(a, zero)
@@ -383,7 +426,9 @@ def compose_even(r: EvenOp, s: EvenOp) -> EvenOp:
         x = r.table.get(c_a)
         if x is None:
             continue
-        z_a = compose_kbu(x, y_a - c_a)
+        z_a = composed.get(y_a.poly)
+        if z_a is None:
+            z_a = composed[y_a.poly] = compose_kbu(x, y_a - c_a)
         if not z_a.is_zero:
             table[a] = z_a
     return EvenOp(table, r.trunc, r.window)

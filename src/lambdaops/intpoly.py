@@ -11,6 +11,7 @@ through the query and monomial-view methods and build them from `var`.
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, Iterable, Mapping
 
 Mono = tuple  # tuple[tuple[str, int, int], ...]
@@ -241,6 +242,20 @@ class IntPoly:
         variable to the first power."""
         return {m[0][1]: c for m, c in self.terms.items()
                 if len(m) == 1 and m[0][0] == family and m[0][2] == 1}
+
+    def content_split(self) -> tuple[int, "IntPoly"]:
+        """(content, primitive part) with content * primitive == self: the
+        content is the gcd of the coefficients, signed so that the primitive
+        part's first monomial (in sorted order) has a positive coefficient.
+        Zero splits as (0, zero)."""
+        if not self.terms:
+            return 0, self
+        c = math.gcd(*self.terms.values())
+        if self.terms[min(self.terms)] < 0:
+            c = -c
+        if c == 1:
+            return 1, self
+        return c, IntPoly._trusted({m: v // c for m, v in self.terms.items()})
 
     def div_exact(self, n: int) -> "IntPoly":
         """Divide every coefficient by n; ValueError unless each one divides."""

@@ -116,6 +116,84 @@ def reference_op_is_primitive(r):
     )
 
 
+# -- per-indicator constructions ------------------------------------------------
+# The even-operation maps before they shared work between equal or
+# proportional ring legs: each index of the window is handled on its own.
+
+
+def reference_from_pairs(pairs, trunc, window):
+    """EvenOp.from_pairs with the leg scaled afresh at every index."""
+    from lambdaops.evenops import EvenOp
+    from lambdaops.kbu import KBUElem
+
+    table = {}
+    for f, x in pairs:
+        if isinstance(x, int):
+            x = KBUElem.from_int(x, trunc)
+        for d in range(-window, window + 1):
+            v = f.ev(d)
+            if v:
+                table[d] = v * x if d not in table else table[d] + v * x
+    return EvenOp(table, trunc, window)
+
+
+def reference_compose_even(r, s):
+    """compose_even with one compose_kbu call per index of the window."""
+    from lambdaops.errors import WindowExhausted
+    from lambdaops.evenops import EvenOp
+    from lambdaops.kbu import KBUElem, compose_kbu, cozero
+
+    W = r.window
+    zero = KBUElem.from_int(0, r.trunc)
+    table = {}
+    for a in range(-W, W + 1):
+        y_a = s.table.get(a, zero)
+        c_a = cozero(y_a)
+        if abs(c_a) > W:
+            raise WindowExhausted(f"augmentation {c_a} outside window {W}")
+        if c_a in r.table:
+            table[a] = compose_kbu(r.table[c_a], y_a - c_a)
+    return EvenOp(table, r.trunc, r.window)
+
+
+def reference_comult_entry(r, rho, s):
+    """Entry (rho, s) of Delta-x(r) from the four-leg expansion of x_{rho*s}
+    itself, grouped by its b(3) and b(2) monomials, nothing shared."""
+    from lambdaops.intpoly import IntPoly
+    from lambdaops.kbu import KBUElem, coadd_multi, colinear, comult_image
+
+    if abs(rho) > r.window or abs(s) > r.window or rho * s not in r.table:
+        return IntPoly.zero()
+
+    def gamma(kappa, mono, src, dst):
+        leg = KBUElem(mono.rename_family(src, "L"), r.trunc)
+        return colinear(kappa, leg).poly.rename_family("L", dst)
+
+    x = r.table[rho * s]
+    four = coadd_multi(x, 3).substitute_family("T1", lambda k: comult_image(k, "U", "V"))
+    out = IntPoly.zero()
+    for t3, by_t3 in four.collect("T3"):
+        inner = IntPoly.zero()
+        for t2, b1 in by_t3.collect("T2"):
+            inner = inner + b1.rename_family("U", "T1").rename_family("V", "T2") * gamma(
+                s, t2, "T2", "T1")
+        out = out + inner * gamma(rho, t3, "T3", "T2")
+    return out
+
+
+def reference_op_coadd(r):
+    """Delta+(r) with the ring leg co-added afresh at every index."""
+    from lambdaops.evenops import EvenOpTensor
+    from lambdaops.kbu import coadd
+
+    W = r.window
+    entries = {}
+    for d, x in r.table.items():
+        for i in range(max(-W, d - W), min(W, d + W) + 1):
+            entries[(i, d - i)] = coadd(x).poly
+    return EvenOpTensor(entries, r.trunc, r.window)
+
+
 # -- reference odd coproduct ----------------------------------------------------
 
 

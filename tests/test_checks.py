@@ -25,3 +25,15 @@ def test_looping_axiom_2_counts_only_pairs_inside_the_window():
         return next(p["instances"] for p in props if p["id"] == "axiom-2")
 
     assert 0 < axiom_2(1) < axiom_2(2) < axiom_2(3) == axiom_2(16) == 80
+
+
+@pytest.mark.parametrize("trunc", range(1, 7))
+def test_compose_suite_reports_at_every_small_window(trunc):
+    for window in range(1, 7):
+        for seed in range(3):
+            rep = run_suite("compose", trunc, window, seed)
+            assert rep["config"] == {"trunc": trunc, "window": window, "seed": seed}
+            assert rep["pass"], (window, seed, rep["properties"])
+            assert [p["id"] for p in rep["properties"]] == [
+                "compose-vs-action", "compose-monoid-laws", "counit-composition",
+                "coproducts-vs-action"]

@@ -1,0 +1,63 @@
+"""CLI stdout pinned by sha256 digest.
+
+The argv lines are the seeded `coprod` jobs of the `looping-coprod`
+benchmark workload at seed 0 (one per line of `COPROD_TEMPLATES` in
+`perfbench/jobs.py`) and the check suites it runs, plus `check all`.  The
+digests were recorded before the even-operation maps shared work between
+equal and proportional ring legs; any change to these outputs is a change
+of answers, not of speed.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+import pytest
+
+PINNED = [
+    (['coprod', 'mul', 'const(-1)@L5', '--trunc', '5', '--window', '16', '--format', 'json'],
+     'e7bd2552d0e6760fc6c4b385455b1194f84332e99dd695ca0b606d71e2d68f92'),
+    (['coprod', 'mul', 'const(1)@L5', '--trunc', '5', '--window', '8', '--format', 'json'],
+     '763344537057bbe7e1f72fc22454c7543eace8170b33d9a83ccc93452c57da06'),
+    (['coprod', 'mul', 'const(-1)@L4', '--trunc', '5', '--window', '16', '--format', 'json'],
+     'da1b20651a596c3e3ddfac7c046f503dc952f82de6969c4a477cd860e1fc5452'),
+    (['coprod', 'mul', 'id@L4 + chi(0)@(1*L2)', '--trunc', '5', '--window', '16', '--format', 'json'],
+     'c23febb5a9d3d266bc688a3351804f924c31e4524c3ccb83251aaa5d9fde1401'),
+    (['coprod', 'mul', 'const(1)@L4', '--trunc', '5', '--window', '8', '--format', 'json'],
+     '210345490f7329faa5a464bda65b07a72772e93c5dc4f45e6049945dc18419a8'),
+    (['coprod', 'mul', 'const(2)@L3', '--trunc', '5', '--window', '16', '--format', 'json'],
+     'b6659268b7b36cd5f480bdc17945b8e0c324583788bde10022ee95c499934e11'),
+    (['coprod', 'mul', 'id@L3', '--trunc', '5', '--window', '16', '--format', 'json'],
+     '562f5b3b634d80d3e20db822df432eb67a5fd6a3bab15fa2f6185110f20778ab'),
+    (['coprod', 'mul', 'chi(-2)@(L1*L2) + const(1)@L3', '--trunc', '5', '--window', '16', '--format', 'json'],
+     '7f48a06af02e06c9c2afe7257fbf65c4f9f1f6c850112f910e54fae764a10c83'),
+    (['coprod', 'mul', 'chi(3)@L3 + const(2)@L2', '--trunc', '5', '--window', '16', '--format', 'json'],
+     'df2e27ba6a5b988426eb7e51f85b09020967b2ac24ec43ee5d65f71779f94184'),
+    (['coprod', 'mul', 'id@(L1*L2) + chi(1)@L3', '--trunc', '5', '--window', '16', '--format', 'json'],
+     '5326ddbb9e95716d2c1eebef3dc518ac81abd9e17a31abc75c2d4c97d3f6e1c7'),
+    (['coprod', 'mul', 'chi(0)@(2*L4) + id@L2', '--trunc', '5', '--window', '16', '--format', 'json'],
+     'b0226aec6d20f4fcd0346577d36b2214019cc170c9af627ad5a21b0cbcad5417'),
+    (['coprod', 'add', 'const(2)@L5', '--trunc', '5', '--window', '16', '--format', 'json'],
+     '3649f4dc3aa9f537e8e82228d5ea497929e815df10cdfc42009df4dada3494f4'),
+    (['coprod', 'add', 'chi(-2)@L4 + chi(1)@(L2*L1)', '--trunc', '5', '--window', '16', '--format', 'json'],
+     '741dc8cb7e6648ded0405172be9593f2cefc975affd6d340ba98a1a707d14094'),
+    (['coprod', 'mul', '(-1)*L4', '--trunc', '5', '--window', '16', '--format', 'json'],
+     '8794d11296c52719be1338cefc2ed6f27d569c37e72015845e327e968306b119'),
+    (['coprod', 'add', 'L5 + 1*L2*L3', '--trunc', '5', '--window', '16', '--format', 'json'],
+     'f9c6eda7826558236674ceace28216d273674afcd39eb19c0065063d9a515fef'),
+    (['check', 'looping', '--trunc', '5'],
+     '8b65699e8ed92805c3d0bbc0272573297dcc778841426734672ef8ce1efd2e6b'),
+    (['check', 'main', '--trunc', '5'],
+     'e6987c8fb165d536fbe1a1c325d9fe186dc3f9654a18e8962ceb57ec4f9d1fc9'),
+    (['check', 'compose', '--trunc', '5'],
+     '6a7280fe0305299051ff183ed2b45652ad9ff870545120b6f7a0b041780d357b'),
+    (['check', 'all', '--trunc', '6'],
+     '213f6cb28fd058fc19aa243208e543a65ae971ecbe61aa8d10c69e5d0a27364b'),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+def test_cli_stdout_digest(argv, digest):
+    got = subprocess.run([sys.executable, "-m", "lambdaops.cli", *argv], capture_output=True)
+    assert got.returncode == 0 and got.stderr == b"", got.stderr
+    assert hashlib.sha256(got.stdout).hexdigest() == digest

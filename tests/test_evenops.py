@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from helpers import reference_op_comult, reference_op_is_primitive
+from helpers import (
+    reference_comult_entry,
+    reference_compose_even,
+    reference_from_pairs,
+    reference_op_coadd,
+    reference_op_comult,
+    reference_op_is_primitive,
+)
+from lambdaops import evenops
 from lambdaops.errors import (
     ModelTruncationExceeded,
     WindowExhausted,
@@ -27,7 +35,7 @@ from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import KBUElem, gen, psi_kbu
 from lambdaops.models import ProjectiveModel, register_models
 from lambdaops.parser import OperandParser, parse_operand
-from lambdaops.setzz import IDENT, chi, const
+from lambdaops.setzz import IDENT, chi, const, fn_sum
 
 N, W = 4, 16
 MODELS = register_models(validate=False)
@@ -142,6 +150,10 @@ def test_compose_window_guard():
     r = ev([(chi(0), gen(1, N))])
     s = ev([(chi(0), gen(1, N) + 20)])
     with pytest.raises(WindowExhausted):
+        compose_even(r, s)
+    # the first index in window order names the error
+    s = ev([(const(1), gen(1, N)), (chi(-3), 17), (chi(2), 18)])
+    with pytest.raises(WindowExhausted, match="augmentation 17 outside window 16"):
         compose_even(r, s)
 
 
@@ -311,3 +323,112 @@ def test_serialisation_shape():
     obj = r.to_obj()
     assert obj["summands"] == [["chi(1)", IntPoly.from_obj([{"mono": [["L", 1, 1]], "coeff": "1"}])]]
     assert obj["trunc"] == N and obj["window"] == W
+
+
+# -- work shared between equal and proportional ring legs ------------------------
+
+SCALARS = [1, -1, 2, 3]
+
+
+def shared_leg_pairs(rng, trunc):
+    """Summands whose legs repeat or are integer multiples of each other:
+    const(c)@x, id@x and indicator sums, with c in {1, -1, 2, 3}."""
+    legs = [gen(1, trunc), gen(2, trunc), gen(1, trunc) * gen(2, trunc) - gen(3, trunc),
+            gen(2, trunc) + 1, gen(1, trunc) - 2]
+    base = rng.choice(legs)
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        x = rng.choice(SCALARS) * (base if rng.random() < 0.7 else rng.choice(legs))
+        kind = rng.randrange(3)
+        if kind == 0:
+            f = const(rng.choice(SCALARS))
+        elif kind == 1:
+            f, x = IDENT, x.reduced()
+        else:
+            f = fn_sum(*(chi(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))))
+        pairs.append((f, x))
+    return pairs
+
+
+def outcome(fn, *args):
+    """The result, or the text of the WindowExhausted it raises."""
+    try:
+        return fn(*args)
+    except WindowExhausted as exc:
+        return f"WindowExhausted: {exc}"
+
+
+@pytest.mark.parametrize("window", [3, 8])
+@pytest.mark.parametrize("trunc", [2, 3, 5])
+def test_shared_leg_paths_match_per_indicator_constructions(trunc, window):
+    rng = random.Random(100 * trunc + window)
+    ops = []
+    for _ in range(8):
+        pairs = shared_leg_pairs(rng, trunc)
+        r = EvenOp.from_pairs(pairs, trunc, window)
+        assert r == reference_from_pairs(pairs, trunc, window), pairs
+        ops.append(r)
+    # a right component whose augmentation leaves the window, after a shared one
+    ops.append(EvenOp.from_pairs(
+        [(const(1), gen(1, trunc)), (chi(2), KBUElem.from_int(window + 2, trunc))],
+        trunc, window))
+    for r in ops:
+        assert op_coadd(r) == reference_op_coadd(r), r
+        assert op_is_primitive(r) == reference_op_is_primitive(r), r
+        expected = {
+            (rho, s): reference_comult_entry(r, rho, s)
+            for d in r.table for rho, s in divisor_pairs(d, window)
+        }
+        assert op_comult(r) == evenops.EvenOpTensor(expected, trunc, window), r
+        for rho, s in [(1, 1), (-1, 2), (0, 3), (2, 0), (window + 1, 0)]:
+            assert comult_entry(r, rho, s) == reference_comult_entry(r, rho, s), (r, rho, s)
+    for r, s in zip(ops, ops[1:] + ops[:1]):
+        assert outcome(compose_even, r, s) == outcome(reference_compose_even, r, s), (r, s)
+    assert outcome(compose_even, ops[0], ops[-1]) == (
+        f"WindowExhausted: augmentation {window + 2} outside window {window}")
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_compose_even_composes_each_distinct_right_component_once(monkeypatch):
+    r = ev([(chi(0), gen(2, N)), (const(1), gen(1, N))])
+    s = ev([(const(1), gen(1, N))])
+    calls = counting(monkeypatch, evenops, "compose_kbu")
+    assert compose_even(r, s) == reference_compose_even(r, s)
+    assert len(calls) == 1
+
+
+def test_op_comult_expands_each_primitive_leg_once(monkeypatch):
+    monkeypatch.setattr(evenops, "_COMULT_LEGS_CACHE", {})
+    calls = counting(monkeypatch, evenops, "coadd_multi")
+    op_comult(ev([(IDENT, gen(3, N))]))
+    assert len(calls) == 1
+
+
+def test_op_coadd_coadds_each_distinct_leg_once(monkeypatch):
+    calls = counting(monkeypatch, evenops, "coadd")
+    op_coadd(ev([(const(2), gen(3, N))]))
+    assert len(calls) == 1
+
+
+def test_from_pairs_scales_once_per_function_value(monkeypatch):
+    calls = []
+    scale = KBUElem.__rmul__
+
+    def counted(x, v):
+        calls.append(v)
+        return scale(x, v)
+
+    monkeypatch.setattr(KBUElem, "__rmul__", counted)
+    r = ev([(const(2), gen(1, N))])
+    assert calls == [2] and len(r.table) == 2 * W + 1

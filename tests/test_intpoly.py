@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -152,6 +153,29 @@ def test_div_exact_rejects_remainder():
     assert p.div_exact(1) == p
     with pytest.raises(ValueError, match="coefficient 3 of .* is not divisible by 2"):
         p.div_exact(2)
+
+
+def test_content_split():
+    x1, x2 = IntPoly.var("x", 1), IntPoly.var("x", 2)
+    assert IntPoly.zero().content_split() == (0, IntPoly.zero())
+    assert IntPoly.const(-6).content_split() == (-6, IntPoly.one())
+    assert IntPoly.const(5).content_split() == (5, IntPoly.one())
+    assert (x1 - 2 * x2).content_split() == (1, x1 - 2 * x2)
+    # the sign follows the first monomial in sorted order, here the constant
+    assert (-4 + 6 * x1).content_split() == (-2, 2 - 3 * x1)
+    assert (-6 * x1 + 4 * x2).content_split() == (-2, 3 * x1 - 2 * x2)
+    rng = random.Random(5)
+    for _ in range(100):
+        p = rand_poly(rng)
+        c, prim = p.content_split()
+        assert c * prim == p
+        if p.is_zero:
+            continue
+        coeffs = [v for _, v in prim.sorted_terms()]
+        assert coeffs[0] > 0 and math.gcd(*coeffs) == 1
+        # proportional polynomials share their primitive part
+        k = rng.choice([-3, -1, 2, 7])
+        assert (k * p).content_split() == (k * c, prim)
 
 
 def test_evaluate_in_a_ring():
