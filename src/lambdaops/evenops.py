@@ -261,16 +261,23 @@ def _per_distinct_leg(r: EvenOp, fn) -> dict:
 
 def op_is_primitive(r: EvenOp) -> bool:
     """Delta+(r) = r (x) 1 + 1 (x) r, compared where the window is faithful:
-    Delta+(x_{i+j}) = x_i (x) 1 + 1 (x) x_j whenever |i|, |j|, |i+j| <= W."""
+    Delta+(x_{i+j}) = x_i (x) 1 + 1 (x) x_j whenever |i|, |j|, |i+j| <= W.
+    Equal legs share one object, so each distinct triple of objects is
+    compared once."""
     W = r.window
     zero = IntPoly.zero()
     coadds = _per_distinct_leg(r, lambda x: coadd(x).poly)
     left = _per_distinct_leg(r, lambda x: x.poly.rename_family("L", "T1"))
     right = _per_distinct_leg(r, lambda x: x.poly.rename_family("L", "T2"))
+    seen = set()
     for i in range(-W, W + 1):
         for j in range(max(-W, -W - i), min(W, W - i) + 1):
-            if coadds.get(i + j, zero) != left.get(i, zero) + right.get(j, zero):
-                return False
+            triple = (coadds.get(i + j, zero), left.get(i, zero), right.get(j, zero))
+            key = tuple(map(id, triple))
+            if key not in seen:
+                seen.add(key)
+                if triple[0] != triple[1] + triple[2]:
+                    return False
     return True
 
 

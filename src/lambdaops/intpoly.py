@@ -1,11 +1,21 @@
 """Sparse multivariate polynomials over arbitrary-precision integers.
 
-A variable is a (family, index) pair such as ("L", 3); a monomial is a
-sorted tuple of (family, index, exponent) triples with positive exponents;
-a polynomial maps monomials to nonzero integer coefficients.  Values are
-treated as immutable after construction, so they are safe to share, hash
-and memoise.  No other module depends on this layout: they read monomials
-through the query and monomial-view methods and build them from `var`.
+A variable is a (family, index) pair such as ("L", 3).  A polynomial maps
+monomials to nonzero integer coefficients, and a monomial is packed into one
+nonnegative integer: a process-wide registry gives each variable, on first
+use, a 16-bit field of its own, and the variable's exponent sits in that
+field.  Multiplying two monomials is then one integer addition.  An exponent
+must stay at most `MAX_EXPONENT` (2**15 - 1): the top bit of every field is a
+guard, and a product, power, substitution or renaming that sets it raises
+`LambdaOpsError` instead of carrying into the next field.
+
+A monomial is decoded into sorted (family, index, exponent) triples only where
+its order can be seen: printing, serialisation, `key`, `sorted_terms`, the
+keys of `collect`, `split_first`, `content_split` and error texts; `terms`
+hands out such a decoded copy of the term map.  Values are treated as
+immutable after construction, so they are safe to share, hash and memoise.
+No other module depends on this layout: they read monomials through the
+query and monomial-view methods and build them from `var`.
 """
 
 from __future__ import annotations
@@ -14,45 +24,101 @@ import json
 import math
 from typing import Callable, Iterable, Mapping
 
-Mono = tuple  # tuple[tuple[str, int, int], ...]
+from .errors import LambdaOpsError
 
-ONE_MONO: Mono = ()
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
+
+# The slot registry: a variable's field starts at bit 16 * (its slot number).
+_SHIFTS: dict[tuple[str, int], int] = {}  # variable -> bit offset of its field
+_VARS: list[tuple[str, int]] = []  # slot number -> variable
+_FAMILY_SHIFTS: dict[str, dict[int, int]] = {}  # family -> {index: bit offset}
+_GUARD = 0  # the guard (top) bit of every registered field
+_RANKS: list[int] = []  # see _ranks()
+_MASKS: dict[tuple[str, int | None], int] = {}  # see _family_mask(); cleared on registration
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    """Merge two sorted monomials, adding exponents of shared variables."""
-    if not a:
-        return b
-    if not b:
-        return a
+def _shift(var: tuple[str, int]) -> int:
+    """The bit offset of the field of `var`, registering it on first use."""
+    sh = _SHIFTS.get(var)
+    if sh is None:
+        global _GUARD
+        sh = _SHIFTS[var] = len(_VARS) * _WIDTH
+        _VARS.append(var)
+        _FAMILY_SHIFTS.setdefault(var[0], {})[var[1]] = sh
+        _GUARD |= 1 << (sh + _WIDTH - 1)
+        _MASKS.clear()
+    return sh
+
+
+def _overflow():
+    raise LambdaOpsError(f"exponent above {MAX_EXPONENT}, the bound of a packed monomial")
+
+
+def _fields(m: int) -> list[tuple[int, int]]:
+    """(bit offset, exponent) of each variable of the monomial m."""
     out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        fa, xa, ea = a[i]
-        fb, xb, eb = b[j]
-        if (fa, xa) == (fb, xb):
-            out.append((fa, xa, ea + eb))
-            i += 1
-            j += 1
-        elif (fa, xa) < (fb, xb):
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    while m:
+        sh = ((m & -m).bit_length() - 1) & -_WIDTH  # the lowest nonzero field
+        e = (m >> sh) & _FIELD
+        m ^= e << sh
+        out.append((sh, e))
+    return out
 
 
-def _add_product(out: dict, a: Mapping[Mono, int], b: Mapping[Mono, int]) -> None:
+def _decode(m: int) -> tuple:
+    """The monomial m as sorted (family, index, exponent) triples."""
+    return tuple(sorted([_VARS[sh // _WIDTH] + (e,) for sh, e in _fields(m)]))
+
+
+def _ranks() -> list[int]:
+    """Slot number -> the position of its variable in sorted order."""
+    if len(_RANKS) != len(_VARS):
+        order = sorted(range(len(_VARS)), key=_VARS.__getitem__)
+        _RANKS[:] = [0] * len(order)
+        for rank, slot in enumerate(order):
+            _RANKS[slot] = rank
+    return _RANKS
+
+
+def _encode(mono: Iterable[tuple[str, int, int]]) -> int:
+    """Pack (family, index, exponent) triples, in any order, into a monomial."""
+    m = 0
+    for (f, i, e) in mono:
+        if e < 0:
+            raise ValueError("exponents must be nonnegative")
+        if e > MAX_EXPONENT:
+            _overflow()
+        m += e << _shift((f, i))
+    if m & _GUARD:  # a variable listed twice
+        _overflow()
+    return m
+
+
+def _family_mask(family: str, above: int | None = None) -> int:
+    """The fields of the registered `family` variables (of index > `above`)."""
+    mask = _MASKS.get((family, above))
+    if mask is None:
+        mask = 0
+        for i, sh in _FAMILY_SHIFTS.get(family, {}).items():
+            if above is None or i > above:
+                mask |= _FIELD << sh
+        _MASKS[(family, above)] = mask
+    return mask
+
+
+def _add_product(out: dict, a: Mapping[int, int], b: Mapping[int, int]) -> None:
     """Add the product of the term maps `a` and `b` into `out` in place,
     dropping every coefficient that cancels to zero."""
+    guard = _GUARD
+    get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = _mono_mul(ma, mb)
-            v = out.get(m, 0) + ca * cb
+            m = ma + mb
+            if m & guard:
+                _overflow()
+            v = get(m, 0) + ca * cb
             if v:
                 out[m] = v
             else:
@@ -62,18 +128,36 @@ def _add_product(out: dict, a: Mapping[Mono, int], b: Mapping[Mono, int]) -> Non
 class IntPoly:
     """Immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Mono, int] | None = None):
-        self.terms: dict[Mono, int] = {m: c for m, c in (terms or {}).items() if c}
+    def __init__(self, terms: Mapping[tuple, int] | None = None):
+        """From a map of (family, index, exponent) triple tuples to coefficients."""
+        out: dict[int, int] = {}
+        for mono, c in (terms or {}).items():
+            if c:
+                m = _encode(mono)
+                v = out.get(m, 0) + c
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        self._terms = out
+        self._hash = None
 
     @classmethod
-    def _trusted(cls, terms: dict[Mono, int]) -> "IntPoly":
-        """Wrap a term map that holds no zero coefficient, without copying or
-        filtering it; the caller hands the dict over."""
+    def _trusted(cls, terms: dict[int, int]) -> "IntPoly":
+        """Wrap a packed term map that holds no zero coefficient, without
+        copying or filtering it; the caller hands the dict over."""
         p = object.__new__(cls)
-        p.terms = terms
+        p._terms = terms
+        p._hash = None
         return p
+
+    @property
+    def terms(self) -> dict[tuple, int]:
+        """A fresh copy of the term map, keyed by sorted (family, index,
+        exponent) triple tuples."""
+        return {_decode(m): c for m, c in self._terms.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -83,39 +167,42 @@ class IntPoly:
             raise ValueError("exponents must be nonnegative")
         if exp == 0:
             return IntPoly.one()
-        return IntPoly({((family, index, exp),): 1})
+        if exp > MAX_EXPONENT:
+            _overflow()
+        return IntPoly._trusted({exp << _shift((family, index)): 1})
 
     @staticmethod
     def const(c: int) -> "IntPoly":
-        return IntPoly({ONE_MONO: c} if c else {})
+        return IntPoly._trusted({0: c} if c else {})
 
     @staticmethod
     def zero() -> "IntPoly":
-        return IntPoly()
+        return IntPoly._trusted({})
 
     @staticmethod
     def one() -> "IntPoly":
-        return IntPoly({ONE_MONO: 1})
+        return IntPoly._trusted({0: 1})
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "IntPoly":
         other = _coerce(other)
-        if not other.terms:
+        if not other._terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
+        out = dict(self._terms)
+        get = out.get
+        for m, c in other._terms.items():
+            v = get(m, 0) + c
             if v:
                 out[m] = v
             else:
-                out.pop(m, None)
+                del out[m]
         return IntPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly._trusted({m: -c for m, c in self.terms.items()})
+        return IntPoly._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "IntPoly":
         return self + (-_coerce(other))
@@ -126,10 +213,10 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             if other == 0:
-                return IntPoly()
-            return IntPoly._trusted({m: c * other for m, c in self.terms.items()})
-        out: dict[Mono, int] = {}
-        _add_product(out, self.terms, other.terms)
+                return IntPoly._trusted({})
+            return IntPoly._trusted({m: c * other for m, c in self._terms.items()})
+        out: dict[int, int] = {}
+        _add_product(out, self._terms, other._terms)
         return IntPoly._trusted(out)
 
     __rmul__ = __mul__
@@ -137,9 +224,9 @@ class IntPoly:
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple["IntPoly", "IntPoly"]]) -> "IntPoly":
         """The sum of a * b over the pairs (a, b), accumulated in one term map."""
-        out: dict[Mono, int] = {}
+        out: dict[int, int] = {}
         for a, b in pairs:
-            _add_product(out, a.terms, b.terms)
+            _add_product(out, a._terms, b._terms)
         return IntPoly._trusted(out)
 
     def __pow__(self, n: int) -> "IntPoly":
@@ -156,58 +243,67 @@ class IntPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.terms == IntPoly.const(other).terms
-        return isinstance(other, IntPoly) and self.terms == other.terms
+            return self._terms == ({0: other} if other else {})
+        return isinstance(other, IntPoly) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self._terms.items()))
+        return h
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- queries --------------------------------------------------------
 
     def key(self):
-        """Canonical hashable form: the term list sorted by monomial.  Hash
-        the polynomial itself where order does not matter; this form is the
-        `_COMPOSE_CACHE` key that `perfbench/tracer.py` rebuilds."""
-        return tuple(sorted(self.terms.items()))
+        """Canonical hashable form: the decoded term list sorted by monomial.
+        Hash the polynomial itself where order does not matter; this form is
+        the `_COMPOSE_CACHE` key that `perfbench/tracer.py` rebuilds."""
+        return tuple(sorted([(_decode(m), c) for m, c in self._terms.items()]))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def constant_term(self) -> int:
-        return self.terms.get(ONE_MONO, 0)
+        return self._terms.get(0, 0)
 
     def coefficient(self, mono: "IntPoly") -> int:
         """The coefficient of the monomial `mono` (a one-term polynomial)."""
-        ((m, _),) = mono.terms.items()
-        return self.terms.get(m, 0)
+        ((m, _),) = mono._terms.items()
+        return self._terms.get(m, 0)
 
     def variables(self) -> dict[tuple[str, int], int]:
         """Each variable that occurs, mapped to its highest exponent."""
-        out: dict[tuple[str, int], int] = {}
-        for m in self.terms:
-            for (f, i, e) in m:
-                if e > out.get((f, i), 0):
-                    out[(f, i)] = e
-        return out
+        terms = self._terms
+        present = 0
+        for m in terms:
+            present |= m
+        return {_VARS[sh // _WIDTH]: max([(m >> sh) & _FIELD for m in terms])
+                for sh, _ in _fields(present)}
 
     def part_of_family_degree(self, family: str, low: int, high: int | None = None) -> "IntPoly":
         """Keep the monomials whose total degree in `family` lies in
         [low, high]; high defaults to low."""
         high = low if high is None else high
+        mask = _family_mask(family)
+        if mask.bit_count() <= 2 * _WIDTH:
+            # 2**16 is 1 modulo _FIELD, and two exponents sum to less than it
+            return IntPoly._trusted({m: c for m, c in self._terms.items()
+                                     if low <= (m & mask) % _FIELD <= high})
         return IntPoly._trusted({
-            m: c for m, c in self.terms.items()
-            if low <= sum(e for (f, _, e) in m if f == family) <= high
+            m: c for m, c in self._terms.items()
+            if low <= sum(e for _, e in _fields(m & mask)) <= high
         })
 
     def weight(self, family: str) -> int:
         """Max over monomials of sum(index * exponent) within `family`."""
+        mask = _family_mask(family)
         best = 0
-        for m in self.terms:
-            w = sum(i * e for (f, i, e) in m if f == family)
+        for m in self._terms:
+            w = sum(_VARS[sh // _WIDTH][1] * e for sh, e in _fields(m & mask))
             best = max(best, w)
         return best
 
@@ -217,63 +313,75 @@ class IntPoly:
 
     def sorted_terms(self) -> list[tuple["IntPoly", int]]:
         """The terms as (monomial, coefficient) pairs, sorted by monomial."""
-        return [(IntPoly._trusted({m: 1}), c) for m, c in sorted(self.terms.items())]
+        return [(IntPoly._trusted({m: 1}), c)
+                for _, m, c in sorted([(_decode(m), m, c) for m, c in self._terms.items()])]
 
     def split_first(self) -> tuple["IntPoly", "IntPoly"]:
         """For a monomial other than 1: its first variable and the monomial
         divided by that variable."""
-        ((m, c),) = self.terms.items()
-        f, i, e = m[0]
-        rest = ((f, i, e - 1),) + m[1:] if e > 1 else m[1:]
-        return IntPoly.var(f, i), IntPoly._trusted({rest: c})
+        ((m, c),) = self._terms.items()
+        f, i, _ = _decode(m)[0]
+        return IntPoly.var(f, i), IntPoly._trusted({m - (1 << _SHIFTS[(f, i)]): c})
 
     def collect(self, family: str) -> list[tuple["IntPoly", "IntPoly"]]:
         """Group the terms by their `family` part: (monomial in `family`,
         coefficient polynomial in the other families) pairs, sorted by
         monomial."""
-        groups: dict[Mono, dict[Mono, int]] = {}
-        for m, c in self.terms.items():
-            inside = tuple(t for t in m if t[0] == family)
-            groups.setdefault(inside, {})[tuple(t for t in m if t[0] != family)] = c
-        return [(IntPoly._trusted({m: 1}), IntPoly._trusted(groups[m])) for m in sorted(groups)]
+        mask = _family_mask(family)
+        groups: dict[int, dict[int, int]] = {}
+        for m, c in self._terms.items():
+            inside = m & mask
+            groups.setdefault(inside, {})[m ^ inside] = c
+        return [(IntPoly._trusted({m: 1}), IntPoly._trusted(groups[m]))
+                for m in sorted(groups, key=_decode)]
 
     def linear_coefficients(self, family: str) -> dict[int, int]:
         """{index: coefficient} of the terms that are a single `family`
         variable to the first power."""
-        return {m[0][1]: c for m, c in self.terms.items()
-                if len(m) == 1 and m[0][0] == family and m[0][2] == 1}
+        out = {}
+        for m, c in self._terms.items():
+            # one variable to the first power: a single bit at a field's start
+            if m and not m & (m - 1) and not (m.bit_length() - 1) % _WIDTH:
+                f, i = _VARS[(m.bit_length() - 1) // _WIDTH]
+                if f == family:
+                    out[i] = c
+        return out
 
     def content_split(self) -> tuple[int, "IntPoly"]:
         """(content, primitive part) with content * primitive == self: the
         content is the gcd of the coefficients, signed so that the primitive
         part's first monomial (in sorted order) has a positive coefficient.
         Zero splits as (0, zero)."""
-        if not self.terms:
+        terms = self._terms
+        if not terms:
             return 0, self
-        c = math.gcd(*self.terms.values())
-        if self.terms[min(self.terms)] < 0:
+        c = math.gcd(*terms.values())
+        if terms[min(terms, key=_decode)] < 0:
             c = -c
         if c == 1:
             return 1, self
-        return c, IntPoly._trusted({m: v // c for m, v in self.terms.items()})
+        return c, IntPoly._trusted({m: v // c for m, v in terms.items()})
 
     def div_exact(self, n: int) -> "IntPoly":
         """Divide every coefficient by n; ValueError unless each one divides."""
-        out: dict[Mono, int] = {}
-        for m, c in self.terms.items():
+        out: dict[int, int] = {}
+        for m, c in self._terms.items():
             quot, rem = divmod(c, n)
             if rem:
-                raise ValueError(f"coefficient {c} of {m} is not divisible by {n}")
+                raise ValueError(f"coefficient {c} of {_decode(m)} is not divisible by {n}")
             out[m] = quot
         return IntPoly._trusted(out)
 
     # -- structural maps ------------------------------------------------
 
-    def map_terms(self, fn: Callable[[Mono, int], tuple[Mono, int]]) -> "IntPoly":
-        out: dict[Mono, int] = {}
-        for m, c in self.terms.items():
+    def map_terms(self, fn: Callable[[int, int], tuple[int, int]]) -> "IntPoly":
+        """Apply fn(monomial, coefficient) -> (monomial, coefficient) to every
+        term of the packed term map, adding terms that land on one monomial."""
+        out: dict[int, int] = {}
+        get = out.get
+        for m, c in self._terms.items():
             m2, c2 = fn(m, c)
-            v = out.get(m2, 0) + c2
+            v = get(m2, 0) + c2
             if v:
                 out[m2] = v
             else:
@@ -281,21 +389,32 @@ class IntPoly:
         return IntPoly._trusted(out)
 
     def rename_family(self, src: str, dst: str) -> "IntPoly":
+        mask = _family_mask(src)
+        moved: dict[int, int] = {}  # src part -> the same exponents in dst fields
+
         def fn(m, c):
-            m2 = tuple(sorted((dst if f == src else f, i, e) for (f, i, e) in m))
-            return m2, c
+            part = m & mask
+            if not part:
+                return m, c
+            new = moved.get(part)
+            if new is None:
+                new = moved[part] = sum(e << _shift((dst, _VARS[sh // _WIDTH][1]))
+                                        for sh, e in _fields(part))
+            m = (m ^ part) + new
+            if m & _GUARD:
+                _overflow()
+            return m, c
 
         return self.map_terms(fn)
 
     def truncate_family(self, family: str, max_index: int) -> "IntPoly":
         """Drop every monomial containing a `family` variable above `max_index`."""
-        return IntPoly._trusted(
-            {
-                m: c
-                for m, c in self.terms.items()
-                if all(not (f == family and i > max_index) for (f, i, _) in m)
-            }
-        )
+        mask = _family_mask(family, max_index)
+        terms = self._terms
+        if not mask:
+            return self
+        out = {m: c for m, c in terms.items() if not m & mask}
+        return self if len(out) == len(terms) else IntPoly._trusted(out)
 
     def substitute(self, images: Mapping[tuple[str, int], "IntPoly | int"]) -> "IntPoly":
         """Simultaneously substitute polynomials for variables.
@@ -303,25 +422,27 @@ class IntPoly:
         Variables absent from `images` are left untouched.  Substitution is
         a ring map, so the result is exact.
         """
-        imgs = {v: _coerce(p) for v, p in images.items()}
-        pow_cache: dict[tuple[tuple[str, int], int], dict[Mono, int]] = {}
-        out: dict[Mono, int] = {}
-        for m, c in self.terms.items():
+        imgs: dict[int, IntPoly] = {}  # bit offset -> image
+        mask = 0
+        for v, p in images.items():
+            sh = _SHIFTS.get(v)
+            if sh is not None:  # else no monomial holds v
+                imgs[sh] = _coerce(p)
+                mask |= _FIELD << sh
+        pow_cache: dict[int, dict[int, int]] = {}  # packed power of one variable -> image
+        out: dict[int, int] = {}
+        for m, c in self._terms.items():
+            # the untouched variables and the coefficient form the first factor
+            acc = {m & ~mask: c}
             factors = []
-            for (f, i, e) in m:
-                v = (f, i)
-                if v in imgs:
-                    p = pow_cache.get((v, e))
-                    if p is None:
-                        p = (imgs[v] ** e).terms
-                        pow_cache[(v, e)] = p
-                    factors.append(p)
-                else:
-                    factors.append({((f, i, e),): 1})
+            for sh, e in _fields(m & mask):
+                p = pow_cache.get(e << sh)
+                if p is None:
+                    p = pow_cache[e << sh] = (imgs[sh] ** e)._terms
+                factors.append(p)
             # multiply all but the last factor into acc, then add acc times
             # the last factor straight into the result
-            *head, last = factors or [{ONE_MONO: 1}]
-            acc = {ONE_MONO: c}
+            *head, last = factors or [{0: 1}]
             for p in head:
                 acc, prev = {}, acc
                 _add_product(acc, prev, p)
@@ -333,9 +454,11 @@ class IntPoly:
 
         `image` is called only for the indices that occur in the polynomial.
         """
-        return self.substitute(
-            {v: image(v[1]) for v in sorted(self.variables()) if v[0] == family}
-        )
+        present = 0
+        for m in self._terms:
+            present |= m
+        indices = sorted(_VARS[sh // _WIDTH][1] for sh, _ in _fields(present & _family_mask(family)))
+        return self.substitute({(family, k): image(k) for k in indices})
 
     def evaluate(self, assign: Mapping[tuple[str, int], object], ring=None):
         """Evaluate with every variable assigned.  The values are integers,
@@ -343,17 +466,17 @@ class IntPoly:
         a lambda-ring model)."""
         if ring is None:
             total = 0
-            for m, c in self.terms.items():
+            for m, c in self._terms.items():
                 v = c
-                for (f, i, e) in m:
-                    v *= assign[(f, i)] ** e
+                for sh, e in _fields(m):
+                    v *= assign[_VARS[sh // _WIDTH]] ** e
                 total += v
             return total
         total = ring.from_int(0)
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             acc = ring.from_int(c)
-            for (f, i, e) in m:
-                value = assign[(f, i)]
+            for sh, e in _fields(m):
+                value = assign[_VARS[sh // _WIDTH]]
                 for _ in range(e):
                     acc = ring.mul(acc, value)
             total = ring.add(total, acc)
@@ -362,10 +485,10 @@ class IntPoly:
     # -- serialisation ----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items()):
+        for m, c in sorted([(_decode(m), c) for m, c in self._terms.items()]):
             factors = "*".join(
                 f"{f}{i}" if e == 1 else f"{f}{i}^{e}" for (f, i, e) in m
             )
@@ -389,28 +512,40 @@ class IntPoly:
         """JSON-ready form: sorted terms, decimal-string coefficients."""
         return [
             {"mono": [[f, i, e] for (f, i, e) in m], "coeff": str(c)}
-            for m, c in sorted(self.terms.items())
+            for m, c in sorted([(_decode(m), c) for m, c in self._terms.items()])
         ]
 
     def to_json(self, memo: dict | None = None) -> str:
         """The JSON text of `to_obj()` with sorted keys and no spaces: the
         bytes of json.dumps(p.to_obj(), sort_keys=True, separators=(",", ":")).
-        `memo` maps each monomial written so far to its text; pass one dict to
-        every polynomial of one output so that each monomial is encoded once."""
+        `memo` maps each monomial written so far to a string that sorts as
+        the monomial does (per variable, its rank among the registered
+        variables and its exponent, one character each), and that string to
+        the monomial and its text; pass one dict to every polynomial of one
+        output so that each monomial is decoded and encoded once."""
         if memo is None:
             memo = {}
-        terms = self.terms
-        monos = sorted(terms)
-        for m in monos:
+        if memo.get(None) != len(_VARS):  # new variables shift the ranks
+            memo.clear()
+            memo[None] = len(_VARS)
+        terms = self._terms
+        ranks = _ranks()
+        for m in terms:
             if m not in memo:
-                memo[m] = ',"mono":[' + ",".join(
-                    f"[{json.dumps(f)},{i},{e}]" for (f, i, e) in m
-                ) + "]}"
-        return "[" + ",".join([f'{{"coeff":"{terms[m]}"{memo[m]}' for m in monos]) + "]"
+                mono = _decode(m)
+                key = memo[m] = "".join(
+                    [chr(ranks[_SHIFTS[(f, i)] // _WIDTH]) + chr(e) for (f, i, e) in mono])
+                memo[key] = (m, ',"mono":[' + ",".join(
+                    f"[{json.dumps(f)},{i},{e}]" for (f, i, e) in mono) + "]}")
+        out = []
+        for key in sorted([memo[m] for m in terms]):
+            m, text = memo[key]
+            out.append(f'{{"coeff":"{terms[m]}"{text}')
+        return "[" + ",".join(out) + "]"
 
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "IntPoly":
-        terms: dict[Mono, int] = {}
+        terms: dict[tuple, int] = {}
         for t in obj:
             mono = tuple(sorted((f, int(i), int(e)) for f, i, e in t["mono"]))
             terms[mono] = int(t["coeff"])

@@ -4,8 +4,9 @@ The integer oracles work on plain integers (or lists of them) so that
 nothing depends on the polynomial kernel they check.  The reference
 coproducts are the slow, literal constructions that the fast paths of
 `lambdaops.evenops` and `lambdaops.loopgrade` replaced; they use only
-public names.  The argparse parser at the end is the reference for
-`lambdaops.cli.parse_args`.
+public names.  `TuplePoly`, the polynomial kernel over tuple monomials, is
+the reference for the packed `IntPoly`, and the argparse parser at the end
+is the reference for `lambdaops.cli.parse_args`.
 """
 
 from __future__ import annotations
@@ -69,6 +70,25 @@ def lam_assignment(vals, family: str, kmax: int) -> dict:
 
 
 # -- reference coproducts of even operations -------------------------------------
+
+
+def pairwise_op_is_primitive(r):
+    """op_is_primitive as the loop it replaced: every leg co-added and renamed
+    at its own index, and one addition and comparison for each of the
+    3W^2 + 3W + 1 pairs (i, j) with |i|, |j|, |i+j| <= W."""
+    from lambdaops.intpoly import IntPoly
+    from lambdaops.kbu import coadd
+
+    W = r.window
+    zero = IntPoly.zero()
+    coadds = {d: coadd(x).poly for d, x in r.table.items()}
+    left = {d: x.poly.rename_family("L", "T1") for d, x in r.table.items()}
+    right = {d: x.poly.rename_family("L", "T2") for d, x in r.table.items()}
+    for i in range(-W, W + 1):
+        for j in range(max(-W, -W - i), min(W, W - i) + 1):
+            if coadds.get(i + j, zero) != left.get(i, zero) + right.get(j, zero):
+                return False
+    return True
 
 
 def reference_op_comult(r):
@@ -330,6 +350,170 @@ def reference_str(p) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+# -- reference polynomial kernel ------------------------------------------------
+# The IntPoly kernel before monomials were packed into integers: a monomial is
+# a sorted tuple of (family, index, exponent) triples and a product merges two
+# of them.  It has no exponent bound.
+
+
+def _tuple_mono_mul(a, b):
+    """Merge two sorted monomials, adding exponents of shared variables."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (fa, xa, ea), (fb, xb, eb) = a[i], b[j]
+        if (fa, xa) == (fb, xb):
+            out.append((fa, xa, ea + eb))
+            i += 1
+            j += 1
+        elif (fa, xa) < (fb, xb):
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def _tuple_add_product(out, a, b):
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = _tuple_mono_mul(ma, mb)
+            v = out.get(m, 0) + ca * cb
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+
+
+class TuplePoly:
+    """Sparse integer polynomial over tuple monomials; the oracle of the
+    packed IntPoly kernel for the operations its test compares."""
+
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def var(family, index, exp=1):
+        return TuplePoly({((family, index, exp),): 1} if exp else {(): 1})
+
+    def __add__(self, other):
+        other = _tuple_coerce(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return TuplePoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TuplePoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-_tuple_coerce(other))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return TuplePoly({m: c * other for m, c in self.terms.items()})
+        out = {}
+        _tuple_add_product(out, self.terms, other.terms)
+        return TuplePoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        result, base = TuplePoly({(): 1}), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def __eq__(self, other):
+        return isinstance(other, TuplePoly) and self.terms == other.terms
+
+    def key(self):
+        return tuple(sorted(self.terms.items()))
+
+    def variables(self):
+        out = {}
+        for m in self.terms:
+            for (f, i, e) in m:
+                out[(f, i)] = max(e, out.get((f, i), 0))
+        return out
+
+    def part_of_family_degree(self, family, low, high=None):
+        high = low if high is None else high
+        return TuplePoly({m: c for m, c in self.terms.items()
+                          if low <= sum(e for (f, _, e) in m if f == family) <= high})
+
+    def collect(self, family):
+        groups = {}
+        for m, c in self.terms.items():
+            inside = tuple(t for t in m if t[0] == family)
+            groups.setdefault(inside, {})[tuple(t for t in m if t[0] != family)] = c
+        return [(TuplePoly({m: 1}), TuplePoly(groups[m])) for m in sorted(groups)]
+
+    def content_split(self):
+        if not self.terms:
+            return 0, self
+        c = math.gcd(*self.terms.values())
+        if self.terms[min(self.terms)] < 0:
+            c = -c
+        return c, TuplePoly({m: v // c for m, v in self.terms.items()})
+
+    def rename_family(self, src, dst):
+        return TuplePoly({tuple(sorted((dst if f == src else f, i, e) for (f, i, e) in m)): c
+                          for m, c in self.terms.items()})
+
+    def truncate_family(self, family, max_index):
+        return TuplePoly({m: c for m, c in self.terms.items()
+                          if all(not (f == family and i > max_index) for (f, i, _) in m)})
+
+    def substitute(self, images):
+        out = TuplePoly()
+        for m, c in self.terms.items():
+            term = TuplePoly({(): c})
+            for (f, i, e) in m:
+                if (f, i) in images:
+                    term = term * _tuple_coerce(images[(f, i)]) ** e
+                else:
+                    term = term * TuplePoly.var(f, i, e)
+            out = out + term
+        return out
+
+    def substitute_family(self, family, image):
+        return self.substitute({v: image(v[1]) for v in sorted(self.variables())
+                                if v[0] == family})
+
+    def evaluate(self, assign):
+        return sum(c * math.prod(assign[(f, i)] ** e for (f, i, e) in m)
+                   for m, c in self.terms.items())
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        text = ""
+        for m, c in sorted(self.terms.items()):
+            factors = "*".join(f"{f}{i}" if e == 1 else f"{f}{i}^{e}" for (f, i, e) in m)
+            body = str(abs(c)) if not factors else factors if abs(c) == 1 else f"{abs(c)}*{factors}"
+            sign = "-" if c < 0 else "+"
+            text = (("-" if c < 0 else "") + body) if not text else f"{text} {sign} {body}"
+        return text
+
+    def to_json(self):
+        import json
+
+        return json.dumps([{"mono": [list(t) for t in m], "coeff": str(c)}
+                           for m, c in sorted(self.terms.items())],
+                          sort_keys=True, separators=(",", ":"))
+
+
+def _tuple_coerce(x):
+    return x if isinstance(x, TuplePoly) else TuplePoly({(): x})
 
 
 # -- reference command-line reader -----------------------------------------------

@@ -180,6 +180,19 @@ def test_operand_errors_exit_nonzero():
     assert run_cli("--help").returncode == 0
 
 
+def test_exponent_bound_is_one_error_line():
+    # (L1^k) o (L1^k) = L1^(k*k): 181^2 = 32761 fits a packed exponent field,
+    # 182^2 = 33124 passes MAX_EXPONENT = 32767
+    def power(k):
+        return "*".join(["L1"] * k)
+
+    got = run_cli("--trunc", "2", "--window", "1", "compose", power(181), power(181))
+    assert got.returncode == 0 and "L1^32761" in got.stdout
+    got = run_cli("--trunc", "2", "--window", "1", "compose", power(182), power(182))
+    assert_one_error_line(got)
+    assert got.stderr == "error: exponent above 32767, the bound of a packed monomial\n"
+
+
 def test_model_m_bound():
     # m above 64 fails with one error line before any model is built
     for selector in ("cp:65", "split:65", "cp:3000", "split:99999999"):

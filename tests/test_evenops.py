@@ -9,6 +9,7 @@ from helpers import (
     reference_op_coadd,
     reference_op_comult,
     reference_op_is_primitive,
+    pairwise_op_is_primitive,
 )
 from lambdaops import evenops
 from lambdaops.errors import (
@@ -386,6 +387,30 @@ def test_shared_leg_paths_match_per_indicator_constructions(trunc, window):
         assert outcome(compose_even, r, s) == outcome(reference_compose_even, r, s), (r, s)
     assert outcome(compose_even, ops[0], ops[-1]) == (
         f"WindowExhausted: augmentation {window + 2} outside window {window}")
+
+
+@pytest.mark.parametrize("window", [2, 5, 16])
+@pytest.mark.parametrize("trunc", [2, 4])
+def test_op_is_primitive_matches_the_pairwise_loop(trunc, window):
+    """Sums of const(c)@x over primitive legs x (L1, psi_2, psi_3), which are
+    primitive, and operations with an indicator, id or a non-primitive leg,
+    which are not; legs are shared across indices or differ between them."""
+    rng = random.Random(7 * trunc + window)
+    primitive = [gen(1, trunc), psi_kbu(2, trunc), psi_kbu(3, trunc)]
+    other = [gen(2, trunc), gen(1, trunc) * gen(1, trunc), gen(1, trunc) + 1]
+    verdicts = []
+    for n in range(12):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            x = rng.choice(SCALARS) * rng.choice(primitive)
+            pairs.append((const(rng.choice(SCALARS)), x))
+        if n % 2:
+            f = rng.choice([IDENT, fn_sum(chi(rng.randint(-3, 3)), chi(rng.randint(-3, 3)))])
+            pairs.append((f, rng.choice(primitive + other)))
+        r = EvenOp.from_pairs(pairs, trunc, window)
+        verdicts.append(op_is_primitive(r))
+        assert verdicts[-1] == pairwise_op_is_primitive(r), pairs
+    assert True in verdicts and False in verdicts
 
 
 def counting(monkeypatch, module, name):

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from helpers import reference_str, reference_to_json
-from lambdaops.intpoly import IntPoly
+from helpers import TuplePoly, reference_str, reference_to_json
+from lambdaops.errors import LambdaOpsError
+from lambdaops.intpoly import MAX_EXPONENT, IntPoly
 
 
 def rand_poly(rng, families=("x", "y"), terms=4):
@@ -260,8 +261,125 @@ def test_key_and_hash_ignore_insertion_order():
         assert q == p
         assert q.key() == p.key() and hash(q) == hash(p)
         assert {p: 1}[q] == 1
+        # exponents near the field width, against the tuple kernel's forms
+        p, t = twin_polys(rng, terms=8, big=True)
+        items = list(t.terms.items())
+        rng.shuffle(items)
+        q = IntPoly(dict(items))
+        assert q == p and hash(q) == hash(p) and q.key() == p.key() == t.key()
+        assert str(q) == str(t) and q.to_json() == t.to_json()
 
 
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         IntPoly.var("x", 1, -1)
+
+
+# -- the packed kernel against the tuple kernel ----------------------------------
+
+FAMILIES = ("L", "T1", "x")
+
+
+def twin_polys(rng, terms=5, big=False):
+    """The same random polynomial as an IntPoly and as a TuplePoly; with
+    `big`, some exponents lie just below 2^14 or 2^15."""
+    exps = [1, 1, 2, 3] + ([2**14 - 1, 2**14, 2**15 - 2, MAX_EXPONENT] if big else [])
+    tmap = {}
+    for _ in range(terms):
+        mono = {}
+        for _ in range(rng.randint(0, 3)):
+            mono[(rng.choice(FAMILIES), rng.randint(1, 4))] = rng.choice(exps)
+        tmap[tuple(sorted((f, i, e) for (f, i), e in mono.items()))] = rng.randint(-4, 4)
+    return IntPoly(tmap), TuplePoly(tmap)
+
+
+def max_exponent(t):
+    return max((e for m in t.terms for (_, _, e) in m), default=0)
+
+
+def assert_same(p, t):
+    assert p.terms == t.terms
+    assert str(p) == str(t) and p.to_json() == t.to_json() and p.key() == t.key()
+
+
+def test_packed_kernel_matches_the_tuple_kernel():
+    rng = random.Random(2024)
+    for _ in range(60):
+        (a, ta), (b, tb) = twin_polys(rng), twin_polys(rng)
+        for p, t in [(a + b, ta + tb), (a - b, ta - tb), (-a, -ta), (3 * a, ta * 3),
+                     (a * b, ta * tb), (a ** 3, ta ** 3), (b ** 0, tb ** 0)]:
+            assert_same(p, t)
+        images = {(f, i): twin_polys(rng, terms=2) for f in ("L", "x") for i in (1, 2)}
+        assert_same(a.substitute({v: q for v, (q, _) in images.items()}),
+                    ta.substitute({v: t for v, (_, t) in images.items()}))
+        image = {k: twin_polys(rng, terms=2) for k in range(1, 5)}
+        assert_same(a.substitute_family("T1", lambda k: image[k][0]),
+                    ta.substitute_family("T1", lambda k: image[k][1]))
+        for family in FAMILIES:
+            assert_same(a.truncate_family(family, 2), ta.truncate_family(family, 2))
+            assert_same(a.part_of_family_degree(family, 1, 2),
+                        ta.part_of_family_degree(family, 1, 2))
+            assert [(str(m), str(c)) for m, c in a.collect(family)] == \
+                [(str(m), str(c)) for m, c in ta.collect(family)]
+        assert_same(a.rename_family("T1", "U"), ta.rename_family("T1", "U"))
+        content, prim = a.content_split()
+        t_content, t_prim = ta.content_split()
+        assert content == t_content
+        assert_same(prim, t_prim)
+        point = {(f, i): rng.randint(-3, 3) for f in FAMILIES for i in range(1, 5)}
+        assert a.evaluate(point) == ta.evaluate(point)
+        assert a.variables() == ta.variables()
+
+
+def test_packed_kernel_near_the_exponent_bound():
+    """Exponents up to MAX_EXPONENT are exact; a result above it raises
+    instead of carrying into the next variable's field."""
+    rng = random.Random(15)
+    raised = exact = 0
+    for _ in range(60):
+        (a, ta), (b, tb) = twin_polys(rng, big=True), twin_polys(rng, big=True)
+        # a monomial image keeps the substitution small: x1^e -> (-m)^e
+        variables = sorted({(rng.choice(FAMILIES), rng.randint(1, 4)) for _ in range(2)})
+        mono = {tuple((f, i, rng.randint(1, 2)) for f, i in variables): -1}
+        m, tm = IntPoly(mono), TuplePoly(mono)
+        for op in (lambda p, q, r: p * q, lambda p, q, r: p * q * q,
+                   lambda p, q, r: p.substitute({("x", 1): r, ("L", 2): r})):
+            t = op(ta, tb, tm)
+            if max_exponent(t) > MAX_EXPONENT:
+                with pytest.raises(LambdaOpsError, match=str(MAX_EXPONENT)):
+                    op(a, b, m)
+                raised += 1
+            else:
+                assert_same(op(a, b, m), t)
+                exact += 1
+    assert raised and exact
+    x1, x2 = IntPoly.var("x", 1), IntPoly.var("x", 2)
+    assert str(IntPoly.var("x", 1, 2**14 - 1) ** 2 * x1) == f"x1^{MAX_EXPONENT}"
+    for overflow in (lambda: x1 ** (MAX_EXPONENT + 1),
+                     lambda: IntPoly.var("x", 1, MAX_EXPONENT) * x1 * x2,
+                     lambda: IntPoly.var("x", 1, MAX_EXPONENT + 1),
+                     lambda: IntPoly({(("x", 1, MAX_EXPONENT + 1),): 1}),
+                     lambda: IntPoly.var("x", 1, 2**14).substitute({("x", 1): x2 ** 2}),
+                     lambda: (x1 ** MAX_EXPONENT * IntPoly.var("y", 1)).rename_family("y", "x")):
+        with pytest.raises(LambdaOpsError, match=str(MAX_EXPONENT)):
+            overflow()
+
+
+def test_terms_is_a_fresh_copy_so_memoised_values_stay_intact():
+    from lambdaops.models import get_model
+    from lambdaops.symfun import newton_psi, universal_pk
+
+    p2, psi3 = universal_pk(2), newton_psi(3)
+    texts = str(p2), str(psi3)
+    p2.terms.clear()
+    psi3.terms[()] = 7
+    assert (str(universal_pk(2)), str(newton_psi(3))) == texts
+    model = get_model("split:2")
+    a = model.samples(random.Random(5), 1)[0]
+    series = model.lambda_series(a, 3)
+    before = [str(s) for s in series]
+    for s in series:
+        s.terms.clear()
+    assert [str(s) for s in model.lambda_series(a, 3)] == before
+    with pytest.raises(AttributeError):
+        p2.terms = {}
