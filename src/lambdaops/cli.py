@@ -22,7 +22,7 @@ from .intpoly import IntPoly
 from .kbu import coadd, comult
 from .loopgrade import compose_odd, loop_even, loop_odd
 from .models import ProjectiveModel, SplitModel, get_model
-from .parser import OperandParser, ParseError, parse_element, parse_operand
+from .parser import OperandParser, OutsideModel, ParseError, parse_element, parse_operand
 from .symfun import left_linearise, newton_psi, universal_pij, universal_pk
 
 
@@ -117,13 +117,14 @@ def cmd_act(args) -> int:
         raise ParseError("act applies even operations; odd classes act through suspension")
     op = _operand_ctx(args).promote_even(op_val).payload
     model = get_model(args.model)
-    elem_val = parse_element(args.element, args.trunc, args.window)
+    try:
+        elem_val = parse_element(args.element, args.trunc, args.window, _model_variables(model))
+    except OutsideModel:
+        raise ParseError(f"element {args.element!r} is not in model {args.model}") from None
     if elem_val.kind == "int":
         elem = model.from_int(elem_val.payload)
     elif elem_val.kind == "poly":
         elem = elem_val.payload
-        if not elem.variables().keys() <= _model_variables(model):
-            raise ParseError(f"element {args.element!r} is not in model {args.model}")
     else:
         raise ParseError(f"cannot read a model element from a {elem_val.kind} expression")
     result = act(op, model, elem)

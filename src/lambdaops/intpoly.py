@@ -16,6 +16,11 @@ hands out such a decoded copy of the term map.  Values are treated as
 immutable after construction, so they are safe to share, hash and memoise.
 No other module depends on this layout: they read monomials through the
 query and monomial-view methods and build them from `var`.
+
+The registry lives as long as the process and never shrinks, and a variable
+registered later gets a higher field, so monomials holding it are wider
+integers.  Callers therefore build a variable only once its index is known
+to be in range (the CLI checks operand and element variables first).
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ _SHIFTS: dict[tuple[str, int], int] = {}  # variable -> bit offset of its field
 _VARS: list[tuple[str, int]] = []  # slot number -> variable
 _FAMILY_SHIFTS: dict[str, dict[int, int]] = {}  # family -> {index: bit offset}
 _GUARD = 0  # the guard (top) bit of every registered field
-_RANKS: list[int] = []  # see _ranks()
 _MASKS: dict[tuple[str, int | None], int] = {}  # see _family_mask(); cleared on registration
 
 
@@ -70,16 +74,6 @@ def _fields(m: int) -> list[tuple[int, int]]:
 def _decode(m: int) -> tuple:
     """The monomial m as sorted (family, index, exponent) triples."""
     return tuple(sorted([_VARS[sh // _WIDTH] + (e,) for sh, e in _fields(m)]))
-
-
-def _ranks() -> list[int]:
-    """Slot number -> the position of its variable in sorted order."""
-    if len(_RANKS) != len(_VARS):
-        order = sorted(range(len(_VARS)), key=_VARS.__getitem__)
-        _RANKS[:] = [0] * len(order)
-        for rank, slot in enumerate(order):
-            _RANKS[slot] = rank
-    return _RANKS
 
 
 def _encode(mono: Iterable[tuple[str, int, int]]) -> int:
@@ -289,10 +283,6 @@ class IntPoly:
         [low, high]; high defaults to low."""
         high = low if high is None else high
         mask = _family_mask(family)
-        if mask.bit_count() <= 2 * _WIDTH:
-            # 2**16 is 1 modulo _FIELD, and two exponents sum to less than it
-            return IntPoly._trusted({m: c for m, c in self._terms.items()
-                                     if low <= (m & mask) % _FIELD <= high})
         return IntPoly._trusted({
             m: c for m, c in self._terms.items()
             if low <= sum(e for _, e in _fields(m & mask)) <= high
@@ -518,30 +508,19 @@ class IntPoly:
     def to_json(self, memo: dict | None = None) -> str:
         """The JSON text of `to_obj()` with sorted keys and no spaces: the
         bytes of json.dumps(p.to_obj(), sort_keys=True, separators=(",", ":")).
-        `memo` maps each monomial written so far to a string that sorts as
-        the monomial does (per variable, its rank among the registered
-        variables and its exponent, one character each), and that string to
-        the monomial and its text; pass one dict to every polynomial of one
-        output so that each monomial is decoded and encoded once."""
+        `memo` maps each monomial written so far to its decoded form and its
+        text; pass one dict to every polynomial of one output so that each
+        monomial is decoded and encoded once."""
         if memo is None:
             memo = {}
-        if memo.get(None) != len(_VARS):  # new variables shift the ranks
-            memo.clear()
-            memo[None] = len(_VARS)
         terms = self._terms
-        ranks = _ranks()
         for m in terms:
             if m not in memo:
                 mono = _decode(m)
-                key = memo[m] = "".join(
-                    [chr(ranks[_SHIFTS[(f, i)] // _WIDTH]) + chr(e) for (f, i, e) in mono])
-                memo[key] = (m, ',"mono":[' + ",".join(
+                memo[m] = (mono, ',"mono":[' + ",".join(
                     f"[{json.dumps(f)},{i},{e}]" for (f, i, e) in mono) + "]}")
-        out = []
-        for key in sorted([memo[m] for m in terms]):
-            m, text = memo[key]
-            out.append(f'{{"coeff":"{terms[m]}"{text}')
-        return "[" + ",".join(out) + "]"
+        monos = sorted(terms, key=lambda m: memo[m][0])
+        return "[" + ",".join([f'{{"coeff":"{terms[m]}"{memo[m][1]}' for m in monos]) + "]"
 
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "IntPoly":

@@ -64,7 +64,7 @@ def gen(k: int, trunc: int) -> KBUElem:
     """The generator L_k at level N (zero when k exceeds N)."""
     if k < 1:
         raise ValueError("generator index must be >= 1")
-    return KBUElem(IntPoly.var("L", k), trunc)
+    return KBUElem(IntPoly.var("L", k) if k <= trunc else IntPoly.zero(), trunc)
 
 
 def cozero(x: KBUElem) -> int:

@@ -23,6 +23,10 @@ class ParseError(ValueError):
     pass
 
 
+class OutsideModel(ParseError):
+    """An element names a variable that its model does not have."""
+
+
 # Parentheses and unary minus signs together may nest this deep; each level
 # costs the recursive-descent parser up to three stack frames.
 MAX_NESTING = 200
@@ -66,7 +70,8 @@ class Val(NamedTuple):
 
 
 class OperandParser:
-    def __init__(self, tokens: list[str], trunc: int, window: int, elements: bool = False):
+    def __init__(self, tokens: list[str], trunc: int, window: int,
+                 elements: set[tuple[str, int]] | None = None):
         self.toks = tokens
         self.pos = 0
         self.trunc = trunc
@@ -152,15 +157,13 @@ class OperandParser:
         m = re.fullmatch(r"l(\d+)", name)
         if m:
             return Val("odd", lgen(int(m.group(1)), self.trunc))
-        if self.elements:
-            if name == "u":
-                return Val("poly", IntPoly.var("u", 1))
-            m = re.fullmatch(r"u(\d+)", name)
-            if m and m.group(1) == "1":
-                return Val("poly", IntPoly.var("u", 1))
+        if self.elements is not None:
             m = re.fullmatch(r"x(\d+)", name)
-            if m:
-                return Val("poly", IntPoly.var("x", int(m.group(1))))
+            var = ("u", 1) if name in ("u", "u1") else ("x", int(m.group(1))) if m else None
+            if var is not None:
+                if var not in self.elements:
+                    raise OutsideModel(name)
+                return Val("poly", IntPoly.var(*var))
         raise ParseError(f"unknown symbol {name!r}")
 
     def int_argument(self, name: str) -> int:
@@ -245,5 +248,7 @@ def parse_operand(text: str, trunc: int, window: int) -> Val:
     return OperandParser(tokenise(text), trunc, window).parse()
 
 
-def parse_element(text: str, trunc: int, window: int) -> Val:
-    return OperandParser(tokenise(text), trunc, window, elements=True).parse()
+def parse_element(text: str, trunc: int, window: int, variables: set[tuple[str, int]]) -> Val:
+    """Read a model element whose polynomial variables lie in `variables`;
+    OutsideModel if it names another, before that variable is built."""
+    return OperandParser(tokenise(text), trunc, window, elements=variables).parse()

@@ -193,6 +193,27 @@ def test_exponent_bound_is_one_error_line():
     assert got.stderr == "error: exponent above 32767, the bound of a packed monomial\n"
 
 
+def test_refused_variables_take_no_packed_slot():
+    # the packed-monomial registry never shrinks, so a variable the command
+    # refuses or truncates away must not be built
+    import contextlib
+    import io
+
+    from lambdaops import cli, intpoly
+
+    def run(*argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return cli.main(list(argv)), err.getvalue()
+
+    for element in ("x77777", "x77777 - x77777", "x1 + x77777"):
+        assert run("act", "--model", "split:2", "id@L1", element) == (
+            1, f"error: element {element!r} is not in model split:2\n")
+    assert run("act", "--model", "zz", "id@L1", "u") == (1, "error: element 'u' is not in model zz\n")
+    assert run("--trunc", "2", "compose", "L77777", "id@L1") == (0, "")
+    assert ("x", 77777) not in intpoly._SHIFTS and ("L", 77777) not in intpoly._SHIFTS
+
+
 def test_model_m_bound():
     # m above 64 fails with one error line before any model is built
     for selector in ("cp:65", "split:65", "cp:3000", "split:99999999"):
