@@ -28,20 +28,56 @@ from .symfun import left_linearise, newton_psi, universal_pij, universal_pk
 
 def _emit(fmt: str, payload: Callable[[], dict], text: Callable[[], str]) -> None:
     """Print the output in the requested format; only that form is built."""
-    print(_json(payload(), {}) if fmt == "json" else text())
+    print(_json(payload()) if fmt == "json" else text())
 
 
-def _json(obj, memo: dict) -> str:
+_PLAIN = re.compile(r'[ !#-\[\]-~]*').fullmatch  # printable ASCII but '"' and '\\'
+
+
+def _json(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, separators=(",", ":"))
     for a tree of dicts with string keys, lists and scalars whose IntPoly
-    leaves stand for their to_obj() form; they share one monomial memo."""
-    if isinstance(obj, IntPoly):
-        return obj.to_json(memo)
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_json(obj[k], memo)}" for k in sorted(obj)) + "}"
-    if isinstance(obj, list):
-        return "[" + ",".join([_json(x, memo) for x in obj]) + "]"
-    return json.dumps(obj)
+    leaves stand for their to_obj() form.  The tree is written once with the
+    leaves left in place; then the leaves are written together by
+    IntPoly.to_json_all, which decodes and sorts each distinct monomial of
+    the output once.  Keys and scalars are written directly; only a string
+    that needs escaping, or a float, goes through json.dumps."""
+    parts: list = []  # JSON text, and the IntPoly leaves in output order
+
+    def scalar(x) -> str:
+        if x is None:
+            return "null"
+        if type(x) is bool:
+            return "true" if x else "false"
+        if type(x) is int:
+            return str(x)
+        if type(x) is str and _PLAIN(x):
+            return f'"{x}"'
+        return json.dumps(x)  # a string that needs escaping, or a float
+
+    def walk(x) -> None:
+        if isinstance(x, IntPoly):
+            parts.append(x)
+        elif isinstance(x, dict):
+            sep = "{"
+            for k in sorted(x):
+                parts.append(f"{sep}{scalar(k)}:")
+                walk(x[k])
+                sep = ","
+            parts.append("}" if x else "{}")
+        elif isinstance(x, list):
+            sep = "["
+            for y in x:
+                parts.append(sep)
+                walk(y)
+                sep = ","
+            parts.append("]" if x else "[]")
+        else:
+            parts.append(scalar(x))
+
+    walk(obj)
+    texts = iter(IntPoly.to_json_all([p for p in parts if isinstance(p, IntPoly)]))
+    return "".join([next(texts) if isinstance(p, IntPoly) else p for p in parts])
 
 
 # Largest index (i*j for pij) each upoly kind computes in seconds; cost grows

@@ -117,7 +117,7 @@ class EvenOp:
 
     def to_obj(self):
         """Object form for the CLI's JSON writer; each coefficient polynomial
-        stays an IntPoly leaf, written by IntPoly.to_json."""
+        stays an IntPoly leaf, written by IntPoly.to_json_all."""
         return {
             "trunc": self.trunc,
             "window": self.window,

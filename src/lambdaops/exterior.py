@@ -3,7 +3,8 @@
 Monomials are strictly increasing tuples of generator keys; the wedge of
 overlapping monomials vanishes, and merging counts transpositions for the
 sign.  The empty monomial is the unit, so elements may carry an integer unit
-part.
+part.  Elements are immutable after construction: `terms` hands out a fresh
+copy of the term map, so memoised elements stay intact.
 """
 
 from __future__ import annotations
@@ -43,10 +44,15 @@ class ExtElem:
     Generator keys only need a total order: plain indices for l_k, and
     (leg, index) pairs for the two legs of a tensor square."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_coeffs",)
 
     def __init__(self, terms: dict[tuple, int] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self._coeffs = {m: c for m, c in (terms or {}).items() if c}
+
+    @property
+    def terms(self) -> dict[tuple, int]:
+        """A fresh copy of the map from exterior monomials to coefficients."""
+        return dict(self._coeffs)
 
     @staticmethod
     def unit(c: int = 1) -> "ExtElem":
@@ -64,8 +70,8 @@ class ExtElem:
     def __add__(self, other):
         if isinstance(other, int):
             other = ExtElem.unit(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self._coeffs)
+        for m, c in other._coeffs.items():
             v = out.get(m, 0) + c
             if v:
                 out[m] = v
@@ -76,7 +82,7 @@ class ExtElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtElem({m: -c for m, c in self.terms.items()})
+        return ExtElem({m: -c for m, c in self._coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -85,10 +91,10 @@ class ExtElem:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ExtElem({m: c * other for m, c in self.terms.items()})
+            return ExtElem({m: c * other for m, c in self._coeffs.items()})
         out: dict[tuple, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        for ma, ca in self._coeffs.items():
+            for mb, cb in other._coeffs.items():
                 merged = wedge_mono(ma, mb)
                 if merged is None:
                     continue
@@ -104,33 +110,33 @@ class ExtElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.terms == ExtElem.unit(other).terms
-        return isinstance(other, ExtElem) and self.terms == other.terms
+            return self._coeffs == ExtElem.unit(other)._coeffs
+        return isinstance(other, ExtElem) and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash(tuple(sorted(self._coeffs.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._coeffs)
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._coeffs
 
     def unit_part(self) -> int:
-        return self.terms.get((), 0)
+        return self._coeffs.get((), 0)
 
     def linear_coefficients(self) -> dict:
         """Generator key -> coefficient of that generator (the inverse of linear)."""
-        return {m[0]: c for m, c in self.terms.items() if len(m) == 1}
+        return {m[0]: c for m, c in self._coeffs.items() if len(m) == 1}
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+        return sorted(self._coeffs.items(), key=lambda t: (len(t[0]), t[0]))
 
     def substitute(self, image) -> "ExtElem":
         """The algebra map sending each generator of key i to image(i)."""
         total = ExtElem()
-        for mono, c in self.terms.items():
+        for mono, c in self._coeffs.items():
             acc = ExtElem.unit(c)
             for i in mono:
                 acc = acc * image(i)
@@ -139,11 +145,11 @@ class ExtElem:
 
     def truncate(self, max_index: int) -> "ExtElem":
         return ExtElem(
-            {m: c for m, c in self.terms.items() if not m or m[-1] <= max_index}
+            {m: c for m, c in self._coeffs.items() if not m or m[-1] <= max_index}
         )
 
     def render(self, symbol: str) -> str:
-        if not self.terms:
+        if not self._coeffs:
             return "0"
         parts = []
         for m, c in self.sorted_terms():

@@ -12,10 +12,13 @@ guard, and a product, power, substitution or renaming that sets it raises
 A monomial is decoded into sorted (family, index, exponent) triples only where
 its order can be seen: printing, serialisation, `key`, `sorted_terms`, the
 keys of `collect`, `split_first`, `content_split` and error texts; `terms`
-hands out such a decoded copy of the term map.  Values are treated as
-immutable after construction, so they are safe to share, hash and memoise.
-No other module depends on this layout: they read monomials through the
-query and monomial-view methods and build them from `var`.
+hands out such a decoded copy of the term map.  JSON output decodes and sorts
+each distinct monomial once per output, not once per polynomial:
+`to_json_all` writes all the polynomials of one output from one table of
+their monomials, and `to_json` is its one-polynomial case.  Values are
+treated as immutable after construction, so they are safe to share, hash and
+memoise.  No other module depends on this layout: they read monomials
+through the query and monomial-view methods and build them from `var`.
 
 The registry lives as long as the process and never shrinks, and a variable
 registered later gets a higher field, so monomials holding it are wider
@@ -505,22 +508,34 @@ class IntPoly:
             for m, c in sorted([(_decode(m), c) for m, c in self._terms.items()])
         ]
 
-    def to_json(self, memo: dict | None = None) -> str:
+    def to_json(self) -> str:
         """The JSON text of `to_obj()` with sorted keys and no spaces: the
         bytes of json.dumps(p.to_obj(), sort_keys=True, separators=(",", ":")).
-        `memo` maps each monomial written so far to its decoded form and its
-        text; pass one dict to every polynomial of one output so that each
-        monomial is decoded and encoded once."""
-        if memo is None:
-            memo = {}
-        terms = self._terms
-        for m in terms:
-            if m not in memo:
-                mono = _decode(m)
-                memo[m] = (mono, ',"mono":[' + ",".join(
-                    f"[{json.dumps(f)},{i},{e}]" for (f, i, e) in mono) + "]}")
-        monos = sorted(terms, key=lambda m: memo[m][0])
-        return "[" + ",".join([f'{{"coeff":"{terms[m]}"{memo[m][1]}' for m in monos]) + "]"
+        This is the one-polynomial case of `to_json_all`."""
+        return IntPoly.to_json_all([self])[0]
+
+    @staticmethod
+    def to_json_all(polys: list["IntPoly"]) -> list[str]:
+        """The `to_json()` text of each polynomial of one output, written
+        from one table of the monomials they hold: each distinct monomial is
+        decoded once, the distinct monomials are sorted once by decoded form,
+        and each gets an integer rank and its `,"mono":[...]}` text.  A
+        polynomial's terms are then sorted by rank; one that holds every
+        monomial of the table is written in table order, without a sort."""
+        monos = set().union(*[p._terms for p in polys])
+        decoded = {m: _decode(m) for m in monos}
+        order = sorted(monos, key=decoded.__getitem__)
+        rank = {m: r for r, m in enumerate(order)}
+        families = {f for mono in decoded.values() for f, _, _ in mono}
+        names = {f: json.dumps(f) for f in families}
+        text = {m: ',"mono":[' + ",".join([f"[{names[f]},{i},{e}]" for f, i, e in decoded[m]]) + "]}"
+                for m in order}
+        out = []
+        for p in polys:
+            terms = p._terms
+            ms = order if len(terms) == len(order) else sorted(terms, key=rank.__getitem__)
+            out.append("[" + ",".join([f'{{"coeff":"{terms[m]}"{text[m]}' for m in ms]) + "]")
+        return out
 
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "IntPoly":
@@ -529,10 +544,6 @@ class IntPoly:
             mono = tuple(sorted((f, int(i), int(e)) for f, i, e in t["mono"]))
             terms[mono] = int(t["coeff"])
         return IntPoly(terms)
-
-    @staticmethod
-    def from_json(text: str) -> "IntPoly":
-        return IntPoly.from_obj(json.loads(text))
 
 
 def _coerce(x) -> IntPoly:

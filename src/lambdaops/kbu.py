@@ -37,9 +37,6 @@ class KBUElem(Truncated, value="poly", level="trunc"):
     def from_int(c: int, trunc: int) -> "KBUElem":
         return KBUElem(IntPoly.const(c), trunc)
 
-    def retruncate(self, level: int) -> "KBUElem":
-        return KBUElem(self.poly, level)
-
     def __hash__(self):
         return hash((self.trunc, self.poly))
 

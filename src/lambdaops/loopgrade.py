@@ -172,18 +172,6 @@ def compose_odd(x: OddOp, y: OddOp) -> OddOp:
     return OddOp(x.ext.substitute(gen_image), x.trunc)
 
 
-def suspension_value(w: OddOp, model, q):
-    """Action of an odd operation through the double suspension: with u the
-    reduced sphere class, w = sum c_k l_k applied to u * q evaluates to
-    u * sum c_k (-1)^(k-1) psi^k(q); decomposables act as zero."""
-    total = model.from_int(0)
-    for k, c in w.generator_coefficients().items():
-        v = model_psi(model, k, q)
-        signed = model.mul(model.from_int(c * (-1) ** (k - 1)), v)
-        total = model.add(total, signed)
-    return total
-
-
 # -- graded wrapper -------------------------------------------------------------
 
 

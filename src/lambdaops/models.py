@@ -436,10 +436,6 @@ def un_mu(n: int, k: int) -> UnElem:
     return UnElem(n, ExtElem.generator(k))
 
 
-def un_one(n: int) -> UnElem:
-    return UnElem(n, ExtElem.unit(1))
-
-
 def un_restrict(x: UnElem) -> UnElem:
     """Restriction along the standard inclusion of the rank below:
     mu^k maps to mu^k + mu^(k-1), with mu^0 = 0 and indices above the target

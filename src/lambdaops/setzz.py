@@ -141,14 +141,6 @@ def chi(d: int) -> FnZZ:
 IDENT = FnId()
 
 
-def fn_sum(*parts: FnZZ) -> FnZZ:
-    return FnSum(tuple(parts))
-
-
-def fn_prod(*parts: FnZZ) -> FnZZ:
-    return FnProd(tuple(parts))
-
-
 def fn_compose(f: FnZZ, g: FnZZ) -> FnZZ:
     """Composition of maps: eval(result, n) = f(g(n)) for every n."""
     return FnCompose(f, g)
@@ -186,10 +178,6 @@ def fn_window_normalise(f: FnZZ, w: Window) -> FnZZ:
 def fn_window_pairs(f: FnZZ, w: Window) -> list[tuple[int, int]]:
     """Serialisation of the normalised form: sorted (d, value) pairs."""
     return sorted(window_table(f, w).items())
-
-
-def fn_equal_on_window(f: FnZZ, g: FnZZ, w: Window) -> bool:
-    return all(f.ev(d) == g.ev(d) for d in w.indices())
 
 
 def fn_cozero(f: FnZZ) -> int:

@@ -6,7 +6,9 @@ coproducts are the slow, literal constructions that the fast paths of
 `lambdaops.evenops` and `lambdaops.loopgrade` replaced; they use only
 public names.  `TuplePoly`, the polynomial kernel over tuple monomials, is
 the reference for the packed `IntPoly`, and the argparse parser at the end
-is the reference for `lambdaops.cli.parse_args`.
+is the reference for `lambdaops.cli.parse_args`.  A few constructors and
+maps that only the tests use (`from_json`, `retruncate`, `un_one`,
+`fn_sum`, ...) live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ import itertools
 import math
 
 from lambdaops.cli import cmd_act, cmd_check, cmd_compose, cmd_coprod, cmd_loop, cmd_upoly
+from lambdaops.exterior import ExtElem
+from lambdaops.intpoly import IntPoly
+from lambdaops.kbu import KBUElem
+from lambdaops.models import UnElem, model_psi
 from lambdaops.parser import ParseError
+from lambdaops.setzz import FnProd, FnSum
 
 
 def esym(vals, k: int) -> int:
@@ -317,6 +324,50 @@ def reference_lam(model, k: int, a):
                 nxt[i + j] = nxt[i + j] + model._reduce(series[i] * factor[j])
         series = nxt
     return series[k]
+
+
+# -- constructors and maps only the tests use ---------------------------------------
+
+
+def from_json(text: str) -> IntPoly:
+    """The polynomial of a `to_json()` text."""
+    import json
+
+    return IntPoly.from_obj(json.loads(text))
+
+
+def retruncate(x: KBUElem, level: int) -> KBUElem:
+    """The projection of x to truncation `level`."""
+    return KBUElem(x.poly, level)
+
+
+def un_one(n: int) -> UnElem:
+    """The unit of the rank-n model."""
+    return UnElem(n, ExtElem.unit(1))
+
+
+def fn_sum(*parts):
+    return FnSum(tuple(parts))
+
+
+def fn_prod(*parts):
+    return FnProd(tuple(parts))
+
+
+def fn_equal_on_window(f, g, w) -> bool:
+    return all(f.ev(d) == g.ev(d) for d in w.indices())
+
+
+def suspension_value(w, model, q):
+    """Action of an odd operation through the double suspension: with u the
+    reduced sphere class, w = sum c_k l_k applied to u * q evaluates to
+    u * sum c_k (-1)^(k-1) psi^k(q); decomposables act as zero."""
+    total = model.from_int(0)
+    for k, c in w.generator_coefficients().items():
+        v = model_psi(model, k, q)
+        signed = model.mul(model.from_int(c * (-1) ** (k - 1)), v)
+        total = model.add(total, signed)
+    return total
 
 
 # -- reference serialisation ----------------------------------------------------

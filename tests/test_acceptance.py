@@ -9,7 +9,7 @@ import os.path as osp
 import random
 import time
 
-from helpers import esym, grid_products
+from helpers import esym, grid_products, un_one
 from lambdaops.checks import _monomial_corpus
 from lambdaops.errors import InvalidFamily
 from lambdaops.evenops import EvenOp, act, compose_even, identity_op
@@ -39,7 +39,6 @@ from lambdaops.models import (
     lk_from_mu,
     register_models,
     un_mu,
-    un_one,
     un_restrict,
     poly_eval_in_model,
 )

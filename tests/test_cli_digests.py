@@ -4,8 +4,10 @@ The argv lines are the seeded `coprod` jobs of the `looping-coprod`
 benchmark workload at seed 0 (one per line of `COPROD_TEMPLATES` in
 `perfbench/jobs.py`) and the check suites it runs, plus `check all`.  The
 digests were recorded before the even-operation maps shared work between
-equal and proportional ring legs; any change to these outputs is a change
-of answers, not of speed.
+equal and proportional ring legs; the last four (the `upoly` JSON of one
+polynomial per output, and a large `coprod` in text form) before the JSON
+writer built one monomial table per output.  Any change to these outputs
+is a change of answers, not of speed.
 """
 
 import hashlib
@@ -53,6 +55,14 @@ PINNED = [
      '6a7280fe0305299051ff183ed2b45652ad9ff870545120b6f7a0b041780d357b'),
     (['check', 'all', '--trunc', '6'],
      '213f6cb28fd058fc19aa243208e543a65ae971ecbe61aa8d10c69e5d0a27364b'),
+    (['upoly', 'pk', '7', '--format', 'json'],
+     '277001815736234c50f8e3d756f23a1e2233d94316483244605881f301035c73'),
+    (['upoly', 'psi', '12', '--format', 'json'],
+     '068977ae6e32cb28f40c41be4da6ba7e79acd71745528bb530f268e6664602b4'),
+    (['upoly', 'pij', '3', '3', '--format', 'json'],
+     '503c06d284f457c24a83804661141d8bd8fed9492812b3ce92b3f46bb9a122c5'),
+    (['coprod', 'mul', 'const(2)@L5', '--trunc', '5', '--window', '16', '--format', 'text'],
+     '249e6330f905052ffa33b302fac7bc884f4e0939f84704ec973b5208ed621582'),
 ]
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    fn_sum,
     reference_comult_entry,
     reference_compose_even,
     reference_from_pairs,
@@ -36,7 +37,7 @@ from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import KBUElem, gen, psi_kbu
 from lambdaops.models import ProjectiveModel, register_models
 from lambdaops.parser import OperandParser, parse_operand
-from lambdaops.setzz import IDENT, chi, const, fn_sum
+from lambdaops.setzz import IDENT, chi, const
 
 N, W = 4, 16
 MODELS = register_models(validate=False)
@@ -65,8 +66,6 @@ def test_normal_form_groups_by_indicator():
 
 
 def test_bilinearity_under_normalisation():
-    from lambdaops.setzz import fn_sum
-
     f, g = chi(1), const(2)
     x, y = gen(1, N), gen(2, N) + 1
     assert ev([(fn_sum(f, g), x)]) == ev([(f, x), (g, x)])

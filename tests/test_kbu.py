@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from helpers import retruncate
 from lambdaops.errors import NotReduced
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import (
@@ -154,11 +155,11 @@ def test_filtration_projection_is_ring_map():
     a = gen(2, N) + gen(5, N)
     b = gen(3, N) * gen(1, N) + 1
     for level in (2, 3, 4):
-        lhs = (a * b).retruncate(level)
-        rhs = a.retruncate(level) * b.retruncate(level)
+        lhs = retruncate(a * b, level)
+        rhs = retruncate(a, level) * retruncate(b, level)
         assert lhs == rhs
-        lhs = (a + b).retruncate(level)
-        assert lhs == a.retruncate(level) + b.retruncate(level)
+        lhs = retruncate(a + b, level)
+        assert lhs == retruncate(a, level) + retruncate(b, level)
 
 
 def test_primitives():

@@ -84,3 +84,11 @@ def test_no_packed_layout_read_outside_the_kernel(name):
              if (isinstance(n, ast.Attribute) and n.attr in PACKED)
              or (isinstance(n, ast.Name) and n.id in PACKED)]
     assert not found, f"{name} reads the packed layout: {found}"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                        if p.stem != "exterior"))
+def test_no_exterior_term_map_read_outside_exterior(name):
+    found = [(n.lineno, ast.unparse(n)) for n in ast.walk(_tree(name))
+             if isinstance(n, ast.Attribute) and n.attr == "_coeffs"]
+    assert not found, f"{name} reads ExtElem._coeffs: {found}"

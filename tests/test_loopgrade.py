@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import reference_coadd_odd, reference_odd_is_primitive, two_leg_terms
+from helpers import (
+    reference_coadd_odd,
+    reference_odd_is_primitive,
+    suspension_value,
+    two_leg_terms,
+)
 from lambdaops.errors import NotAugmented, NotReduced, TruncationExceeded
 from lambdaops.evenops import EvenOp, act, identity_op, op_is_primitive
 from lambdaops.exterior import ExtElem
@@ -20,7 +25,6 @@ from lambdaops.loopgrade import (
     loop_polynomial,
     main_relations_check,
     odd_is_primitive,
-    suspension_value,
 )
 from lambdaops.models import SplitModel
 from lambdaops.setzz import IDENT, chi, const
@@ -137,6 +141,19 @@ def test_compose_odd_algebra_map_in_left():
     # scaled right operand: everything is additive on suspensions
     got2 = compose_odd(lgen(2, N), 3 * lgen(1, N))
     assert got2 == 3 * lgen(2, N)
+
+
+def test_ext_terms_is_a_fresh_copy_so_memoised_values_stay_intact():
+    from lambdaops import loopgrade
+
+    x, y = lgen(2, N) + 3 * wedge(1, 2), lgen(1, N) - 2 * lgen(2, N)
+    before = str(compose_odd(x, y))
+    assert loopgrade._ODD_GEN_CACHE
+    for cached in loopgrade._ODD_GEN_CACHE.values():
+        cached.terms.clear()
+    assert str(compose_odd(x, y)) == before
+    with pytest.raises(AttributeError):
+        x.ext.terms = {}
 
 
 def test_compose_odd_guards():

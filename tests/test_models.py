@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import binom, reference_lam
+from helpers import binom, reference_lam, un_one
 from lambdaops.errors import (
     IndexOutOfRange,
     ModelTruncationExceeded,
@@ -23,7 +23,6 @@ from lambdaops.models import (
     model_psi,
     register_models,
     un_mu,
-    un_one,
     un_restrict,
     validate_model,
 )

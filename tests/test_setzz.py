@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import fn_equal_on_window, fn_prod, fn_sum
 from lambdaops.errors import InvalidFamily
 from lambdaops.setzz import (
     COIFamily,
@@ -22,9 +23,6 @@ from lambdaops.setzz import (
     fn_comult,
     fn_counit,
     fn_cozero,
-    fn_equal_on_window,
-    fn_prod,
-    fn_sum,
     fn_window_normalise,
     fn_window_pairs,
     window_table,
