@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from lambdaops.cli import main
+
 GOLDEN = osp.join(osp.dirname(osp.abspath(__file__)), "golden")
 
 
@@ -81,6 +83,26 @@ def test_act_examples():
     assert run_cli("act", "--model", "sphere", "1@L2", "u").stdout.strip() == "-u"
     assert run_cli("act", "--model", "zz", "chi(0)@L1", "3").stdout.strip() == "0"
     assert run_cli("act", "--model", "split:2", "identity", "x1*x2 + 2").stdout.strip() == "2 + x1*x2"
+
+
+# Elements that carry powers of u above the model's top degree m; the action
+# reads only u^0..u^m of its argument.
+UNREDUCED_ACT = [
+    ("sphere", "const(1)@L2", "u + u*u*u*u", "-u"),
+    ("cp:2", "const(1)@L2", "2 + u*u + u*u*u*u*u*u", "-2*u^2"),
+    ("cp:2", "const(1)@L2", "3*u - u*u*u*u", "-3*u + 3*u^2"),
+    ("cp:2", "const(2)@L3", "2*u*u + u*u*u*u", "12*u^2"),
+    ("cp:3", "id@L3", "2 + u*u + u*u*u*u*u*u", "6*u^2 + 12*u^3"),
+    ("cp:3", "const(2)@L3", "2*u*u + u*u*u*u", "12*u^2 + 24*u^3"),
+    ("cp:3", "const(-1)@(L1*L1*L1)", "3*u - u*u*u*u", "-27*u^3"),
+    ("cp:3", "const(2)@L3", "u*u*u", "18*u^3"),
+]
+
+
+@pytest.mark.parametrize("model, op, element, shown", UNREDUCED_ACT)
+def test_act_on_unreduced_elements(capsys, model, op, element, shown):
+    assert main(["act", op, element, "--model", model, "--trunc", "6"]) == 0
+    assert capsys.readouterr().out == shown + "\n"
 
 
 def test_loop_examples():
