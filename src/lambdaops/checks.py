@@ -1,5 +1,4 @@
-"""Property suites behind `check`: each returns a JSON-ready report with one
-entry per property (instance count, pass flag, first counterexample)."""
+"""Property suites behind `check`: each returns a `report.suite_report`."""
 
 from __future__ import annotations
 
@@ -40,20 +39,10 @@ from .models import (
     un_restrict,
     validate_model,
 )
-from .errors import RegistrationFailure, WindowExhausted
+from .errors import RegistrationFailure
+from .report import SKIP, Prop, all_report, suite_report
 from .setzz import chi, const, IDENT
 from .symfun import lambda_of_integer
-
-
-def _prop(props, name, instances, failures):
-    props.append(
-        {
-            "id": name,
-            "instances": instances,
-            "pass": not failures,
-            "counterexample": failures[0] if failures else None,
-        }
-    )
 
 
 def _monomial_corpus(trunc: int) -> list[KBUElem]:
@@ -88,72 +77,56 @@ def _coassociativity_routes(x: KBUElem, image, trunc: int) -> tuple[IntPoly, Int
 
 def biring_suite(trunc: int, seed: int = 0) -> dict:
     rng = random.Random(seed)
-    props = []
     corpus = _monomial_corpus(trunc)
 
     # coassociativity of both coproducts, three routes for co-addition
+    coassociative = []
     for name, image in (("coadd", coadd_image), ("comult", comult_image)):
-        failures = []
+        prop = Prop(f"{name}-coassociative")
         for x in corpus:
             route1, route2 = _coassociativity_routes(x, image, trunc)
             route3 = coadd_multi(x, 3) if name == "coadd" else route2
-            if not (route1 == route2 == route3):
-                failures.append(f"{name} coassociativity at {x}")
-        _prop(props, f"{name}-coassociative", len(corpus), failures)
+            prop.check(route1 == route2 == route3, lambda: f"{name} coassociativity at {x}")
+        coassociative.append(prop)
 
     # Hopf antipode law and involution
-    failures = []
-    count = 0
+    law = Prop("antipode-law")
     sigma_images = {("T1", k): sigma_gen(k) for k in range(1, trunc + 1)}
     ident_images = {("T2", k): IntPoly.var("L", k) for k in range(1, trunc + 1)}
     for x in corpus + [corpus[0] + 3 * corpus[-1]]:
-        count += 2
         merged = coadd(x).poly.substitute(sigma_images | ident_images)
-        if KBUElem(merged, trunc) != KBUElem.from_int(cozero(x), trunc):
-            failures.append(f"antipode law at {x}")
-        if antipode(antipode(x)) != x:
-            failures.append(f"antipode involution at {x}")
-    _prop(props, "antipode-law", count, failures)
+        law.check(KBUElem(merged, trunc) == KBUElem.from_int(cozero(x), trunc),
+                  lambda: f"antipode law at {x}")
+        law.check(antipode(antipode(x)) == x, lambda: f"antipode involution at {x}")
 
     # co-linear structure: multiplicativity and gamma(-1) = antipode
-    failures = []
-    count = 0
+    colinearity = Prop("colinear-structure")
     for k1 in range(-3, 4):
         for k2 in range(-3, 4):
             for k in range(1, trunc + 1):
-                count += 1
                 lhs = colinear(k1, colinear(k2, gen(k, trunc)))
                 rhs = colinear(k1 * k2, gen(k, trunc))
-                if lhs != rhs:
-                    failures.append(f"gamma({k1})gamma({k2}) != gamma({k1 * k2}) on L{k}")
+                colinearity.check(lhs == rhs,
+                                  lambda: f"gamma({k1})gamma({k2}) != gamma({k1 * k2}) on L{k}")
     for k in range(1, trunc + 1):
-        count += 1
-        if colinear(-1, gen(k, trunc)) != antipode(gen(k, trunc)):
-            failures.append(f"gamma(-1) != antipode on L{k}")
-    _prop(props, "colinear-structure", count, failures)
+        colinearity.check(colinear(-1, gen(k, trunc)) == antipode(gen(k, trunc)),
+                          lambda: f"gamma(-1) != antipode on L{k}")
 
     # composition: unit laws and associativity inside the exact regime
-    failures = []
-    count = 0
+    monoid = Prop("compose-monoid")
     for x in rng.sample(corpus, min(6, len(corpus))):
-        count += 2
         reduced = x.reduced()
-        if compose_kbu(gen(1, trunc), reduced) != reduced:
-            failures.append(f"left unit at {x}")
-        if compose_kbu(x, gen(1, trunc)) != x:
-            failures.append(f"right unit at {x}")
+        monoid.check(compose_kbu(gen(1, trunc), reduced) == reduced, lambda: f"left unit at {x}")
+        monoid.check(compose_kbu(x, gen(1, trunc)) == x, lambda: f"right unit at {x}")
     for i, j, k in itertools.product(range(1, trunc + 1), repeat=3):
         if i * j * k > trunc:
             continue
-        count += 1
         lhs = compose_kbu(compose_kbu(gen(i, trunc), gen(j, trunc)), gen(k, trunc))
         rhs = compose_kbu(gen(i, trunc), compose_kbu(gen(j, trunc), gen(k, trunc)))
-        if lhs != rhs:
-            failures.append(f"associativity at ({i},{j},{k})")
-    _prop(props, "compose-monoid", count, failures)
+        monoid.check(lhs == rhs, lambda: f"associativity at ({i},{j},{k})")
 
-    return {"suite": "biring", "config": {"trunc": trunc, "seed": seed},
-            "properties": props, "pass": all(p["pass"] for p in props)}
+    return suite_report("biring", {"trunc": trunc, "seed": seed},
+                        [*coassociative, law, colinearity, monoid])
 
 
 def _operation_corpus(trunc: int, window: int, rng: random.Random,
@@ -192,85 +165,54 @@ def compose_suite(trunc: int, window: int, seed: int = 0) -> dict:
     """Composition versus the action oracle, plus the monoid laws.
 
     Corpus ring weights are capped so every composite stays inside the
-    truncation level (the quotient only respects composition there).  An
-    instance that needs an augmentation outside the window is skipped and
-    not counted; the draws do not depend on which instances are skipped.
+    truncation level (the quotient only respects composition there).
     """
     rng = random.Random(seed)
-    props = []
     models = register_models(validate=False)
     sample_rng = random.Random(seed + 1)
     elements = {name: m.samples(sample_rng, 5) for name, m in models.items()}
 
     corpus = _operation_corpus(trunc, window, rng, 30)
-    failures = []
-    count = 0
+    oracle = Prop("compose-vs-action")
     for _ in range(40):
         r, s = rng.choice(corpus), rng.choice(corpus)
-        try:
+        with SKIP:
             comp = compose_even(r, s)
-        except WindowExhausted:
-            continue
-        for name, m in models.items():
-            for a in elements[name]:
-                try:
-                    lhs = act(comp, m, a)
-                    rhs = act(r, m, act(s, m, a))
-                except WindowExhausted:
-                    continue
-                count += 1
-                if not m.eq(lhs, rhs):
-                    failures.append(f"oracle mismatch on {name} at {m.show(a)}")
-    _prop(props, "compose-vs-action", count, failures)
+            for name, m in models.items():
+                for a in elements[name]:
+                    with SKIP:
+                        oracle.check(m.eq(act(comp, m, a), act(r, m, act(s, m, a))),
+                                     lambda: f"oracle mismatch on {name} at {m.show(a)}")
 
-    failures = []
-    count = 0
+    laws = Prop("compose-monoid-laws")
     ident = identity_op(trunc, window)
     for r in corpus:
-        try:
+        with SKIP:
             left, right = compose_even(ident, r), compose_even(r, ident)
-        except WindowExhausted:
-            continue
-        count += 2
-        if left != r:
-            failures.append(f"left unit at {r}")
-        if right != r:
-            failures.append(f"right unit at {r}")
+            laws.check(left == r, lambda: f"left unit at {r}")
+            laws.check(right == r, lambda: f"right unit at {r}")
     assoc_trunc = max(trunc, 8)
     assoc_corpus = _operation_corpus(assoc_trunc, window, rng, 30)
     for _ in range(25):
         r, s, t = (rng.choice(assoc_corpus) for _ in range(3))
-        try:
+        with SKIP:
             lhs = compose_even(compose_even(r, s), t)
             rhs = compose_even(r, compose_even(s, t))
-        except WindowExhausted:
-            continue
-        count += 1
-        if lhs != rhs:
-            failures.append(f"associativity at ({r}) o ({s}) o ({t})")
-    _prop(props, "compose-monoid-laws", count, failures)
+            laws.check(lhs == rhs, lambda: f"associativity at ({r}) o ({s}) o ({t})")
 
     # counit multiplicativity through the integer model, where defined
-    failures = []
-    count = 0
+    counit = Prop("counit-composition")
     zz = models["zz"]
     for _ in range(20):
         r, s = rng.choice(corpus), rng.choice(corpus)
-        try:  # raises when s's counit, its augmentation at 1, leaves the window
-            lhs = op_counit(compose_even(r, s))
-            rhs = act(r, zz, act(s, zz, 1))
-        except WindowExhausted:
-            continue
-        count += 1
-        if lhs != rhs:
-            failures.append(f"counit of composition at ({r}) o ({s})")
-    _prop(props, "counit-composition", count, failures)
+        with SKIP:  # skips when s's counit, its augmentation at 1, leaves the window
+            counit.check(op_counit(compose_even(r, s)) == act(r, zz, act(s, zz, 1)),
+                         lambda: f"counit of composition at ({r}) o ({s})")
 
     # coproducts against the action on sums and products; the comparison is
     # only meaningful while both augmentations and their combination stay
     # inside the window
-    failures = []
-    count = 0
+    coproducts = Prop("coproducts-vs-action")
     for name in ("zz", "sphere", "split:2"):
         m = models[name]
         es = elements[name]
@@ -281,92 +223,68 @@ def compose_suite(trunc: int, window: int, seed: int = 0) -> dict:
                 if abs(ea) > window or abs(eb) > window:
                     continue
                 if abs(ea + eb) <= window:
-                    count += 1
-                    if not m.eq(act_pair(coadd_r, m, a, b, r.window),
-                                act(r, m, m.add(a, b))):
-                        failures.append(f"coadd action at {name}")
+                    coproducts.check(m.eq(act_pair(coadd_r, m, a, b, r.window),
+                                          act(r, m, m.add(a, b))),
+                                     lambda: f"coadd action at {name}")
                 if abs(ea * eb) <= window:
-                    count += 1
-                    if not m.eq(act_pair(comult_r, m, a, b, r.window),
-                                act(r, m, m.mul(a, b))):
-                        failures.append(f"comult action at {name}")
-    _prop(props, "coproducts-vs-action", count, failures)
+                    coproducts.check(m.eq(act_pair(comult_r, m, a, b, r.window),
+                                          act(r, m, m.mul(a, b))),
+                                     lambda: f"comult action at {name}")
 
-    return {"suite": "compose",
-            "config": {"trunc": trunc, "window": window, "seed": seed},
-            "properties": props, "pass": all(p["pass"] for p in props)}
+    return suite_report("compose", {"trunc": trunc, "window": window, "seed": seed},
+                        [oracle, laws, counit, coproducts])
 
 
 def models_suite(trunc: int, seed: int = 0) -> dict:
     rng = random.Random(seed)
-    props = []
 
-    failures = []
-    count = 0
+    axioms = Prop("lambda-ring-axioms")
     models = register_models(validate=False)
-    for name, model in models.items():
-        count += 1
+    for model in models.values():
         try:
             validate_model(model, max_k=min(4, trunc), rng=rng)
+            error = None
         except RegistrationFailure as exc:
-            failures.append(str(exc))
-    _prop(props, "lambda-ring-axioms", count, failures)
+            error = str(exc)
+        axioms.check(error is None, lambda: error)
 
-    failures = []
-    count = 0
+    suspension = Prop("sphere-suspension-fact")
     sphere = models["sphere"]
     u = IntPoly.var("u", 1)
     for i in range(1, 6):
-        count += 1
-        if sphere.lam(i, u) != (-1) ** (i - 1) * u:
-            failures.append(f"sphere lambda^{i}(u)")
-    _prop(props, "sphere-suspension-fact", count, failures)
+        suspension.check(sphere.lam(i, u) == (-1) ** (i - 1) * u, lambda: f"sphere lambda^{i}(u)")
 
-    failures = []
-    count = 0
+    restriction = Prop("restriction-identities")
     for n in range(2, 7):
         for k in range(1, n):
-            count += 1
-            if un_restrict(lk_from_mu(n, k)) != lk_from_mu(n - 1, k):
-                failures.append(f"unitary restriction at (n={n}, k={k})")
+            restriction.check(un_restrict(lk_from_mu(n, k)) == lk_from_mu(n - 1, k),
+                              lambda: f"unitary restriction at (n={n}, k={k})")
     for n in range(1, 7):
         for k in range(1, n + 1):
-            count += 1
-            if bun_restrict(lambdak_from_beta(n + 1, k)) != lambdak_from_beta(n, k):
-                failures.append(f"classifying restriction at (n={n}, k={k})")
-    _prop(props, "restriction-identities", count, failures)
+            restriction.check(bun_restrict(lambdak_from_beta(n + 1, k)) == lambdak_from_beta(n, k),
+                              lambda: f"classifying restriction at (n={n}, k={k})")
 
-    failures = []
-    count = 0
+    pascal = Prop("negative-pascal")
     for n in range(1, 8):
         for i in range(1, 8):
-            count += 1
-            if lambda_of_integer(-n, i) + lambda_of_integer(-n, i - 1) != lambda_of_integer(-n + 1, i):
-                failures.append(f"Pascal at (-{n}, {i})")
-    _prop(props, "negative-pascal", count, failures)
+            lhs = lambda_of_integer(-n, i) + lambda_of_integer(-n, i - 1)
+            pascal.check(lhs == lambda_of_integer(-n + 1, i), lambda: f"Pascal at (-{n}, {i})")
 
-    return {"suite": "models", "config": {"trunc": trunc, "seed": seed},
-            "properties": props, "pass": all(p["pass"] for p in props)}
+    return suite_report("models", {"trunc": trunc, "seed": seed},
+                        [axioms, suspension, restriction, pascal])
 
 
 def looping_suite(trunc: int, window: int, seed: int = 0) -> dict:
     rep = check_looping_axioms(trunc, window, random.Random(seed))
-    props = []
-    for aid, entry in sorted(rep["axioms"].items()):
-        _prop(props, f"axiom-{aid}", entry["instances"], entry["witnesses"])
-    return {"suite": "looping",
-            "config": {"trunc": trunc, "window": window, "seed": seed},
-            "properties": props, "pass": rep["pass"]}
+    props = [Prop.from_entry(f"axiom-{aid}", entry)
+             for aid, entry in sorted(rep["axioms"].items())]
+    return suite_report("looping", {"trunc": trunc, "window": window, "seed": seed}, props)
 
 
 def main_suite(trunc: int, window: int, seed: int = 0) -> dict:
     rep = main_relations_check(min(trunc, 5), trunc, window)
-    props = []
-    for entry in rep["relations"]:
-        _prop(props, f"relations-p{entry['p']}", entry["instances"], entry["witnesses"])
-    return {"suite": "main",
-            "config": {"trunc": trunc, "window": window, "seed": seed},
-            "properties": props, "pass": rep["pass"]}
+    props = [Prop.from_entry(f"relations-p{entry['p']}", entry) for entry in rep["relations"]]
+    return suite_report("main", {"trunc": trunc, "window": window, "seed": seed}, props)
 
 
 SUITES = {
@@ -380,11 +298,6 @@ SUITES = {
 
 def run_suite(name: str, trunc: int, window: int, seed: int = 0) -> dict:
     if name == "all":
-        reports = [run_suite(n, trunc, window, seed) for n in SUITES]
-        return {
-            "suite": "all",
-            "config": {"trunc": trunc, "window": window, "seed": seed},
-            "suites": reports,
-            "pass": all(r["pass"] for r in reports),
-        }
+        return all_report({"trunc": trunc, "window": window, "seed": seed},
+                          [run_suite(n, trunc, window, seed) for n in SUITES])
     return SUITES[name](trunc, window, seed)

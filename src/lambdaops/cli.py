@@ -23,6 +23,7 @@ from .kbu import coadd, comult
 from .loopgrade import compose_odd, loop_even, loop_odd
 from .models import ProjectiveModel, SplitModel, get_model
 from .parser import OperandParser, OutsideModel, ParseError, parse_element, parse_operand
+from .report import report_lines
 from .symfun import left_linearise, newton_psi, universal_pij, universal_pk
 
 
@@ -218,22 +219,8 @@ def cmd_coprod(args) -> int:
 
 def cmd_check(args) -> int:
     report = run_suite(args.suite, args.trunc, args.window, args.seed)
-    _emit(args.format, lambda: report, lambda: "\n".join(_report_lines(report)))
+    _emit(args.format, lambda: report, lambda: "\n".join(report_lines(report)))
     return 0 if report["pass"] else 1
-
-
-def _report_lines(report: dict) -> list[str]:
-    if "suites" in report:
-        lines = [line for sub in report["suites"] for line in _report_lines(sub)]
-        return lines + [f"ALL: {'PASS' if report['pass'] else 'FAIL'}"]
-    lines = []
-    for prop in report["properties"]:
-        status = "PASS" if prop["pass"] else "FAIL"
-        line = f"{report['suite']}/{prop['id']}: {status} ({prop['instances']} instances)"
-        if prop["counterexample"]:
-            line += f" first counterexample: {prop['counterexample']}"
-        lines.append(line)
-    return lines + [f"{report['suite']}: {'PASS' if report['pass'] else 'FAIL'}"]
 
 
 # The command line.  FLAGS: name -> (converter or choices, default).  COMMANDS:

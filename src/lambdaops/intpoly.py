@@ -383,17 +383,13 @@ class IntPoly:
 
     def rename_family(self, src: str, dst: str) -> "IntPoly":
         mask = _family_mask(src)
-        moved: dict[int, int] = {}  # src part -> the same exponents in dst fields
 
         def fn(m, c):
             part = m & mask
             if not part:
                 return m, c
-            new = moved.get(part)
-            if new is None:
-                new = moved[part] = sum(e << _shift((dst, _VARS[sh // _WIDTH][1]))
-                                        for sh, e in _fields(part))
-            m = (m ^ part) + new
+            m = (m ^ part) + sum(e << _shift((dst, _VARS[sh // _WIDTH][1]))
+                                 for sh, e in _fields(part))
             if m & _GUARD:
                 _overflow()
             return m, c
@@ -536,14 +532,6 @@ class IntPoly:
             ms = order if len(terms) == len(order) else sorted(terms, key=rank.__getitem__)
             out.append("[" + ",".join([f'{{"coeff":"{terms[m]}"{text[m]}' for m in ms]) + "]")
         return out
-
-    @staticmethod
-    def from_obj(obj: Iterable[dict]) -> "IntPoly":
-        terms: dict[tuple, int] = {}
-        for t in obj:
-            mono = tuple(sorted((f, int(i), int(e)) for f, i, e in t["mono"]))
-            terms[mono] = int(t["coeff"])
-        return IntPoly(terms)
 
 
 def _coerce(x) -> IntPoly:

@@ -24,6 +24,7 @@ from .evenops import (
 from .intpoly import IntPoly, Truncated
 from .kbu import KBUElem, gen, psi_kbu
 from .models import SplitModel, model_psi, poly_eval_in_model
+from .report import Prop, axioms_report, relations_report
 from .setzz import chi, const
 from .symfun import left_linearise, universal_pij, universal_pk
 
@@ -281,54 +282,27 @@ def check_looping_axioms(trunc: int, window: int,
     """Verify the looping axioms on the generator corpus; returns a report
     with one entry per axiom carrying instance counts and witnesses."""
     rng = rng or random.Random(11)
-    report = {
-        "config": {"trunc": trunc, "window": window},
-        "axioms": {},
-        "pass": True,
-    }
-
-    def record(axiom: str, instances: int, failures: list):
-        entry = {
-            "id": axiom,
-            "instances": instances,
-            "pass": not failures,
-            "witnesses": failures[:5],
-        }
-        report["axioms"][axiom] = entry
-        if failures:
-            report["pass"] = False
-
     corpus = _even_generator_corpus(trunc, window)
 
     # (1) Omega vanishes on squares of the augmentation ideal and lands in
     # primitives, in both directions.
-    failures = []
-    count = 0
+    first = Prop("1")
     for _ in range(30):
         r = rng.choice(corpus)
         s = rng.choice(corpus)
-        prod = r * s
-        count += 1
-        if not loop_even(prod).is_zero:
-            failures.append(f"loop of product {r} * {s} nonzero")
+        first.check(loop_even(r * s).is_zero, lambda: f"loop of product {r} * {s} nonzero")
     for r in corpus:
-        count += 1
-        w = loop_even(r)
-        if not odd_is_primitive(w):
-            failures.append(f"loop image of {r} not primitive")
+        first.check(odd_is_primitive(loop_even(r)), lambda: f"loop image of {r} not primitive")
     for k in range(1, trunc + 1):
-        count += 1
-        if not op_is_primitive(loop_odd(lgen(k, trunc), window)):
-            failures.append(f"loop image of l{k} not primitive")
-    record("1", count, failures)
+        first.check(op_is_primitive(loop_odd(lgen(k, trunc), window)),
+                    lambda: f"loop image of l{k} not primitive")
 
     # (2) The comultiplication of a looped operation, through the action
     # oracle on a suspension-extended split model.  Both operation bidegrees
     # are (0, 0), so the sign and antipode twists in the general statement
     # are trivial here.  Pairs whose augmentation leaves the window are
     # skipped: the comultiplication entry there is not represented.
-    failures = []
-    count = 0
+    second = Prop("2")
     model = SplitModel(2)
     srng = random.Random(23)
     alphas = model.samples(srng, 4)
@@ -339,20 +313,18 @@ def check_looping_axioms(trunc: int, window: int,
             for alpha, beta in zip(alphas, betas):
                 if abs(model.eps(alpha)) > window:
                     continue
-                count += 1
                 beta_red = model.sub(beta, model.from_int(model.eps(beta)))
                 q = model.mul(alpha, beta_red)
                 lhs = _suspension_eval(r, model, q)
                 # the suspension pairs only against the entry (eps(alpha), 0)
                 entry = comult_entry(r, model.eps(alpha), 0)
                 rhs = _pair_suspension_eval(entry, model, alpha, beta_red)
-                if not model.eq(lhs, rhs):
-                    failures.append(f"axiom 2 at k={k}, f={f}, pair {count}")
-    record("2", count, failures)
+                # the witness numbers the pair by the instances counted so far
+                second.check(model.eq(lhs, rhs),
+                             lambda: f"axiom 2 at k={k}, f={f}, pair {second.instances}")
 
     # (3) Omega is multiplicative under composition, both parities.
-    failures = []
-    count = 0
+    third = Prop("3")
     fns = [chi(0), chi(1), chi(-1), const(1)]
     for i in range(1, trunc + 1):
         for j in range(1, trunc + 1):
@@ -362,32 +334,26 @@ def check_looping_axioms(trunc: int, window: int,
                 for g in fns:
                     r = EvenOp.from_pairs([(f, gen(i, trunc))], trunc, window)
                     s = EvenOp.from_pairs([(g, gen(j, trunc))], trunc, window)
-                    count += 1
                     lhs = loop_even(compose_even(r, s))
                     rhs = compose_odd(loop_even(r), loop_even(s))
-                    if lhs != rhs:
-                        failures.append(f"even axiom 3 at ({f}(x)L{i}, {g}(x)L{j})")
-            count += 1
+                    third.check(lhs == rhs, lambda: f"even axiom 3 at ({f}(x)L{i}, {g}(x)L{j})")
             lhs = loop_odd(compose_odd(lgen(i, trunc), lgen(j, trunc)), window)
             rhs = compose_even(
                 loop_odd(lgen(i, trunc), window), loop_odd(lgen(j, trunc), window)
             )
-            if lhs != rhs:
-                failures.append(f"odd axiom 3 at (l{i}, l{j})")
-    record("3", count, failures)
+            third.check(lhs == rhs, lambda: f"odd axiom 3 at (l{i}, l{j})")
 
     # (4) Looping the identity: the even identity loops to l1, and l1 loops
     # back to the linear part of the even identity.
-    failures = []
+    fourth = Prop("4")
     ident = identity_op(trunc, window)
-    if loop_even(ident) != lgen(1, trunc):
-        failures.append("loop of the even identity is not l1")
+    fourth.check(loop_even(ident) == lgen(1, trunc),
+                 lambda: "loop of the even identity is not l1")
     linear_part = EvenOp.from_pairs([(const(1), gen(1, trunc))], trunc, window)
-    if loop_odd(lgen(1, trunc), window) != linear_part:
-        failures.append("loop of l1 is not the linear part of the identity")
-    record("4", 2, failures)
+    fourth.check(loop_odd(lgen(1, trunc), window) == linear_part,
+                 lambda: "loop of l1 is not the linear part of the identity")
 
-    return report
+    return axioms_report({"trunc": trunc, "window": window}, [first, second, third, fourth])
 
 
 def _suspension_eval(r: EvenOp, model: SplitModel, q):
@@ -427,33 +393,22 @@ def main_relations_check(p_max: int, trunc: int, window: int) -> dict:
     double loop is the alternating left-linearised polynomial."""
     if p_max > trunc:
         raise ValueError("p_max must not exceed the truncation level")
-    report = {
-        "config": {"trunc": trunc, "window": window, "p_max": p_max},
-        "relations": [],
-        "pass": True,
-    }
     fns = [(f"chi({d})", chi(d)) for d in range(-window, window + 1)]
     fns.append(("const(1)", const(1)))
+    relations = []
     for p in range(1, p_max + 1):
         base = EvenOp.from_pairs([(const(1), gen(p, trunc))], trunc, window)
         loop_base = loop_even(base)
-        failures = []
-        count = 0
+        prop = Prop(p)
         for fname, f in fns:
             r = EvenOp.from_pairs([(f, gen(p, trunc))], trunc, window)
             f0 = f.ev(0)
-            count += 1
-            if loop_even(r) != f0 * loop_base:
-                failures.append(f"first relation at p={p}, f={fname}")
-            count += 1
+            prop.check(loop_even(r) == f0 * loop_base,
+                       lambda: f"first relation at p={p}, f={fname}")
             expected = EvenOp.from_pairs(
                 [(const(f0), KBUElem(loop_polynomial(p), trunc))], trunc, window
             )
-            if loop_odd(loop_even(r), window) != expected:
-                failures.append(f"second relation at p={p}, f={fname}")
-        report["relations"].append(
-            {"p": p, "instances": count, "pass": not failures, "witnesses": failures[:5]}
-        )
-        if failures:
-            report["pass"] = False
-    return report
+            prop.check(loop_odd(loop_even(r), window) == expected,
+                       lambda: f"second relation at p={p}, f={fname}")
+        relations.append(prop)
+    return relations_report({"trunc": trunc, "window": window, "p_max": p_max}, relations)

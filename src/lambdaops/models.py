@@ -79,6 +79,8 @@ class IntegerModel(LambdaRingModel):
         return n
 
     def add(self, a, b):
+        # no _reduce: a sum of reduced elements is reduced, and an unreduced
+        # element only feeds _line_decomposition, which reads up to u^m
         return a + b
 
     def neg(self, a):
@@ -123,7 +125,9 @@ class LineClassModel(LambdaRingModel):
         return IntPoly.const(n)
 
     def add(self, a, b):
-        return self._reduce(a + b)
+        # no _reduce: a sum of reduced elements is reduced, and an unreduced
+        # element only feeds _line_decomposition, which reads up to u^m
+        return a + b
 
     def neg(self, a):
         return -a

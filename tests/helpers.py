@@ -7,8 +7,8 @@ coproducts are the slow, literal constructions that the fast paths of
 public names.  `TuplePoly`, the polynomial kernel over tuple monomials, is
 the reference for the packed `IntPoly`, and the argparse parser at the end
 is the reference for `lambdaops.cli.parse_args`.  A few constructors and
-maps that only the tests use (`from_json`, `retruncate`, `un_one`,
-`fn_sum`, ...) live here rather than in the package.
+maps that only the tests use (`from_obj`, `from_json`, `retruncate`,
+`un_one`, `fn_sum`, ...) live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -329,11 +329,20 @@ def reference_lam(model, k: int, a):
 # -- constructors and maps only the tests use ---------------------------------------
 
 
+def from_obj(obj) -> IntPoly:
+    """The polynomial of a `to_obj()` list of terms."""
+    terms: dict[tuple, int] = {}
+    for t in obj:
+        mono = tuple(sorted((f, int(i), int(e)) for f, i, e in t["mono"]))
+        terms[mono] = int(t["coeff"])
+    return IntPoly(terms)
+
+
 def from_json(text: str) -> IntPoly:
     """The polynomial of a `to_json()` text."""
     import json
 
-    return IntPoly.from_obj(json.loads(text))
+    return from_obj(json.loads(text))
 
 
 def retruncate(x: KBUElem, level: int) -> KBUElem:

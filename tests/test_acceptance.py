@@ -9,7 +9,7 @@ import os.path as osp
 import random
 import time
 
-from helpers import esym, grid_products, un_one
+from helpers import esym, from_obj, grid_products, un_one
 from lambdaops.checks import _monomial_corpus
 from lambdaops.errors import InvalidFamily
 from lambdaops.evenops import EvenOp, act, compose_even, identity_op
@@ -89,7 +89,7 @@ def test_criterion_02_golden_p2_and_pl2():
     with open(osp.join(GOLDEN, "pl2.json")) as fh:
         assert left_linearise(universal_pk(2)).to_obj() == json.load(fh)
     # cross-check the committed values against the raw splitting oracle
-    p2 = IntPoly.from_obj(json.loads(open(osp.join(GOLDEN, "p2.json")).read()))
+    p2 = from_obj(json.loads(open(osp.join(GOLDEN, "p2.json")).read()))
     rng = random.Random(7)
     for _ in range(20):
         a = [rng.randint(-5, 5) for _ in range(2)]

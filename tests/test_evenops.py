@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     fn_sum,
+    from_obj,
     reference_comult_entry,
     reference_compose_even,
     reference_from_pairs,
@@ -321,7 +322,7 @@ def test_tensor_window_guard():
 def test_serialisation_shape():
     r = ev([(chi(1), gen(1, N))])
     obj = r.to_obj()
-    assert obj["summands"] == [["chi(1)", IntPoly.from_obj([{"mono": [["L", 1, 1]], "coeff": "1"}])]]
+    assert obj["summands"] == [["chi(1)", from_obj([{"mono": [["L", 1, 1]], "coeff": "1"}])]]
     assert obj["trunc"] == N and obj["window"] == W
 
 

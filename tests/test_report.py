@@ -5,6 +5,9 @@ names inside `checks` and `loopgrade` are replaced by wrong versions, so
 that every suite fails somewhere, and the sha256 of each failing report is
 pinned: the JSON and text of `check <suite>` and the library reports of
 `check_looping_axioms` and `main_relations_check`, with their witness lists.
+
+Only `report` knows the report shape: no other module writes the keys that
+hold witnesses.
 """
 
 import ast
@@ -16,7 +19,8 @@ import pytest
 
 import lambdaops
 from lambdaops import checks, cli, loopgrade
-from lambdaops.errors import RegistrationFailure
+from lambdaops.errors import RegistrationFailure, WindowExhausted
+from lambdaops.report import SKIP, Prop, suite_report
 
 
 @pytest.fixture
@@ -48,6 +52,8 @@ def _sha(text: str) -> str:
 
 # (suite, window) -> sha256 of the JSON and of the text stdout
 FAILING_CHECKS = {
+    ("all", 16): ("c6fc5ea6b3b11d3218b30388655caa68ce705ab1e084b18bc3062b343b09057a",
+                  "8f496c41e4b79c24475aa311e1c5e78415788c48c5d2b8584f559670330d97bc"),
     ("biring", 4): ("5a569434b80a580a41091826d7d126483e1c82c6e2ad7a18c7844f88256c3bac",
                     "e62689b7ca1e4fc5f92a9772c25b50ce8c9ae7e337ee5d93b291c2018c716a45"),
     ("biring", 16): ("5a569434b80a580a41091826d7d126483e1c82c6e2ad7a18c7844f88256c3bac",
@@ -66,8 +72,6 @@ FAILING_CHECKS = {
                    "9eed4cc3d2a3b129786a9c107cecf8f23f368ec85896e4293d67d842e5318316"),
     ("models", 4): ("5f5b39ee91fd86bb8dfd9622367f68f9f954fc2faa312eed6c2c29cd90248d72",
                     "55d8445c6c20604ce00278a7327c6bb83154477bc9fb5737e89a225cbdf9905e"),
-    ("all", 16): ("c6fc5ea6b3b11d3218b30388655caa68ce705ab1e084b18bc3062b343b09057a",
-                  "8f496c41e4b79c24475aa311e1c5e78415788c48c5d2b8584f559670330d97bc"),
     ("models", 16): ("5f5b39ee91fd86bb8dfd9622367f68f9f954fc2faa312eed6c2c29cd90248d72",
                      "55d8445c6c20604ce00278a7327c6bb83154477bc9fb5737e89a225cbdf9905e"),
 }
@@ -92,3 +96,42 @@ def test_failing_library_reports_are_pinned(broken):
     got = [_sha(json.dumps(rep)) for rep in (looping, main)]
     assert got == ["a2806cbb8f3b9b7eb953736e7e5bdaf07e31392f05d9a612436b6a3a9328e547",
                    "79ccd324510851d29cece40cde8fdbed0aa41f1d5ea0bce9909f5db936f1c183"]
+
+
+def test_a_witness_is_built_only_for_a_failing_instance():
+    prop = Prop("p")
+    prop.check(True, lambda: pytest.fail("witness built for a passing instance"))
+    for i in range(7):
+        prop.check(False, lambda: f"w{i}")
+
+    def outside_the_window():
+        raise WindowExhausted("outside")
+
+    with SKIP:
+        prop.check(outside_the_window(), lambda: "skipped")
+    assert prop.instances == 8 and len(prop.witnesses) == 7
+    assert suite_report("s", {}, [prop])["properties"] == [
+        {"id": "p", "instances": 8, "pass": False, "counterexample": "w0"}]
+    assert prop.entry("p") == {"p": "p", "instances": 8, "pass": False,
+                               "witnesses": ["w0", "w1", "w2", "w3", "w4"]}
+
+
+PACKAGE = pathlib.Path(lambdaops.__file__).parent
+WITNESS_KEYS = {"counterexample", "witnesses"}
+
+
+def _witness_keys(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    return [(n.lineno, n.value) for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and n.value in WITNESS_KEYS]
+
+
+def test_report_writes_the_witness_keys():
+    assert {key for _, key in _witness_keys("report")} == WITNESS_KEYS
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                        if p.stem != "report"))
+def test_only_report_writes_the_witness_keys(name):
+    found = _witness_keys(name)
+    assert not found, f"{name} writes a report key of report.py: {found}"
