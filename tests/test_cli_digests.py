@@ -6,8 +6,10 @@ benchmark workload at seed 0 (one per line of `COPROD_TEMPLATES` in
 digests were recorded before the even-operation maps shared work between
 equal and proportional ring legs; the last four (the `upoly` JSON of one
 polynomial per output, and a large `coprod` in text form) before the JSON
-writer built one monomial table per output.  Any change to these outputs
-is a change of answers, not of speed.
+writer built one monomial table per output; the last four (`coprod mul` at
+window 64 and 32, with legs of non-unit content and squared factors) before
+each co-multiplication entry became one ring map on the generators.  Any
+change to these outputs is a change of answers, not of speed.
 """
 
 import hashlib
@@ -63,6 +65,16 @@ PINNED = [
      '503c06d284f457c24a83804661141d8bd8fed9492812b3ce92b3f46bb9a122c5'),
     (['coprod', 'mul', 'const(2)@L5', '--trunc', '5', '--window', '16', '--format', 'text'],
      '249e6330f905052ffa33b302fac7bc884f4e0939f84704ec973b5208ed621582'),
+    (['coprod', 'mul', 'const(2)@L5', '--trunc', '5', '--window', '64', '--format', 'json'],
+     '806c2b7b209c1b5167de63e6d08d97e95fb50db1f8a61461b6e2f8b900ede4ba'),
+    (['coprod', 'mul', 'const(2)@L5', '--trunc', '5', '--window', '64', '--format', 'text'],
+     'da3234be2f644313241dba12b4e7df5c843f4198707b74f0651cdf84c4df4d5a'),
+    (['coprod', 'mul', 'chi(0)@(-2*L1*L2 + 4*L3) + id@(L1*L1)', '--trunc', '6', '--window', '32',
+      '--format', 'json'],
+     '302e3f4081645011381a1c13a65c2260b8ec43e25cc881e374927ab76aba26e8'),
+    (['coprod', 'mul', 'chi(0)@(-2*L1*L2 + 4*L3) + id@(L1*L1)', '--trunc', '6', '--window', '32',
+      '--format', 'text'],
+     '74bbaf8073a01295743688eb6eae2924ac06dcccb5ef2061057766ec643e8632'),
 ]
 
 
