@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from functools import partial
+from functools import cache, partial
 
 from .evenops import (
     EvenOp,
@@ -42,7 +43,7 @@ from .models import (
 from .errors import RegistrationFailure
 from .report import SKIP, Prop, all_report, suite_report
 from .setzz import chi, const, IDENT
-from .symfun import lambda_of_integer
+from .symfun import _elementary_from_power_sums, lambda_of_integer, newton_psi
 
 
 def _monomial_corpus(trunc: int) -> list[KBUElem]:
@@ -75,18 +76,29 @@ def _coassociativity_routes(x: KBUElem, image, trunc: int) -> tuple[IntPoly, Int
     return route1, route2
 
 
+@cache
+def _comult3_image(k: int) -> IntPoly:
+    """L_k under the iterated co-multiplication, in the legs T1, T2, T3: e_k of
+    the products a_r b_s c_t, whose n-th power sum is psi_n(T1) psi_n(T2) psi_n(T3)."""
+    return _elementary_from_power_sums(k, lambda n: math.prod(
+        newton_psi(n).rename_family("L", f"T{leg}") for leg in (1, 2, 3)))
+
+
 def biring_suite(trunc: int, seed: int = 0) -> dict:
     rng = random.Random(seed)
     corpus = _monomial_corpus(trunc)
 
-    # coassociativity of both coproducts, three routes for co-addition
+    # coassociativity of both coproducts by three routes: the two iterations
+    # and the three-leg coproduct built from its own generator images
     coassociative = []
+    route3 = {"coadd": lambda x: coadd_multi(x, 3),
+              "comult": lambda x: x.poly.substitute_family("L", _comult3_image)}
     for name, image in (("coadd", coadd_image), ("comult", comult_image)):
         prop = Prop(f"{name}-coassociative")
         for x in corpus:
             route1, route2 = _coassociativity_routes(x, image, trunc)
-            route3 = coadd_multi(x, 3) if name == "coadd" else route2
-            prop.check(route1 == route2 == route3, lambda: f"{name} coassociativity at {x}")
+            prop.check(route1 == route2 == route3[name](x),
+                       lambda: f"{name} coassociativity at {x}")
         coassociative.append(prop)
 
     # Hopf antipode law and involution

@@ -10,9 +10,11 @@ augmentation outside the window raises instead of silently truncating.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import WindowExhausted
 from .intpoly import IntPoly
-from .kbu import KBUElem, coadd, coadd_multi, colinear, comult_image, compose_kbu, cozero
+from .kbu import KBUElem, coadd, colinear, comult_image, compose_kbu, cozero, gamma_gen
 from .models import LambdaRingModel, poly_eval_in_model
 from .setzz import FnZZ, FnChi, FnCompose, const
 
@@ -281,102 +283,48 @@ def op_is_primitive(r: EvenOp) -> bool:
     return True
 
 
-# Delta-x of a primitive ring leg p, grouped for comult_entry: key (trunc, p)
-# -> {t3 monomial: {t2 monomial: polynomial in T1/T2}}, monomials in L.  A leg
-# x_d = c * p expands as c times the expansion of p, so legs that differ by an
-# integer factor share one entry.
-_COMULT_LEGS_CACHE: dict[tuple, dict] = {}
-# gamma(kappa) of a one-monomial leg, renamed to a tensor leg family:
-# key (monomial, kappa, family, trunc) -> polynomial
-_GAMMA_LEG_CACHE: dict[tuple, IntPoly] = {}
+@cache
+def _gamma_in(kappa: int, k: int, family: str) -> IntPoly:
+    """gamma(kappa)(L_k) = lambda^k(kappa * a), in `family`; 1 for k = 0."""
+    return IntPoly.one() if k == 0 else gamma_gen(kappa, k).rename_family("L", family)
 
 
-def _comult_legs(prim: IntPoly, trunc: int) -> dict:
-    """Group the four-leg expansion b(1)[1] b(1)[2] b(2) b(3) of the primitive
-    leg `prim` by its b(3) and b(2) monomials; the b(1) part becomes a
-    polynomial in T1/T2."""
-    key = (trunc, prim)
-    groups = _COMULT_LEGS_CACHE.get(key)
-    if groups is None:
-        three = coadd_multi(KBUElem(prim, trunc), 3)  # families T1, T2, T3
-        four = three.substitute_family("T1", lambda k: comult_image(k, "U", "V"))
-        groups = {
-            t3.rename_family("T3", "L"): {
-                t2.rename_family("T2", "L"): b1.rename_family("U", "T1").rename_family("V", "T2")
-                for t2, b1 in by_t3.collect("T2")
-            }
-            for t3, by_t3 in four.collect("T3")
-        }
-        _COMULT_LEGS_CACHE[key] = groups
-    return groups
+@cache
+def _product_gen(s: int, n: int) -> IntPoly:
+    """lambda^n(ab + s*a) = sum over i+j=n of P_i(T1; T2) gamma(s)(L_j)[T1]."""
+    return IntPoly.sum_of_products(
+        (comult_image(i) if i else IntPoly.one(), _gamma_in(s, n - i, "T1")) for i in range(n + 1))
 
 
-def _gamma_leg(mono: IntPoly, kappa: int, family: str, trunc: int) -> IntPoly:
-    """gamma(kappa) of one leg monomial (in L) at level `trunc`, in `family`."""
-    key = (mono, kappa, family, trunc)
-    image = _GAMMA_LEG_CACHE.get(key)
-    if image is None:
-        leg = colinear(kappa, KBUElem(mono, trunc))
-        image = leg.poly.rename_family("L", family)
-        _GAMMA_LEG_CACHE[key] = image
-    return image
-
-
-def _s_contraction(groups: dict, s: int, trunc: int) -> list[tuple[IntPoly, IntPoly]]:
-    """(sum over t2 of A[t2, t3] gamma(s)(t2)[T1], t3) for each b(3) monomial t3."""
-    return [
-        (IntPoly.sum_of_products((a, _gamma_leg(t2, s, "T1", trunc)) for t2, a in by_t2.items()),
-         t3)
-        for t3, by_t2 in groups.items()
-    ]
-
-
-def _rho_entry(contraction: list, rho: int, trunc: int, content: int) -> IntPoly:
-    """content * sum over t3 of contraction[t3] * gamma(rho)(t3)[T2]."""
-    entry = IntPoly.sum_of_products(
-        (inner, _gamma_leg(t3, rho, "T2", trunc)) for inner, t3 in contraction
-    )
-    return entry if content == 1 else entry * content
+@cache
+def _comult_gen(rho: int, s: int, k: int) -> IntPoly:
+    """lambda^k(alpha*beta - rho*s) at alpha = rho + a, beta = s + b, in the
+    generators of a (T1) and b (T2): alpha*beta - rho*s = (ab + s*a) + rho*b,
+    so by the sum rule it is the sum over n+m=k of
+    lambda^n(ab + s*a) gamma(rho)(L_m)[T2]."""
+    return IntPoly.sum_of_products(
+        (_product_gen(s, n), _gamma_in(rho, k - n, "T2")) for n in range(k + 1))
 
 
 def comult_entry(r: EvenOp, rho: int, s: int) -> IntPoly:
-    """Entry (rho, s) of Delta-x(r), a polynomial in T1/T2: with d = rho*s,
-
-    sum over the b(3) monomials t3 of
-    (sum over t2 of A[t2, t3] gamma(s)(t2)[T1]) * gamma(rho)(t3)[T2],
-
-    where A[t2, t3] collects b(1)[1] (x) b(1)[2] of the expansion of x_d.
-    The expansion is linear in x_d, so it is built for the primitive part of
-    x_d and the entry is scaled by the content.
-    Zero when |rho| or |s| exceeds the window or d is not in the table.
+    """Entry (rho, s) of Delta-x(r), a polynomial in T1/T2: the image of
+    x_{rho*s} under the ring map L_k -> _comult_gen(rho, s, k).
+    Zero when |rho| or |s| exceeds the window or rho*s is not in the table.
     """
-    trunc = r.trunc
     if abs(rho) > r.window or abs(s) > r.window or rho * s not in r.table:
         return IntPoly.zero()
-    content, prim = r.table[rho * s].poly.content_split()
-    return _rho_entry(_s_contraction(_comult_legs(prim, trunc), s, trunc), rho, trunc, content)
+    return r.table[rho * s].poly.substitute_family("L", lambda k: _comult_gen(rho, s, k))
 
 
 def op_comult(r: EvenOp) -> EvenOpTensor:
     """Co-multiplication via the unitalised-biring formula: for each summand
     chi_d (x) b, sum over divisor pairs r*s = d of
     chi_r (x) b(1)[1] gamma(s)(b(2))  (x)  chi_s (x) b(1)[2] gamma(r)(b(3)),
-    where (1)(2)(3) is iterated co-addition and [1][2] co-multiplication;
-    see comult_entry.  The s-contraction depends only on the primitive part
-    of x_d and on s, so it is formed once per (primitive part, s).
+    where (1)(2)(3) is iterated co-addition and [1][2] co-multiplication.
+    On generators it is one ring map per divisor pair: see comult_entry.
     """
-    trunc = r.trunc
-    contractions: dict[IntPoly, dict[int, list]] = {}
-    entries = {}
-    for d, x in r.table.items():
-        content, prim = x.poly.content_split()
-        by_s = contractions.setdefault(prim, {})
-        groups = _comult_legs(prim, trunc)
-        for rho, s in divisor_pairs(d, r.window):
-            contraction = by_s.get(s)
-            if contraction is None:
-                contraction = by_s[s] = _s_contraction(groups, s, trunc)
-            entries[(rho, s)] = _rho_entry(contraction, rho, trunc, content)
+    entries = {(rho, s): comult_entry(r, rho, s)
+               for d in r.table for rho, s in divisor_pairs(d, r.window)}
     return EvenOpTensor(entries, r.trunc, r.window)
 
 

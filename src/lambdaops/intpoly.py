@@ -11,9 +11,9 @@ guard, and a product, power, substitution or renaming that sets it raises
 
 A monomial is decoded into sorted (family, index, exponent) triples only where
 its order can be seen: printing, serialisation, `key`, `sorted_terms`, the
-keys of `collect`, `split_first`, `content_split` and error texts; `terms`
-hands out such a decoded copy of the term map.  JSON output decodes and sorts
-each distinct monomial once per output, not once per polynomial:
+keys of `collect`, `split_first` and error texts; `terms` hands out such a
+decoded copy of the term map.  JSON output decodes and sorts each distinct
+monomial once per output, not once per polynomial:
 `to_json_all` writes all the polynomials of one output from one table of
 their monomials, and `to_json` is its one-polynomial case.  Values are
 treated as immutable after construction, so they are safe to share, hash and
@@ -29,7 +29,6 @@ to be in range (the CLI checks operand and element variables first).
 from __future__ import annotations
 
 import json
-import math
 from typing import Callable, Iterable, Mapping
 
 from .errors import LambdaOpsError
@@ -340,21 +339,6 @@ class IntPoly:
                     out[i] = c
         return out
 
-    def content_split(self) -> tuple[int, "IntPoly"]:
-        """(content, primitive part) with content * primitive == self: the
-        content is the gcd of the coefficients, signed so that the primitive
-        part's first monomial (in sorted order) has a positive coefficient.
-        Zero splits as (0, zero)."""
-        terms = self._terms
-        if not terms:
-            return 0, self
-        c = math.gcd(*terms.values())
-        if terms[min(terms, key=_decode)] < 0:
-            c = -c
-        if c == 1:
-            return 1, self
-        return c, IntPoly._trusted({m: v // c for m, v in terms.items()})
-
     def div_exact(self, n: int) -> "IntPoly":
         """Divide every coefficient by n; ValueError unless each one divides."""
         out: dict[int, int] = {}
@@ -427,7 +411,7 @@ class IntPoly:
             for sh, e in _fields(m & mask):
                 p = pow_cache.get(e << sh)
                 if p is None:
-                    p = pow_cache[e << sh] = (imgs[sh] ** e)._terms
+                    p = pow_cache[e << sh] = (imgs[sh] if e == 1 else imgs[sh] ** e)._terms
                 factors.append(p)
             # multiply all but the last factor into acc, then add acc times
             # the last factor straight into the result
@@ -435,7 +419,10 @@ class IntPoly:
             for p in head:
                 acc, prev = {}, acc
                 _add_product(acc, prev, p)
-            _add_product(out, acc, last)
+            if not out and acc == {0: 1}:  # the product is `last` itself
+                out = dict(last)
+            else:
+                _add_product(out, acc, last)
         return IntPoly._trusted(out)
 
     def substitute_family(self, family: str, image: Callable[[int], "IntPoly | int"]) -> "IntPoly":

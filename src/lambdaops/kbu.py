@@ -10,6 +10,8 @@ modulo the filtration ideal otherwise.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import NotReduced
 from .intpoly import IntPoly, Truncated
 from .symfun import lambda_of_integer, universal_pij, universal_pk
@@ -121,13 +123,10 @@ def coadd_image(k: int, left: str = "T1", right: str = "T2") -> IntPoly:
     return out
 
 
+@cache
 def comult_image(k: int, left: str = "T1", right: str = "T2") -> IntPoly:
     """Image of L_k under co-multiplication: P_k(left_i ; right_j)."""
-    images = {}
-    for i in range(1, k + 1):
-        images[("x", i)] = IntPoly.var(left, i)
-        images[("y", i)] = IntPoly.var(right, i)
-    return universal_pk(k).substitute(images)
+    return universal_pk(k).rename_family("x", left).rename_family("y", right)
 
 
 def coadd(x: KBUElem) -> TensorKBU:

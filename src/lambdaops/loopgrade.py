@@ -390,7 +390,8 @@ def _pair_suspension_eval(poly: IntPoly, model: SplitModel, alpha, beta_red):
 def main_relations_check(p_max: int, trunc: int, window: int) -> dict:
     """The two defining relations of the main quotient: looping an even
     operation forgets the function leg through evaluation at zero, and the
-    double loop is the alternating left-linearised polynomial."""
+    double loop is the alternating left-linearised polynomial, built here as
+    (-1)^(p-1) psi_p apart from the loop_polynomial that loop_odd reads."""
     if p_max > trunc:
         raise ValueError("p_max must not exceed the truncation level")
     fns = [(f"chi({d})", chi(d)) for d in range(-window, window + 1)]
@@ -406,7 +407,7 @@ def main_relations_check(p_max: int, trunc: int, window: int) -> dict:
             prop.check(loop_even(r) == f0 * loop_base,
                        lambda: f"first relation at p={p}, f={fname}")
             expected = EvenOp.from_pairs(
-                [(const(f0), KBUElem(loop_polynomial(p), trunc))], trunc, window
+                [(const(f0), (-1) ** (p - 1) * psi_kbu(p, trunc))], trunc, window
             )
             prop.check(loop_odd(loop_even(r), window) == expected,
                        lambda: f"second relation at p={p}, f={fname}")

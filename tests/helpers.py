@@ -517,14 +517,6 @@ class TuplePoly:
             groups.setdefault(inside, {})[tuple(t for t in m if t[0] != family)] = c
         return [(TuplePoly({m: 1}), TuplePoly(groups[m])) for m in sorted(groups)]
 
-    def content_split(self):
-        if not self.terms:
-            return 0, self
-        c = math.gcd(*self.terms.values())
-        if self.terms[min(self.terms)] < 0:
-            c = -c
-        return c, TuplePoly({m: v // c for m, v in self.terms.items()})
-
     def rename_family(self, src, dst):
         return TuplePoly({tuple(sorted((dst if f == src else f, i, e) for (f, i, e) in m)): c
                           for m, c in self.terms.items()})

@@ -37,3 +37,15 @@ def test_compose_suite_reports_at_every_small_window(trunc):
             assert [p["id"] for p in rep["properties"]] == [
                 "compose-vs-action", "compose-monoid-laws", "counit-composition",
                 "coproducts-vs-action"]
+
+
+def test_comult_coassociativity_has_a_third_route(monkeypatch):
+    # the three-leg co-multiplication built straight from the triple
+    # universal polynomial is a route of its own: doubling its image of L2
+    # fails co-multiplication coassociativity and nothing else
+    from lambdaops import checks
+
+    image = checks._comult3_image
+    monkeypatch.setattr(checks, "_comult3_image", lambda k: (2 if k == 2 else 1) * image(k))
+    rep = run_suite("biring", 4, 16)
+    assert [p["id"] for p in rep["properties"] if not p["pass"]] == ["comult-coassociative"]

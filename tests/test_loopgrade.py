@@ -235,6 +235,15 @@ def test_main_relations_pass():
     assert rep["pass"], rep
 
 
+def test_main_relations_see_a_wrong_loop_polynomial(monkeypatch):
+    # loop_odd reads loop_polynomial, so the second relation's expected side
+    # must not: doubling it has to fail the check
+    import lambdaops.loopgrade as loopgrade
+
+    monkeypatch.setattr(loopgrade, "loop_polynomial", lambda k: 2 * loop_polynomial(k))
+    assert not main_relations_check(3, 4, 8)["pass"]
+
+
 def test_main_relations_examples():
     # chi_3 kills the loop since chi_3(0) = 0
     assert loop_even(ev([(chi(3), gen(1, N))])).is_zero
