@@ -8,8 +8,12 @@ equal and proportional ring legs; the last four (the `upoly` JSON of one
 polynomial per output, and a large `coprod` in text form) before the JSON
 writer built one monomial table per output; the last four (`coprod mul` at
 window 64 and 32, with legs of non-unit content and squared factors) before
-each co-multiplication entry became one ring map on the generators.  Any
-change to these outputs is a change of answers, not of speed.
+each co-multiplication entry became one ring map on the generators; the
+last nine (text output of a large `coprod mul`, of `upoly psi 40` and `upoly
+pk 12`, of a ring `coprod`, of `compose` and `loop` in both parities and of
+`act` on the projective model) before the text writer built one monomial
+table per output, as the JSON writer does.  Any change to these outputs is a
+change of answers, not of speed.
 """
 
 import hashlib
@@ -75,6 +79,25 @@ PINNED = [
     (['coprod', 'mul', 'chi(0)@(-2*L1*L2 + 4*L3) + id@(L1*L1)', '--trunc', '6', '--window', '32',
       '--format', 'text'],
      '74bbaf8073a01295743688eb6eae2924ac06dcccb5ef2061057766ec643e8632'),
+    (['coprod', 'mul', 'const(1)@L5', '--trunc', '10', '--window', '32', '--format', 'text'],
+     '67625ca57bf6b0784455a5b46be7a73c8a205b487f026e027308aa0903f0c912'),
+    (['upoly', 'psi', '40', '--format', 'text'],
+     'deb91c6ed656b4b2cd96a788c7ea37e6b2720e81f8462ccd94caa6f5bb17fd77'),
+    (['upoly', 'pk', '12', '--format', 'text'],
+     '22cca4388ad42f171bb45df2de8dbb757043dd3149b3dbc494e149f0e25c0527'),
+    (['coprod', 'mul', 'L4*L3 + L8', '--trunc', '10', '--format', 'text'],
+     'ae70301c0fb19d774d99f2e7e39c39d3b1900a32f3c8ccb4d1cd6dea90ae818a'),
+    (['compose', 'chi(1)@L3 + const(2)@(L1*L2)', 'chi(2)@(L2*L1) + id@L3', '--trunc', '8',
+      '--format', 'text'],
+     'd0886d47b904824a0167e8b16883c0872a590975876577df8aacc721ded29610'),
+    (['compose', 'l1*l2', 'l3', '--trunc', '8', '--format', 'text'],
+     'b6f377082a51a7debcf999c0cc3769aecafd10a7c8292fd8e576a7639e319132'),
+    (['loop', 'chi(1)@L2 - chi(0)@L2', '--trunc', '6', '--format', 'text'],
+     '90f9201dce389d4bf514b3055ff9dc6a0e0f8814a81c6f2d35c48d24a43ae65c'),
+    (['loop', 'l1*l2 + 3*l3', '--trunc', '6', '--format', 'text'],
+     'f8b8c2cd2a41d7e995155ed95252750efa4d51d1e61b829bd3942cd6f350d71e'),
+    (['act', '--model', 'cp:3', 'chi(1)@L2 + id@L1', '2*u + 1', '--format', 'text'],
+     '77b80fb23d29874b77e133941e682dd07bee90a28075757e6aee30dc8f899969'),
 ]
 
 
