@@ -203,7 +203,7 @@ def cmd_coprod(args) -> int:
         _emit(args.format,
               lambda: {"command": "coprod", "kind": args.kind, "carrier": "ring",
                        "trunc": args.trunc,
-                       "result": [[left.poly, right.poly] for left, right in tensor.pairs()]},
+                       "result": [list(pair) for pair in tensor.pairs()]},
               lambda: str(tensor))
         return 0
     op = _operand_ctx(args).promote_even(val).payload
@@ -213,7 +213,8 @@ def cmd_coprod(args) -> int:
           lambda: {"command": "coprod", "kind": args.kind, "carrier": "operation",
                    "trunc": args.trunc, "window": args.window,
                    "result": [[i, j, poly] for (i, j), poly in entries]},
-          lambda: "; ".join(f"({i},{j}): {poly}" for (i, j), poly in entries) or "0")
+          lambda: "; ".join([f"({i},{j}): {text}" for ((i, j), _), text in
+                             zip(entries, IntPoly.to_text_all([p for _, p in entries]))]) or "0")
     return 0
 
 

@@ -111,9 +111,9 @@ class EvenOp:
         return not self.table
 
     def __str__(self):
-        if not self.table:
-            return "0"
-        return " + ".join(f"chi({d})(x)({self.table[d]})" for d in sorted(self.table))
+        ds = sorted(self.table)
+        polys = IntPoly.to_text_all([self.table[d].poly for d in ds])
+        return " + ".join([f"chi({d})(x)({poly})" for d, poly in zip(ds, polys)]) or "0"
 
     __repr__ = __str__
 
@@ -166,14 +166,12 @@ def _eval_on_series(poly: IntPoly, model: LambdaRingModel, legs: dict):
     """Evaluate `poly` with each generator (f, k) replaced by
     lambda^k(alpha - e) for legs[f] = (alpha, e): one lambda series per leg,
     up to the largest index the leg needs."""
-    indices: dict[str, set[int]] = {f: set() for f in legs}
-    for (f, i) in poly.variables():
-        indices[f].add(i)
     assign = {}
     for f, (alpha, e) in legs.items():
-        if indices[f]:
-            series = model.lambda_series(model.sub(alpha, model.from_int(e)), max(indices[f]))
-            assign |= {(f, i): series[i] for i in indices[f]}
+        indices = poly.indices(f)
+        if indices:
+            series = model.lambda_series(model.sub(alpha, model.from_int(e)), indices[-1])
+            assign |= {(f, i): series[i] for i in indices}
     return poly_eval_in_model(poly, model, assign)
 
 

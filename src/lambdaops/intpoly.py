@@ -12,12 +12,12 @@ guard, and a product, power, substitution or renaming that sets it raises
 A monomial is decoded into sorted (family, index, exponent) triples only where
 its order can be seen: printing, serialisation, `key`, `sorted_terms`, the
 keys of `collect`, `split_first` and error texts; `terms` hands out such a
-decoded copy of the term map.  JSON output decodes and sorts each distinct
-monomial once per output, not once per polynomial:
-`to_json_all` writes all the polynomials of one output from one table of
-their monomials, and `to_json` is its one-polynomial case.  Values are
-treated as immutable after construction, so they are safe to share, hash and
-memoise.  No other module depends on this layout: they read monomials
+decoded copy of the term map.  Every order shown comes from `_ordered`.  Both
+output formats decode and sort each distinct monomial once per output:
+`to_json_all` and `to_text_all` write all the polynomials of one output from
+one table of their monomials, and `to_json` and `__str__` are their
+one-polynomial cases.  Values are treated as immutable after construction,
+so they are safe to share, hash and memoise.  No other module depends on this layout: they read monomials
 through the query and monomial-view methods and build them from `var`.
 
 The registry lives as long as the process and never shrinks, and a variable
@@ -29,6 +29,8 @@ to be in range (the CLI checks operand and element variables first).
 from __future__ import annotations
 
 import json
+from functools import cache, reduce
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Mapping
 
 from .errors import LambdaOpsError
@@ -76,6 +78,29 @@ def _fields(m: int) -> list[tuple[int, int]]:
 def _decode(m: int) -> tuple:
     """The monomial m as sorted (family, index, exponent) triples."""
     return tuple(sorted([_VARS[sh // _WIDTH] + (e,) for sh, e in _fields(m)]))
+
+
+def _ordered(monos: Iterable[int]) -> dict[int, tuple]:
+    """The canonical monomial order: each monomial of `monos` mapped to its
+    decoded form, keyed in order of decoded form."""
+    return dict(sorted([(m, _decode(m)) for m in monos], key=itemgetter(1)))
+
+
+def _table(polys: list["IntPoly"]) -> tuple[dict[int, tuple], list]:
+    """One table of the monomials of one output: the `_ordered` decoded form
+    of each distinct monomial of `polys`, and a (term map, monomials in table
+    order) row per polynomial.  Ranks sort a polynomial that holds part of
+    the table, and are built only if one does."""
+    decoded = _ordered(set().union(*[p._terms for p in polys]))
+    part = [len(p._terms) < len(decoded) for p in polys]
+    rank = {m: r for r, m in enumerate(decoded)} if any(part) else None
+    return decoded, [(p._terms, sorted(p._terms, key=rank.__getitem__) if some else decoded)
+                     for p, some in zip(polys, part)]
+
+
+# The text and the JSON text of a (family, index, exponent) factor, such as `L3^2`
+_text_factor = cache(lambda v: f"{v[0]}{v[1]}" if v[2] == 1 else f"{v[0]}{v[1]}^{v[2]}")
+_json_factor = cache(lambda v: f"[{json.dumps(v[0])},{v[1]},{v[2]}]")
 
 
 def _encode(mono: Iterable[tuple[str, int, int]]) -> int:
@@ -257,7 +282,7 @@ class IntPoly:
         """Canonical hashable form: the decoded term list sorted by monomial.
         Hash the polynomial itself where order does not matter; this form is
         the `_COMPOSE_CACHE` key that `perfbench/tracer.py` rebuilds."""
-        return tuple(sorted([(_decode(m), c) for m, c in self._terms.items()]))
+        return tuple([(d, self._terms[m]) for m, d in _ordered(self._terms).items()])
 
     @property
     def is_zero(self) -> bool:
@@ -274,11 +299,13 @@ class IntPoly:
     def variables(self) -> dict[tuple[str, int], int]:
         """Each variable that occurs, mapped to its highest exponent."""
         terms = self._terms
-        present = 0
-        for m in terms:
-            present |= m
         return {_VARS[sh // _WIDTH]: max([(m >> sh) & _FIELD for m in terms])
-                for sh, _ in _fields(present)}
+                for sh, _ in _fields(reduce(or_, terms, 0))}
+
+    def indices(self, family: str) -> list[int]:
+        """The sorted indices of the `family` variables that occur, from one OR pass."""
+        present = reduce(or_, self._terms, 0) & _family_mask(family)
+        return sorted([_VARS[sh // _WIDTH][1] for sh, _ in _fields(present)])
 
     def part_of_family_degree(self, family: str, low: int, high: int | None = None) -> "IntPoly":
         """Keep the monomials whose total degree in `family` lies in
@@ -305,8 +332,7 @@ class IntPoly:
 
     def sorted_terms(self) -> list[tuple["IntPoly", int]]:
         """The terms as (monomial, coefficient) pairs, sorted by monomial."""
-        return [(IntPoly._trusted({m: 1}), c)
-                for _, m, c in sorted([(_decode(m), m, c) for m, c in self._terms.items()])]
+        return [(IntPoly._trusted({m: 1}), self._terms[m]) for m in _ordered(self._terms)]
 
     def split_first(self) -> tuple["IntPoly", "IntPoly"]:
         """For a monomial other than 1: its first variable and the monomial
@@ -325,7 +351,7 @@ class IntPoly:
             inside = m & mask
             groups.setdefault(inside, {})[m ^ inside] = c
         return [(IntPoly._trusted({m: 1}), IntPoly._trusted(groups[m]))
-                for m in sorted(groups, key=_decode)]
+                for m in _ordered(groups)]
 
     def linear_coefficients(self, family: str) -> dict[int, int]:
         """{index: coefficient} of the terms that are a single `family`
@@ -430,11 +456,7 @@ class IntPoly:
 
         `image` is called only for the indices that occur in the polynomial.
         """
-        present = 0
-        for m in self._terms:
-            present |= m
-        indices = sorted(_VARS[sh // _WIDTH][1] for sh, _ in _fields(present & _family_mask(family)))
-        return self.substitute({(family, k): image(k) for k in indices})
+        return self.substitute({(family, k): image(k) for k in self.indices(family)})
 
     def evaluate(self, assign: Mapping[tuple[str, int], object], ring=None):
         """Evaluate with every variable assigned.  The values are integers,
@@ -461,35 +483,34 @@ class IntPoly:
     # -- serialisation ----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for m, c in sorted([(_decode(m), c) for m, c in self._terms.items()]):
-            factors = "*".join(
-                f"{f}{i}" if e == 1 else f"{f}{i}^{e}" for (f, i, e) in m
-            )
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = factors
-            else:
-                body = f"{abs(c)}*{factors}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        """The one-polynomial case of `to_text_all`."""
+        return IntPoly.to_text_all([self])[0]
 
     __repr__ = __str__
 
+    @staticmethod
+    def to_text_all(polys: list["IntPoly"]) -> list[str]:
+        """The text of each polynomial of one output, such as `-L1^2 + 2*L2 -
+        3`, written from one table of the monomials they hold (see `_table`):
+        each distinct monomial gets its factors text once."""
+        decoded, rows = _table(polys)
+        factors = {m: "*".join(map(_text_factor, mono)) for m, mono in decoded.items()}
+        out = []
+        for terms, ms in rows:
+            parts = []
+            for m in ms:
+                c, f = terms[m], factors[m]
+                body = f"{abs(c)}*{f}" if abs(c) != 1 and f else f or str(abs(c))
+                parts.append(f" - {body}" if c < 0 else f" + {body}")
+            text = "".join(parts)
+            out.append(("-" if text[1] == "-" else "") + text[3:] if text else "0")
+        return out
+
     def to_obj(self) -> list:
         """JSON-ready form: sorted terms, decimal-string coefficients."""
-        return [
-            {"mono": [[f, i, e] for (f, i, e) in m], "coeff": str(c)}
-            for m, c in sorted([(_decode(m), c) for m, c in self._terms.items()])
-        ]
+        terms = self._terms
+        return [{"mono": [[f, i, e] for (f, i, e) in d], "coeff": str(terms[m])}
+                for m, d in _ordered(terms).items()]
 
     def to_json(self) -> str:
         """The JSON text of `to_obj()` with sorted keys and no spaces: the
@@ -500,25 +521,12 @@ class IntPoly:
     @staticmethod
     def to_json_all(polys: list["IntPoly"]) -> list[str]:
         """The `to_json()` text of each polynomial of one output, written
-        from one table of the monomials they hold: each distinct monomial is
-        decoded once, the distinct monomials are sorted once by decoded form,
-        and each gets an integer rank and its `,"mono":[...]}` text.  A
-        polynomial's terms are then sorted by rank; one that holds every
-        monomial of the table is written in table order, without a sort."""
-        monos = set().union(*[p._terms for p in polys])
-        decoded = {m: _decode(m) for m in monos}
-        order = sorted(monos, key=decoded.__getitem__)
-        rank = {m: r for r, m in enumerate(order)}
-        families = {f for mono in decoded.values() for f, _, _ in mono}
-        names = {f: json.dumps(f) for f in families}
-        text = {m: ',"mono":[' + ",".join([f"[{names[f]},{i},{e}]" for f, i, e in decoded[m]]) + "]}"
-                for m in order}
-        out = []
-        for p in polys:
-            terms = p._terms
-            ms = order if len(terms) == len(order) else sorted(terms, key=rank.__getitem__)
-            out.append("[" + ",".join([f'{{"coeff":"{terms[m]}"{text[m]}' for m in ms]) + "]")
-        return out
+        from one table of the monomials they hold (see `_table`): each
+        distinct monomial gets its `,"mono":[...]}` text once."""
+        decoded, rows = _table(polys)
+        text = {m: ',"mono":[' + ",".join(map(_json_factor, mono)) + "]}" for m, mono in decoded.items()}
+        return ["[" + ",".join([f'{{"coeff":"{terms[m]}"{text[m]}' for m in ms]) + "]"
+                for terms, ms in rows]
 
 
 def _coerce(x) -> IntPoly:
@@ -534,7 +542,7 @@ class Truncated:
     truncation or a rank) it is truncated at.  A subclass names its value and
     level slots in the class statement and rebuilds itself at its own level in
     `_rebuild(value)`; arithmetic requires equal levels and reads an integer
-    as a constant."""
+    as a constant.  Its text is that of its value unless it says otherwise."""
 
     __slots__ = ()
     _mismatch = ValueError  # raised when two operands carry different levels
@@ -544,6 +552,12 @@ class Truncated:
         # alias the subclass's slot descriptors, so reads cost a slot lookup
         cls._value = cls.__dict__[value]
         cls._level = cls.__dict__[level]
+
+    def __str__(self):
+        return str(self._value)
+
+    def __repr__(self):
+        return str(self)
 
     def _match(self, other):
         if isinstance(other, int):

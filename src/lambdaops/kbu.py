@@ -42,11 +42,6 @@ class KBUElem(Truncated, value="poly", level="trunc"):
     def __hash__(self):
         return hash((self.trunc, self.poly))
 
-    def __str__(self):
-        return str(self.poly)
-
-    __repr__ = __str__
-
     @property
     def is_zero(self):
         return self.poly.is_zero
@@ -96,18 +91,16 @@ class TensorKBU:
     def __add__(self, other):
         return TensorKBU(self.poly + other.poly, self.trunc)
 
-    def pairs(self) -> list[tuple[KBUElem, KBUElem]]:
-        """Sumless-Sweedler view: (left monomial, right element) pairs with
-        distinct left factors, sorted canonically."""
-        return [(KBUElem(left.rename_family("T1", "L"), self.trunc),
-                 KBUElem(right.rename_family("T2", "L"), self.trunc))
+    def pairs(self) -> list[tuple[IntPoly, IntPoly]]:
+        """Sumless-Sweedler view: (left monomial, right polynomial) pairs in
+        the generators L, with distinct left factors, sorted canonically."""
+        return [(left.rename_family("T1", "L"), right.rename_family("T2", "L"))
                 for left, right in self.poly.collect("T1")]
 
     def __str__(self):
-        parts = []
-        for left, right in self.pairs():
-            parts.append(f"({left})(x)({right})")
-        return " + ".join(parts) if parts else "0"
+        legs = IntPoly.to_text_all([leg for pair in self.pairs() for leg in pair])
+        return " + ".join([f"({left})(x)({right})"
+                           for left, right in zip(legs[::2], legs[1::2])]) or "0"
 
 
 def tensor_of(left: KBUElem, right: KBUElem) -> TensorKBU:

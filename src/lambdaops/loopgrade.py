@@ -69,8 +69,6 @@ class OddOp(Truncated, value="ext", level="trunc"):
     def __str__(self):
         return self.ext.render("l")
 
-    __repr__ = __str__
-
     def to_obj(self):
         return {
             "trunc": self.trunc,
@@ -372,7 +370,7 @@ def _pair_suspension_eval(poly: IntPoly, model: SplitModel, alpha, beta_red):
     """One comultiplication entry paired against (alpha, u*beta): the left leg
     acts on alpha, the right leg loops and acts on beta through suspension."""
     alpha_red = model.sub(alpha, model.from_int(model.eps(alpha)))
-    top = max((i for (f, i) in poly.variables() if f == "T1"), default=0)
+    top = max(poly.indices("T1"), default=0)
     lam_alpha = model.lambda_series(alpha_red, top)
     assign = {("T1", i): lam_alpha[i] for i in range(1, top + 1)}
     total = model.from_int(0)

@@ -430,8 +430,6 @@ class UnElem(Truncated, value="ext", level="rank"):
     def __str__(self):
         return self.ext.render("mu")
 
-    __repr__ = __str__
-
 
 def un_mu(n: int, k: int) -> UnElem:
     """The generator mu^k at rank n."""
@@ -484,11 +482,6 @@ class BUnElem(Truncated, value="poly", level="rank"):
 
     def _rebuild(self, poly: IntPoly) -> "BUnElem":
         return BUnElem(self.rank, poly)
-
-    def __str__(self):
-        return str(self.poly)
-
-    __repr__ = __str__
 
 
 def bun_beta(n: int, k: int) -> BUnElem:

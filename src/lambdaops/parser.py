@@ -198,7 +198,8 @@ class OperandParser:
         if v.kind == "kbu":
             return Val("even", EvenOp.from_pairs(
                 [(const(1), v.payload)], self.trunc, self.window))
-        raise ParseError(f"cannot use a {v.kind} value as an even operation")
+        article = "an" if v.kind[0] in "aeiou" else "a"
+        raise ParseError(f"cannot use {article} {v.kind} value as an even operation")
 
     def add(self, a: Val, b: Val) -> Val:
         if a.kind == b.kind:

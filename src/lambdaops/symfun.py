@@ -51,7 +51,7 @@ def elementary_expand(p: IntPoly, family: str = "x", m: int | None = None,
     Raises ValueError if p holds a `family` variable of index above m, and
     NonSymmetricInput if any adjacent transposition changes p.
     """
-    indices = [i for (f, i) in p.variables() if f == family]
+    indices = p.indices(family)
     if m is None:
         m = max(indices, default=0)
     elif indices and max(indices) > m:

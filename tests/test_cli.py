@@ -318,6 +318,12 @@ def test_function_plus_ring_element_is_an_even_operation(argv, explicit):
     assert "parity" not in got.stderr
 
 
+def test_odd_value_is_no_even_operation():
+    got = run_cli("coprod", "add", "l1")
+    assert (got.returncode, got.stdout) == (1, "")
+    assert got.stderr == "error: cannot use an odd value as an even operation\n"
+
+
 def test_parity_hint_only_for_odd_values():
     got = run_cli("loop", "l1 + L1")
     assert_one_error_line(got)

@@ -1,9 +1,12 @@
-"""The CLI prints JSON through one writer, `cli._json`.
+"""The CLI writes each output's polynomials from one monomial table.
 
-Polynomials reach it as IntPoly leaves and are written together by
-IntPoly.to_json_all, from one table of the output's monomials, so no
-command builds a polynomial's to_obj() tree on its way to stdout, and no
-second JSON path can creep into `cli.py`.
+JSON goes through one writer, `cli._json`: polynomials reach it as IntPoly
+leaves and are written together by IntPoly.to_json_all, so no command
+builds a polynomial's to_obj() tree on its way to stdout, and no second JSON
+path can creep into `cli.py`.  Text output hands all the polynomials of one
+output to IntPoly.to_text_all, the text twin of to_json_all.  Both writers
+are checked against the reference forms in `tests/helpers.py`, and a text
+output is checked to build exactly one table.
 """
 
 import ast
@@ -14,7 +17,8 @@ import random
 import pytest
 
 import lambdaops
-from lambdaops import cli
+from helpers import reference_str
+from lambdaops import cli, intpoly
 from lambdaops.intpoly import IntPoly
 from test_cli import EVERY_KIND
 from test_intpoly import rand_poly
@@ -96,3 +100,41 @@ def test_writer_matches_json_dumps_on_random_trees():
     full = sum(odd, IntPoly.one())
     tree = {"all": full, "some": [odd[0], full - odd[1], IntPoly.zero()]}
     assert cli._json(tree) == _reference(tree)
+
+
+def test_text_writer_matches_the_reference_on_random_leaf_pools():
+    for v in OUT_OF_ORDER:
+        IntPoly.var(*v)
+    rng = random.Random(31)
+    odd = [IntPoly.var(*v, e) for v in OUT_OF_ORDER for e in (1, 2)]
+    for _ in range(60):
+        # leaves drawn from one small pool share most of their monomials
+        pool = [rand_poly(rng, families=("oL", "x"), terms=rng.randint(1, 8)) for _ in range(3)]
+        pool += [IntPoly.zero(), IntPoly.one(), IntPoly.const(-(10**30)), -IntPoly.one()]
+        pool += [rng.choice(pool[:3]) * rng.choice(odd) - rng.choice(odd) for _ in range(2)]
+        leaves = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        assert IntPoly.to_text_all(leaves) == [reference_str(p) for p in leaves]
+    # one leaf that holds every monomial of the output, beside leaves that hold some
+    full = sum(odd, IntPoly.const(-3))
+    leaves = [odd[0], full, -full + odd[1], IntPoly.zero(), full]
+    assert IntPoly.to_text_all(leaves) == [reference_str(p) for p in leaves]
+
+
+# The argv lines of EVERY_KIND whose result is an odd class: an exterior
+# element, which holds no polynomial and is written by ExtElem.render.
+ODD_RESULT = [["compose", "l1*l2", "l3", "--trunc", "8"], ["loop", "chi(1)@L2 - chi(0)@L2"]]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in EVERY_KIND if argv[0] != "check"])
+def test_text_output_builds_one_monomial_table(argv, monkeypatch, capsys):
+    tables = []
+    table = intpoly._table
+
+    def counted(polys):
+        tables.append(len(polys))
+        return table(polys)
+
+    monkeypatch.setattr(intpoly, "_table", counted)
+    assert cli.main(["--format", "text", *argv]) == 0
+    assert capsys.readouterr().out.strip()
+    assert len(tables) == (0 if argv in ODD_RESULT else 1), tables

@@ -93,6 +93,17 @@ def test_substitute_family_matches_full_substitution():
         assert sorted(called) == sorted({i for (f, i) in p.variables() if f == "L"})
 
 
+def test_indices_match_variables():
+    # the keys-only query against the full one, on random polynomials and on
+    # families that hold no variable of the polynomial
+    rng = random.Random(29)
+    for _ in range(200):
+        p = rand_poly(rng, families=("x", "y", "z"), terms=rng.randint(0, 6))
+        for family in ("x", "y", "z", "w"):
+            want = sorted(i for (f, i) in p.variables() if f == family)
+            assert p.indices(family) == want
+
+
 def test_evaluate():
     p = IntPoly.var("x", 1, 2) * IntPoly.var("y", 1) - 4
     assert p.evaluate({("x", 1): 3, ("y", 1): -2}) == -22
