@@ -87,11 +87,13 @@ def _ordered(monos: Iterable[int]) -> dict[int, tuple]:
 
 
 def _table(polys: list["IntPoly"]) -> tuple[dict[int, tuple], list]:
-    """One table of the monomials of one output: the `_ordered` decoded form
-    of each distinct monomial of `polys`, and a (term map, monomials in table
-    order) row per polynomial.  Ranks sort a polynomial that holds part of
-    the table, and are built only if one does."""
-    decoded = _ordered(set().union(*[p._terms for p in polys]))
+    """One table of the monomials of one output: their `_ordered` decoded forms,
+    and a (term map, monomials in table order) row per polynomial.  Ranks sort
+    a polynomial that holds part of the table, built only if one does."""
+    monos: dict[int, int] = {}  # in first-seen order: term maps are often near sorted
+    for p in polys:
+        monos.update(p._terms)
+    decoded = _ordered(monos)
     part = [len(p._terms) < len(decoded) for p in polys]
     rank = {m: r for r, m in enumerate(decoded)} if any(part) else None
     return decoded, [(p._terms, sorted(p._terms, key=rank.__getitem__) if some else decoded)
