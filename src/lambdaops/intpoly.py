@@ -14,10 +14,10 @@ its order can be seen: printing, serialisation, `key`, `sorted_terms`, the
 keys of `collect`, `split_first` and error texts; `terms` hands out such a
 decoded copy of the term map.  Every order shown comes from `_ordered`.  Both
 output formats decode and sort each distinct monomial once per output:
-`to_json_all` and `to_text_all` write all the polynomials of one output from
-one table of their monomials, and `to_json` and `__str__` are their
-one-polynomial cases.  Values are treated as immutable after construction,
-so they are safe to share, hash and memoise.  No other module depends on this layout: they read monomials
+`to_json_all` and `to_text_all` write an output's polynomials from one table
+of their monomials; `to_json` and `__str__` are their one-polynomial cases.
+Values are treated as immutable after construction, so they are safe to share,
+hash and memoise.  No other module depends on this layout: they read monomials
 through the query and monomial-view methods and build them from `var`.
 
 The registry lives as long as the process and never shrinks, and a variable
@@ -492,9 +492,9 @@ class IntPoly:
 
     @staticmethod
     def to_text_all(polys: list["IntPoly"]) -> list[str]:
-        """The text of each polynomial of one output, such as `-L1^2 + 2*L2 -
-        3`, written from one table of the monomials they hold (see `_table`):
-        each distinct monomial gets its factors text once."""
+        """The text of each polynomial of one output, such as `L1^2 - 2*L2`,
+        written from one table of the monomials they hold (see `_table`):
+        each distinct monomial gets the text of its factors once."""
         decoded, rows = _table(polys)
         factors = {m: "*".join(map(_text_factor, mono)) for m, mono in decoded.items()}
         out = []
