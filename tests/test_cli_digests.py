@@ -12,7 +12,11 @@ each co-multiplication entry became one ring map on the generators; the
 last nine (text output of a large `coprod mul`, of `upoly psi 40` and `upoly
 pk 12`, of a ring `coprod`, of `compose` and `loop` in both parities and of
 `act` on the projective model) before the text writer built one monomial
-table per output, as the JSON writer does.  Any change to these outputs is a
+table per output, as the JSON writer does; the last three (a `coprod mul`
+at trunc 8 with two divisor-rich indicators, a `compose` at trunc 10 whose
+left leg is a scalar multiple, and `check biring --trunc 8`, all running
+gamma at large |kappa| or k up to 10) before gamma(kappa)(L_k) was built in
+closed form, one term per partition of k.  Any change to these outputs is a
 change of answers, not of speed.
 """
 
@@ -98,6 +102,13 @@ PINNED = [
      'f8b8c2cd2a41d7e995155ed95252750efa4d51d1e61b829bd3942cd6f350d71e'),
     (['act', '--model', 'cp:3', 'chi(1)@L2 + id@L1', '2*u + 1', '--format', 'text'],
      '77b80fb23d29874b77e133941e682dd07bee90a28075757e6aee30dc8f899969'),
+    (['--trunc', '8', '--window', '16', 'coprod', 'mul', 'chi(2)@(L1*L2) + const(3)@L4',
+      '--format', 'json'],
+     '005205a4a7f1d54dedbb3053213827880fa7ca6d487bc5c8855f5c56f6a883b5'),
+    (['--trunc', '10', 'compose', 'const(3)@(2*L3)', 'chi(1)@(L2) + const(2)@(3*L1)'],
+     'b6cbf7013c3a1cc006c7991a6aff64cd55a44b66c6fdaeda24b06f20286b4aff'),
+    (['check', 'biring', '--trunc', '8'],
+     '446d09418a53c1c5af8ec48b1c6ba5fc5dd2801133c4f8ef52a744d33a3f05fa'),
 ]
 
 
