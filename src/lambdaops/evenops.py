@@ -14,9 +14,10 @@ from functools import cache
 
 from .errors import WindowExhausted
 from .intpoly import IntPoly
-from .kbu import KBUElem, coadd, colinear, comult_image, compose_kbu, cozero, gamma_gen
+from .kbu import KBUElem, coadd, colinear, comult_image, compose_kbu, cozero
 from .models import LambdaRingModel, poly_eval_in_model
 from .setzz import FnZZ, FnChi, FnCompose, const
+from .symfun import lambda_of_multiple
 
 
 def divisor_pairs(d: int, W: int) -> list[tuple[int, int]]:
@@ -284,7 +285,7 @@ def op_is_primitive(r: EvenOp) -> bool:
 @cache
 def _gamma_in(kappa: int, k: int, family: str) -> IntPoly:
     """gamma(kappa)(L_k) = lambda^k(kappa * a), in `family`; 1 for k = 0."""
-    return IntPoly.one() if k == 0 else gamma_gen(kappa, k).rename_family("L", family)
+    return lambda_of_multiple(kappa, k, family)
 
 
 @cache

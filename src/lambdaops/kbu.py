@@ -14,7 +14,7 @@ from functools import cache
 
 from .errors import NotReduced
 from .intpoly import IntPoly, Truncated
-from .symfun import lambda_of_integer, universal_pij, universal_pk
+from .symfun import lambda_of_multiple, universal_pij, universal_pk
 
 _SIGMA_CACHE: dict[int, IntPoly] = {}
 _GAMMA_CACHE: dict[tuple[int, int], IntPoly] = {}
@@ -182,13 +182,11 @@ def antipode(x: KBUElem) -> KBUElem:
 
 
 def gamma_gen(kappa: int, k: int) -> IntPoly:
-    """gamma(kappa)(L_k) = P_k evaluated at x_i = C(kappa, i), y_j = L_j."""
+    """gamma(kappa)(L_k) = lambda^k(kappa * b), one term per partition of k."""
     key = (kappa, k)
     cached = _GAMMA_CACHE.get(key)
     if cached is None:
-        images = {("x", i): IntPoly.const(lambda_of_integer(kappa, i)) for i in range(1, k + 1)}
-        cached = universal_pk(k).substitute(images).rename_family("y", "L")
-        _GAMMA_CACHE[key] = cached
+        cached = _GAMMA_CACHE[key] = lambda_of_multiple(kappa, k)
     return cached
 
 

@@ -2,7 +2,8 @@
 theory, built from power sums by Newton's identity, and elementary-basis
 expansion.  `elementary_expand` is the public splitting-principle tool for
 symmetric polynomials in formal line variables; it is not the route to P_k
-or P_{i,j}.
+or P_{i,j}.  `lambda_of_multiple` gives lambda^k(kappa * b) in closed form,
+one term per partition of k.
 
 Families used here: "x"/"y" for the two elementary alphabets of the product
 polynomials, "L" for lambda-generator symbols, "e" for the generic
@@ -12,6 +13,7 @@ elementary target.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .errors import LambdaOpsError, NonSymmetricInput
 from .intpoly import IntPoly
@@ -185,3 +187,33 @@ def lambda_of_integer(n: int, k: int) -> int:
     for t in range(k):
         num *= n - t
     return num // math.factorial(k)
+
+
+@cache
+def _partition_terms(k: int, family: str) -> tuple[tuple[int, int, IntPoly], ...]:
+    """(length l, l! / prod_i m_i!, prod_j family_{mu_j}) for each partition mu
+    of k, m_i being the multiplicity of the part i."""
+    out = []
+
+    def parts(rest: int, largest: int, length: int, multi: int, mono: IntPoly):
+        if not rest:
+            out.append((length, multi, mono))
+            return
+        for part in range(min(rest, largest), 0, -1):
+            for m in range(1, rest // part + 1):
+                parts(rest - m * part, part - 1, length + m,
+                      multi * math.comb(length + m, m), mono * IntPoly.var(family, part, m))
+
+    parts(k, k, 0, 1, IntPoly.one())
+    return tuple(out)
+
+
+def lambda_of_multiple(kappa: int, k: int, family: str = "L") -> IntPoly:
+    """lambda^k(kappa * b) in the lambda-generators family_i = lambda^i(b),
+    for any integer kappa: the t^k coefficient of (1 + sum_i family_i t^i)^kappa,
+    sum over partitions mu of k of C(kappa, l(mu)) l(mu)! / prod_i m_i(mu)!
+    prod_j family_{mu_j}.  One term per partition, whatever |kappa|.
+    """
+    return IntPoly.sum_of_products(
+        (IntPoly.const(lambda_of_integer(kappa, length) * multi), mono)
+        for length, multi, mono in _partition_terms(k, family))

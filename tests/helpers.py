@@ -4,7 +4,9 @@ The integer oracles work on plain integers (or lists of them) so that
 nothing depends on the polynomial kernel they check.  The reference
 coproducts are the slow, literal constructions that the fast paths of
 `lambdaops.evenops` and `lambdaops.loopgrade` replaced; they use only
-public names.  `TuplePoly`, the polynomial kernel over tuple monomials, is
+public names, and apply gamma through `reference_gamma`, the substitution
+into P_k that the closed form of `lambdaops.symfun.lambda_of_multiple`
+replaced.  `TuplePoly`, the polynomial kernel over tuple monomials, is
 the reference for the packed `IntPoly`, and the argparse parser at the end
 is the reference for `lambdaops.cli.parse_args`.  A few constructors and
 maps that only the tests use (`from_obj`, `from_json`, `retruncate`,
@@ -76,6 +78,24 @@ def lam_assignment(vals, family: str, kmax: int) -> dict:
     return {(family, k): esym(vals, k) for k in range(1, kmax + 1)}
 
 
+def reference_gamma(kappa: int, k: int, family: str = "L"):
+    """gamma(kappa)(L_k) = lambda^k(kappa * b) as the construction that the
+    closed form replaced: P_k at x_i = C(kappa, i), its y_j renamed to
+    `family`; 1 for k = 0."""
+    from lambdaops.symfun import universal_pk
+
+    if k == 0:
+        return IntPoly.one()
+    images = {("x", i): IntPoly.const(binom(kappa, i)) for i in range(1, k + 1)}
+    return universal_pk(k).substitute(images).rename_family("y", family)
+
+
+def reference_colinear(kappa: int, poly, family: str = "L"):
+    """gamma(kappa) on a polynomial in `family`, generator by generator
+    through reference_gamma."""
+    return poly.substitute_family(family, lambda k: reference_gamma(kappa, k, family))
+
+
 # -- reference coproducts of even operations -------------------------------------
 
 
@@ -103,7 +123,7 @@ def reference_op_comult(r):
     paired with every divisor pair of its index, gamma applied afresh."""
     from lambdaops.evenops import EvenOpTensor, divisor_pairs
     from lambdaops.intpoly import IntPoly
-    from lambdaops.kbu import KBUElem, coadd_multi, colinear, comult_image
+    from lambdaops.kbu import coadd_multi, comult_image
 
     entries = {}
     for d, x in r.table.items():
@@ -115,8 +135,8 @@ def reference_op_comult(r):
             u_poly, v_poly, t2_poly, t3_poly = (
                 IntPoly({tuple(parts[f]): 1}) for f in ("U", "V", "T2", "T3"))
             for rho, s in divisor_pairs(d, r.window):
-                left = u_poly * colinear(s, KBUElem(t2_poly, r.trunc)).poly
-                right = v_poly * colinear(rho, KBUElem(t3_poly, r.trunc)).poly
+                left = u_poly * reference_colinear(s, t2_poly)
+                right = v_poly * reference_colinear(rho, t3_poly)
                 prod = left.rename_family("L", "T1") * right.rename_family("L", "T2") * c
                 entries[(rho, s)] = entries.get((rho, s), IntPoly.zero()) + prod
     return EvenOpTensor(entries, r.trunc, r.window)
@@ -187,14 +207,13 @@ def reference_comult_entry(r, rho, s):
     """Entry (rho, s) of Delta-x(r) from the four-leg expansion of x_{rho*s}
     itself, grouped by its b(3) and b(2) monomials, nothing shared."""
     from lambdaops.intpoly import IntPoly
-    from lambdaops.kbu import KBUElem, coadd_multi, colinear, comult_image
+    from lambdaops.kbu import coadd_multi, comult_image
 
     if abs(rho) > r.window or abs(s) > r.window or rho * s not in r.table:
         return IntPoly.zero()
 
     def gamma(kappa, mono, src, dst):
-        leg = KBUElem(mono.rename_family(src, "L"), r.trunc)
-        return colinear(kappa, leg).poly.rename_family("L", dst)
+        return reference_colinear(kappa, mono, src).rename_family(src, dst)
 
     x = r.table[rho * s]
     four = coadd_multi(x, 3).substitute_family("T1", lambda k: comult_image(k, "U", "V"))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import retruncate
+from helpers import reference_gamma, retruncate
 from lambdaops.errors import NotReduced
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import (
@@ -15,6 +15,7 @@ from lambdaops.kbu import (
     comult,
     compose_kbu,
     cozero,
+    gamma_gen,
     gen,
     is_primitive,
     psi_kbu,
@@ -97,6 +98,25 @@ def test_colinear_examples():
     for k in range(1, N + 1):
         assert colinear(0, gen(k, N)).is_zero
         assert colinear(-1, gen(k, N)) == antipode(gen(k, N))
+
+
+def test_gamma_closed_form_matches_the_substitution_into_p_k():
+    """gamma(kappa)(L_k), one term per partition of k, against P_k at
+    x_i = C(kappa, i): in L through gamma_gen and in the T1/T2 legs of the
+    co-multiplication, at every kappa in [-17, 17] and +-10^6, k <= 10."""
+    from lambdaops.evenops import _gamma_in
+
+    for kappa in [*range(-17, 18), 10**6, -10**6]:
+        for k in range(11):
+            want = reference_gamma(kappa, k)
+            if k:
+                assert gamma_gen(kappa, k) == want, (kappa, k)
+            for leg in ("T1", "T2"):
+                assert _gamma_in(kappa, k, leg) == want.rename_family("L", leg), (kappa, k, leg)
+    for k in range(1, 11):
+        assert gamma_gen(0, k).is_zero
+        assert gamma_gen(1, k) == IntPoly.var("L", k)
+        assert gamma_gen(-1, k) == sigma_gen(k)
 
 
 def test_colinear_multiplicative():
