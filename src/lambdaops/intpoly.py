@@ -76,8 +76,16 @@ def _fields(m: int) -> list[tuple[int, int]]:
 
 
 def _decode(m: int) -> tuple:
-    """The monomial m as sorted (family, index, exponent) triples."""
-    return tuple(sorted([_VARS[sh // _WIDTH] + (e,) for sh, e in _fields(m)]))
+    """The monomial m as sorted (family, index, exponent) triples: the loop
+    of `_fields`, building the triples in place."""
+    out = []
+    while m:
+        sh = ((m & -m).bit_length() - 1) & -_WIDTH
+        e = (m >> sh) & _FIELD
+        m ^= e << sh
+        out.append(_VARS[sh // _WIDTH] + (e,))
+    out.sort()
+    return tuple(out)
 
 
 def _ordered(monos: Iterable[int]) -> dict[int, tuple]:
@@ -447,8 +455,9 @@ class IntPoly:
             for p in head:
                 acc, prev = {}, acc
                 _add_product(acc, prev, p)
-            if not out and acc == {0: 1}:  # the product is `last` itself
-                out = dict(last)
+            if not out and len(acc) == 1 and 0 in acc:  # `last` scaled: no guard test
+                c = acc[0]
+                out = dict(last) if c == 1 else {mm: c * cc for mm, cc in last.items()}
             else:
                 _add_product(out, acc, last)
         return IntPoly._trusted(out)

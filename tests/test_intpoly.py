@@ -319,6 +319,44 @@ def test_packed_kernel_matches_the_tuple_kernel():
         assert a.variables() == ta.variables()
 
 
+def test_substitute_scaled_copy_of_one_image():
+    """A term c * v, with v substituted and nothing left untouched, lands in
+    an empty result as a copy of v's image scaled by c; every other term,
+    including c * v * w with w untouched, takes the product loop."""
+    rng = random.Random(31)
+    x1, x2, t1 = IntPoly.var("x", 1), IntPoly.var("x", 2), IntPoly.var("T1", 1)
+    for _ in range(40):
+        images = {("L", i): twin_polys(rng, terms=4) for i in (1, 2, 3)}
+        packed = {v: q for v, (q, _) in images.items()}
+        tuples = {v: t for v, (_, t) in images.items()}
+        for c in (1, -1, 7):
+            for mono in ((("L", 1, 1),), (("L", 3, 1),), (("L", 2, 2),),
+                         (("L", 2, 1), ("T1", 1, 1)), (("L", 1, 1), ("x", 2, 2)), ()):
+                assert_same(IntPoly({mono: c}).substitute(packed),
+                            TuplePoly({mono: c}).substitute(tuples))
+            # the first term is copied, later ones are added into the copy
+            tmap = {(("L", 1, 1),): c, (("L", 2, 1),): -c, (("L", 1, 1), ("T1", 2, 1)): 3,
+                    (("x", 1, 1),): c}
+            for order in (tmap, dict(reversed(tmap.items()))):
+                assert_same(IntPoly(order).substitute(packed), TuplePoly(order).substitute(tuples))
+        for q, t in images.values():  # a copied image is not the image itself
+            assert_same(q, t)
+    for c in (1, -1, 7):
+        # terms that land on one monomial cancel, whichever comes first
+        images = {("L", 1): t1 + x1, ("L", 2): t1 - x2}
+        assert (c * IntPoly.var("L", 1) - c * IntPoly.var("L", 2)).substitute(images) == c * (x1 + x2)
+        assert (c * IntPoly.var("L", 1) - c * x1).substitute(images) == c * t1
+        assert (-c * x1 + c * IntPoly.var("L", 1)).substitute(images) == c * t1
+        assert (c * IntPoly.var("L", 1) - c * t1 - c * x1).substitute(images).is_zero
+        assert images == {("L", 1): t1 + x1, ("L", 2): t1 - x2}
+    # an untouched variable that meets its own image still trips the guard,
+    # also after a first term was copied
+    big = IntPoly.var("L", 1, MAX_EXPONENT) * IntPoly.var("L", 2)
+    for p in (big, 7 * IntPoly.var("L", 2) + big):
+        with pytest.raises(LambdaOpsError, match=f"exponent above {MAX_EXPONENT}"):
+            p.substitute({("L", 2): IntPoly.var("L", 1)})
+
+
 def test_packed_kernel_near_the_exponent_bound():
     """Exponents up to MAX_EXPONENT are exact; a result above it raises
     instead of carrying into the next variable's field."""
