@@ -16,8 +16,11 @@ table per output, as the JSON writer does; the last three (a `coprod mul`
 at trunc 8 with two divisor-rich indicators, a `compose` at trunc 10 whose
 left leg is a scalar multiple, and `check biring --trunc 8`, all running
 gamma at large |kappa| or k up to 10) before gamma(kappa)(L_k) was built in
-closed form, one term per partition of k.  Any change to these outputs is a
-change of answers, not of speed.
+closed form, one term per partition of k; the last four (`upoly pij 5 5`
+and `upoly plin 12` as text, `check looping --trunc 12` and `check all
+--trunc 8`) before P_k, P_{i,j}, psi_k and the three-leg co-multiplication
+each ran one Newton step per alphabet through their own caches.  Any change
+to these outputs is a change of answers, not of speed.
 """
 
 import hashlib
@@ -109,6 +112,14 @@ PINNED = [
      'b6cbf7013c3a1cc006c7991a6aff64cd55a44b66c6fdaeda24b06f20286b4aff'),
     (['check', 'biring', '--trunc', '8'],
      '446d09418a53c1c5af8ec48b1c6ba5fc5dd2801133c4f8ef52a744d33a3f05fa'),
+    (['upoly', 'pij', '5', '5', '--format', 'text'],
+     '106242234ba58f4eec9cd9546a5df1ff0b04e014bf599c08184310680f50ed73'),
+    (['upoly', 'plin', '12', '--format', 'text'],
+     'c9879313426fa4f3ef96a77c61fd15fe8c85d0497089580d43925566e16e4195'),
+    (['check', 'looping', '--trunc', '12'],
+     '03739dff79623413344cebc9e8663a02a2061dcb81ed156351ffa011c68a4330'),
+    (['check', 'all', '--trunc', '8'],
+     '4ae978859a37b6c5263159cd9633d6e7b29c530d789f33d93f7757ab23b2384e'),
 ]
 
 
