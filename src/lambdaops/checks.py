@@ -43,7 +43,7 @@ from .models import (
 from .errors import RegistrationFailure
 from .report import SKIP, Prop, all_report, suite_report
 from .setzz import chi, const, IDENT
-from .symfun import _elementary_from_power_sums, lambda_of_integer, newton_psi
+from .symfun import _newton_step, lambda_of_integer, newton_psi
 
 
 def _monomial_corpus(trunc: int) -> list[KBUElem]:
@@ -76,12 +76,19 @@ def _coassociativity_routes(x: KBUElem, image, trunc: int) -> tuple[IntPoly, Int
     return route1, route2
 
 
-@cache
-def _comult3_image(k: int) -> IntPoly:
-    """L_k under the iterated co-multiplication, in the legs T1, T2, T3: e_k of
-    the products a_r b_s c_t, whose n-th power sum is psi_n(T1) psi_n(T2) psi_n(T3)."""
-    return _elementary_from_power_sums(k, lambda n: math.prod(
-        newton_psi(n).rename_family("L", f"T{leg}") for leg in (1, 2, 3)))
+def _triple_alphabet():
+    @cache
+    def image(k: int) -> IntPoly:
+        """L_k under the iterated co-multiplication, in the legs T1, T2, T3: e_k
+        of the products a_r b_s c_t, whose n-th power sum is
+        psi_n(T1) psi_n(T2) psi_n(T3); one Newton step on its own images of
+        L_1..L_{k-1}, whatever `_comult3_image` is bound to."""
+        return _newton_step(k, image, lambda n: math.prod(
+            newton_psi(n).rename_family("L", f"T{leg}") for leg in (1, 2, 3)))
+    return image
+
+
+_comult3_image = _triple_alphabet()
 
 
 def biring_suite(trunc: int, seed: int = 0) -> dict:

@@ -9,6 +9,8 @@ copy of the term map, so memoised elements stay intact.
 
 from __future__ import annotations
 
+from .intpoly import IntPoly
+
 
 def wedge_mono(a: tuple, b: tuple):
     """Merge two strictly increasing tuples; return (sign, merged) or None
@@ -149,15 +151,5 @@ class ExtElem:
         )
 
     def render(self, symbol: str) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            body = "*".join(f"{symbol}{i}" for i in m) if m else str(abs(c))
-            if m and abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            parts.append(("-" if c < 0 else "+", body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return IntPoly.sum_text((c, "*".join(f"{symbol}{i}" for i in m))
+                                for m, c in self.sorted_terms())

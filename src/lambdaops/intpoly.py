@@ -506,16 +506,19 @@ class IntPoly:
         each distinct monomial gets the text of its factors once."""
         decoded, rows = _table(polys)
         factors = {m: "*".join(map(_text_factor, mono)) for m, mono in decoded.items()}
-        out = []
-        for terms, ms in rows:
-            parts = []
-            for m in ms:
-                c, f = terms[m], factors[m]
-                body = f"{abs(c)}*{f}" if abs(c) != 1 and f else f or str(abs(c))
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-            text = "".join(parts)
-            out.append(("-" if text[1] == "-" else "") + text[3:] if text else "0")
-        return out
+        return [IntPoly.sum_text((terms[m], factors[m]) for m in ms) for terms, ms in rows]
+
+    @staticmethod
+    def sum_text(terms: Iterable[tuple[int, str]]) -> str:
+        """The text `c1*f1 - f2 + ...` of (coefficient, factor text) pairs in
+        the given order, an empty factor text being the unit: the one rule for
+        signs and `c*` prefixes of every text writer."""
+        parts = []
+        for c, f in terms:
+            body = f"{abs(c)}*{f}" if abs(c) != 1 and f else f or str(abs(c))
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
+        text = "".join(parts)
+        return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
 
     def to_obj(self) -> list:
         """JSON-ready form: sorted terms, decimal-string coefficients."""

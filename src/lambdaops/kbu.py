@@ -14,7 +14,7 @@ from functools import cache
 
 from .errors import NotReduced
 from .intpoly import IntPoly, Truncated
-from .symfun import lambda_of_multiple, universal_pij, universal_pk
+from .symfun import lambda_of_multiple, newton_psi, universal_pij, universal_pk
 
 _SIGMA_CACHE: dict[int, IntPoly] = {}
 _GAMMA_CACHE: dict[tuple[int, int], IntPoly] = {}
@@ -279,6 +279,4 @@ def is_primitive(x: KBUElem) -> bool:
 
 def psi_kbu(k: int, trunc: int) -> KBUElem:
     """The k-th Adams element: Newton power sum in the generators."""
-    from .symfun import newton_psi
-
     return KBUElem(newton_psi(k), trunc)

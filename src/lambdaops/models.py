@@ -20,7 +20,7 @@ from .errors import (
 from .exterior import ExtElem
 from .intpoly import IntPoly, Truncated
 from .setzz import COIFamily, IntegerRing, coi_add, coi_mul
-from .symfun import lambda_of_integer, universal_pij, universal_pk
+from .symfun import lambda_of_integer, newton_psi, universal_pij, universal_pk
 
 
 class LambdaRingModel:
@@ -56,6 +56,11 @@ class LambdaRingModel:
     def lambda_series(self, a, n: int) -> list:
         """A fresh list [lambda^0(a), ..., lambda^n(a)]."""
         return [self.lam(k, a) for k in range(n + 1)]
+
+    def psi(self, k: int, a):
+        """Adams value: Newton's psi_k evaluated at lambda^1(a)..lambda^k(a)."""
+        lams = self.lambda_series(a, k)
+        return newton_psi(k).evaluate({("L", i): lams[i] for i in range(1, k + 1)}, self)
 
     def samples(self, rng: random.Random, count: int) -> list:
         raise NotImplementedError
@@ -296,19 +301,8 @@ class COIModel(LambdaRingModel):
 
 
 def model_psi(model: LambdaRingModel, k: int, a):
-    """Adams value via Newton's identities over the model's lambda values."""
-    if isinstance(model, LineClassModel):
-        return model.psi(k, a)
-    lams = model.lambda_series(a, k)
-    psis = [None] * (k + 1)
-    for n in range(1, k + 1):
-        acc = model.from_int(0)
-        for i in range(1, n):
-            term = model.mul(lams[i], psis[n - i])
-            acc = model.add(acc, term if i % 2 == 1 else model.neg(term))
-        last = model.mul(model.from_int(n), lams[n])
-        psis[n] = model.add(acc, last if n % 2 == 1 else model.neg(last))
-    return psis[k]
+    """The Adams value psi^k(a) in the model."""
+    return model.psi(k, a)
 
 
 def poly_eval_in_model(poly: IntPoly, model: LambdaRingModel, assign: dict):

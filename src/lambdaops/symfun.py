@@ -1,8 +1,9 @@
 """Symmetric-function engine: the universal polynomials of lambda-ring
-theory, built from power sums by Newton's identity, and elementary-basis
-expansion.  `elementary_expand` is the public splitting-principle tool for
-symmetric polynomials in formal line variables; it is not the route to P_k
-or P_{i,j}.  `lambda_of_multiple` gives lambda^k(kappa * b) in closed form,
+theory, built from power sums by Newton's identity, one cached step per
+member of each alphabet, and elementary-basis expansion.
+`elementary_expand` is the public splitting-principle tool for symmetric
+polynomials in formal line variables; it is not the route to P_k or
+P_{i,j}.  `lambda_of_multiple` gives lambda^k(kappa * b) in closed form,
 one term per partition of k.
 
 Families used here: "x"/"y" for the two elementary alphabets of the product
@@ -89,40 +90,41 @@ def elementary_expand(p: IntPoly, family: str = "x", m: int | None = None,
         out = out + coeff * emono
 
 
-def _elementary_from_power_sums(k: int, power) -> IntPoly:
-    """e_k of an alphabet whose n-th power sum is power(n), by Newton's
-    identity n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i.
+def _newton_step(n: int, elem, power) -> IntPoly:
+    """e_n of an alphabet with e_1..e_{n-1} given by elem(1)..elem(n-1) and
+    i-th power sum power(i), by Newton's identity
+    n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i.
     """
-    elem = [IntPoly.one()]
-    powers = []
-    for n in range(1, k + 1):
-        powers.append(power(n))
-        acc = IntPoly.zero()
-        for i in range(1, n + 1):
-            step = elem[n - i] * powers[i - 1]
-            acc = acc + step if i % 2 else acc - step
-        try:
-            elem.append(acc.div_exact(n))
-        except ValueError as exc:
-            raise LambdaOpsError(f"Newton step {n}: {exc}") from None
-    return elem[k]
+    acc = IntPoly.sum_of_products(
+        (elem(n - i) if i < n else IntPoly.one(), power(i) if i % 2 else -power(i))
+        for i in range(1, n + 1))
+    try:
+        return acc.div_exact(n)
+    except ValueError as exc:
+        raise LambdaOpsError(f"Newton step {n}: {exc}") from None
 
 
 def universal_pk(k: int) -> IntPoly:
     """P_k(x_1..x_k; y_1..y_k): the polynomial with P_k(e(a); e(b)) equal to
     the k-th elementary symmetric polynomial of the k^2 products a_r * b_s.
 
-    The n-th power sum of the products is p_n(a) * p_n(b).
+    The n-th power sum of the products is p_n(a) * p_n(b), so P_k is one
+    Newton step on P_1..P_{k-1}.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     cached = _PK_CACHE.get(k)
     if cached is None:
-        cached = _elementary_from_power_sums(
-            k, lambda n: newton_psi(n).rename_family("L", "x")
-            * newton_psi(n).rename_family("L", "y"))
-        _PK_CACHE[k] = cached
+        cached = _PK_CACHE[k] = _newton_step(k, universal_pk, lambda n: (
+            newton_psi(n).rename_family("L", "x") * newton_psi(n).rename_family("L", "y")))
     return cached
+
+
+@cache
+def _adams_lambda(n: int, j: int) -> IntPoly:
+    """psi^n(L_j) in the L family: e_j of the lines' n-th powers, whose m-th
+    power sum is psi_{nm}."""
+    return _newton_step(j, lambda t: _adams_lambda(n, t), lambda m: newton_psi(n * m))
 
 
 def universal_pij(i: int, j: int) -> IntPoly:
@@ -130,8 +132,8 @@ def universal_pij(i: int, j: int) -> IntPoly:
     of ij line variables, P_{i,j} equals the i-th elementary symmetric
     polynomial of the products over j-element subsets of the lines.
 
-    The n-th power sum of those products is e_j of the lines' n-th powers,
-    whose m-th power sum is p_{nm}.
+    The n-th power sum of those products is psi^n(L_j), so P_{i,j} is one
+    Newton step on P_{1,j}..P_{i-1,j}.
     """
     if i < 1 or j < 1:
         raise ValueError("indices must be >= 1")
@@ -142,8 +144,8 @@ def universal_pij(i: int, j: int) -> IntPoly:
             # lambda^1 and L_1 are the composition identity
             cached = IntPoly.var("L", i * j)
         else:
-            cached = _elementary_from_power_sums(
-                i, lambda n: _elementary_from_power_sums(j, lambda m: newton_psi(n * m)))
+            cached = _newton_step(i, lambda t: universal_pij(t, j),
+                                  lambda n: _adams_lambda(n, j))
         _PIJ_CACHE[key] = cached
     return cached
 
@@ -155,24 +157,17 @@ def left_linearise(p: IntPoly) -> IntPoly:
 
 def newton_psi(k: int) -> IntPoly:
     """The k-th power sum expressed in elementary symmetric polynomials
-    (family "L") via Newton's identities.
+    (family "L") via Newton's identity
+    psi_k = sum_{i=1..k-1} (-1)^(i-1) L_i psi_{k-i} + (-1)^(k-1) k L_k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     cached = _PSI_CACHE.get(k)
-    if cached is not None:
-        return cached
-    if k == 1:
-        result = IntPoly.var("L", 1)
-    else:
-        result = IntPoly.zero()
-        for i in range(1, k):
-            sign = 1 if i % 2 == 1 else -1
-            result = result + sign * (IntPoly.var("L", i) * newton_psi(k - i))
-        sign = 1 if k % 2 == 1 else -1
-        result = result + sign * k * IntPoly.var("L", k)
-    _PSI_CACHE[k] = result
-    return result
+    if cached is None:
+        cached = _PSI_CACHE[k] = IntPoly.sum_of_products(
+            ((-1) ** (i - 1) * IntPoly.var("L", i),
+             newton_psi(k - i) if i < k else IntPoly.const(k)) for i in range(1, k + 1))
+    return cached
 
 
 def lambda_of_integer(n: int, k: int) -> int:

@@ -6,7 +6,10 @@ coproducts are the slow, literal constructions that the fast paths of
 `lambdaops.evenops` and `lambdaops.loopgrade` replaced; they use only
 public names, and apply gamma through `reference_gamma`, the substitution
 into P_k that the closed form of `lambdaops.symfun.lambda_of_multiple`
-replaced.  `TuplePoly`, the polynomial kernel over tuple monomials, is
+replaced.  `reference_elementary_from_power_sums` and `reference_psi` are
+the Newton recursions that rebuilt each alphabet's sequence on every call,
+before P_k, P_{i,j}, psi_k and the three-leg co-multiplication each took
+one cached Newton step.  `TuplePoly`, the polynomial kernel over tuple monomials, is
 the reference for the packed `IntPoly`, and the argparse parser at the end
 is the reference for `lambdaops.cli.parse_args`.  A few constructors and
 maps that only the tests use (`from_obj`, `from_json`, `retruncate`,
@@ -16,6 +19,7 @@ maps that only the tests use (`from_obj`, `from_json`, `retruncate`,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 
@@ -94,6 +98,60 @@ def reference_colinear(kappa: int, poly, family: str = "L"):
     """gamma(kappa) on a polynomial in `family`, generator by generator
     through reference_gamma."""
     return poly.substitute_family(family, lambda k: reference_gamma(kappa, k, family))
+
+
+# -- reference Newton recursions ------------------------------------------------
+
+
+def reference_elementary_from_power_sums(k: int, power):
+    """e_k of an alphabet whose n-th power sum is power(n), by Newton's
+    identity n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i, rebuilding
+    e_1..e_{k-1} on every call: the construction that one cached Newton step
+    per alphabet replaced."""
+    elem = [IntPoly.one()]
+    powers = []
+    for n in range(1, k + 1):
+        powers.append(power(n))
+        acc = IntPoly.zero()
+        for i in range(1, n + 1):
+            step = elem[n - i] * powers[i - 1]
+            acc = acc + step if i % 2 else acc - step
+        elem.append(acc.div_exact(n))
+    return elem[k]
+
+
+@functools.cache
+def reference_psi(k: int):
+    """psi_k in the L family by Newton's recursion, one accumulated term at a
+    time."""
+    if k == 1:
+        return IntPoly.var("L", 1)
+    result = IntPoly.zero()
+    for i in range(1, k):
+        sign = 1 if i % 2 == 1 else -1
+        result = result + sign * (IntPoly.var("L", i) * reference_psi(k - i))
+    sign = 1 if k % 2 == 1 else -1
+    return result + sign * k * IntPoly.var("L", k)
+
+
+def reference_pk(k: int):
+    """P_k: e_k of the products a_r b_s, whose n-th power sum is p_n(a) p_n(b)."""
+    return reference_elementary_from_power_sums(k, lambda n: (
+        reference_psi(n).rename_family("L", "x") * reference_psi(n).rename_family("L", "y")))
+
+
+def reference_pij(i: int, j: int):
+    """P_{i,j}: e_i of an alphabet whose n-th power sum is e_j of the lines'
+    n-th powers, whose m-th power sum is psi_{nm}; no shortcut at i or j = 1."""
+    return reference_elementary_from_power_sums(i, lambda n: reference_elementary_from_power_sums(
+        j, lambda m: reference_psi(n * m)))
+
+
+def reference_comult3(k: int):
+    """L_k under the iterated co-multiplication in the legs T1, T2, T3: e_k of
+    the products a_r b_s c_t."""
+    return reference_elementary_from_power_sums(k, lambda n: math.prod(
+        reference_psi(n).rename_family("L", f"T{leg}") for leg in (1, 2, 3)))
 
 
 # -- reference coproducts of even operations -------------------------------------

@@ -3,7 +3,8 @@ windows the command line accepts."""
 
 import pytest
 
-from lambdaops.checks import run_suite
+from helpers import reference_comult3
+from lambdaops.checks import _comult3_image, run_suite
 
 
 @pytest.mark.parametrize("trunc", [1, 2, 3])
@@ -49,3 +50,8 @@ def test_comult_coassociativity_has_a_third_route(monkeypatch):
     monkeypatch.setattr(checks, "_comult3_image", lambda k: (2 if k == 2 else 1) * image(k))
     rep = run_suite("biring", 4, 16)
     assert [p["id"] for p in rep["properties"] if not p["pass"]] == ["comult-coassociative"]
+
+
+def test_comult3_image_matches_the_reference_recursion():
+    for k in range(1, 9):
+        assert _comult3_image(k) == reference_comult3(k), k

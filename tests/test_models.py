@@ -93,6 +93,15 @@ def test_model_psi_newton_consistency():
             assert split.eq(model_psi(split, k, a), psis[k])
 
 
+def test_adams_operations_fix_every_integer():
+    # the default psi, Newton's psi_k at the model's lambda values, against
+    # an oracle of its own: psi^k(n) = n for every integer n
+    for model in (IntegerModel(), COIModel()):
+        for a in model.samples(random.Random(3), 8) + [model.from_int(n) for n in (-5, 0, 7)]:
+            for k in range(1, 7):
+                assert model.eq(model_psi(model, k, a), a), (model.name, model.show(a), k)
+
+
 def test_max_lambda_guard():
     sphere = ProjectiveModel(1, name="sphere")
     sphere.max_lambda = 2

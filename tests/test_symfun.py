@@ -4,11 +4,20 @@ import random
 
 import pytest
 
-from helpers import esym, grid_products, pk_assignment, power_sum, subset_products
+from helpers import (
+    esym,
+    grid_products,
+    pk_assignment,
+    power_sum,
+    reference_pij,
+    reference_pk,
+    reference_psi,
+    subset_products,
+)
 from lambdaops.errors import LambdaOpsError, NonSymmetricInput
 from lambdaops.intpoly import IntPoly
 from lambdaops.symfun import (
-    _elementary_from_power_sums,
+    _newton_step,
     elementary_expand,
     lambda_of_integer,
     left_linearise,
@@ -50,7 +59,7 @@ def test_expand_rejects_index_above_m():
 def test_newton_step_rejects_inexact_division():
     # power sums that no alphabet has: e_2 = (L1^2 - L1) / 2
     with pytest.raises(LambdaOpsError) as err:
-        _elementary_from_power_sums(2, lambda n: IntPoly.var("L", 1))
+        _newton_step(2, lambda n: IntPoly.var("L", 1), lambda n: IntPoly.var("L", 1))
     assert str(err.value) == (
         "Newton step 2: coefficient 1 of (('L', 1, 2),) is not divisible by 2")
 
@@ -119,9 +128,20 @@ def test_pij_with_a_unit_index_matches_the_recursion():
     # P_{i,1} = L_i and P_{1,j} = L_j are returned directly
     for i in range(1, 13):
         for i_, j_ in ((i, 1), (1, i)):
-            recursion = _elementary_from_power_sums(
-                i_, lambda n: _elementary_from_power_sums(j_, lambda m: newton_psi(n * m)))
+            recursion = reference_pij(i_, j_)
             assert universal_pij(i_, j_) == recursion == IntPoly.var("L", i), (i_, j_)
+
+
+def test_newton_steps_match_the_reference_recursions():
+    # each alphabet's cached Newton step against the recursions that rebuilt
+    # the whole sequence on every call
+    for k in range(1, 13):
+        assert universal_pk(k) == reference_pk(k), k
+    for i in range(1, 17):
+        for j in range(1, 16 // i + 1):
+            assert universal_pij(i, j) == reference_pij(i, j), (i, j)
+    for k in range(1, 41):
+        assert newton_psi(k) == reference_psi(k), k
 
 
 def test_pij_splitting_oracle():
