@@ -9,9 +9,9 @@ into P_k that the closed form of `lambdaops.symfun.lambda_of_multiple`
 replaced.  `reference_elementary_from_power_sums` and `reference_psi` are
 the Newton recursions that rebuilt each alphabet's sequence on every call,
 before P_k, P_{i,j}, psi_k and the three-leg co-multiplication each took
-one cached Newton step.  `TuplePoly`, the polynomial kernel over tuple monomials, is
-the reference for the packed `IntPoly`, and the argparse parser at the end
-is the reference for `lambdaops.cli.parse_args`.  A few constructors and
+one cached Newton step.  `TuplePoly`, the polynomial kernel over tuple
+monomials, is the reference for the packed `IntPoly`, and the argparse
+parser at the end is the reference for `lambdaops.cli.parse_args`.  A few constructors and
 maps that only the tests use (`from_obj`, `from_json`, `retruncate`,
 `un_one`, `fn_sum`, ...) live here rather than in the package.
 """
