@@ -19,8 +19,12 @@ gamma at large |kappa| or k up to 10) before gamma(kappa)(L_k) was built in
 closed form, one term per partition of k; the last four (`upoly pij 5 5`
 and `upoly plin 12` as text, `check looping --trunc 12` and `check all
 --trunc 8`) before P_k, P_{i,j}, psi_k and the three-leg co-multiplication
-each ran one Newton step per alphabet through their own caches.  Any change
-to these outputs is a change of answers, not of speed.
+each ran one Newton step per alphabet through their own caches; the last
+four (two `compose` at trunc 12 and 10 whose right legs are sums, scalar
+multiples, generators and products, a `compose` onto a generator power, and
+`check compose --trunc 10`) before L_g o y became one Newton step over the
+Adams images of y.  Any change to these outputs is a change of answers, not
+of speed.
 """
 
 import hashlib
@@ -120,6 +124,15 @@ PINNED = [
      '03739dff79623413344cebc9e8663a02a2061dcb81ed156351ffa011c68a4330'),
     (['check', 'all', '--trunc', '8'],
      '4ae978859a37b6c5263159cd9633d6e7b29c530d789f33d93f7757ab23b2384e'),
+    (['compose', 'chi(1)@(L4*L2)+const(2)@L6', 'chi(0)@(L1*L1-2*L2)+id@L1', '--trunc', '12'],
+     '9a65d5deb3da0649993d498586d79f5de88cf0b0d7157631b46deea4cfecd401'),
+    (['compose', 'const(1)@(L3*L2-L5)', 'const(1)@(3*L1*L1-2*L2+L1)', '--trunc', '10',
+      '--format', 'json'],
+     '68f6c6337502e6b2c5ee98278ed106a5459c5126187105c832295ff92849ee24'),
+    (['compose', 'L4', 'L2*L2*L2*L2', '--trunc', '8'],
+     'f6cfc334319928578eda8c935e4557c4ffa1ca4836740860a3930669fc5ccc4b'),
+    (['check', 'compose', '--trunc', '10'],
+     '6a7280fe0305299051ff183ed2b45652ad9ff870545120b6f7a0b041780d357b'),
 ]
 
 
