@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from functools import cache, partial
 
@@ -43,7 +42,7 @@ from .models import (
 from .errors import RegistrationFailure
 from .report import SKIP, Prop, all_report, suite_report
 from .setzz import chi, const, IDENT
-from .symfun import _newton_step, lambda_of_integer, newton_psi
+from .symfun import _newton_step, _product_power, lambda_of_integer
 
 
 def _monomial_corpus(trunc: int) -> list[KBUElem]:
@@ -83,8 +82,7 @@ def _triple_alphabet():
         of the products a_r b_s c_t, whose n-th power sum is
         psi_n(T1) psi_n(T2) psi_n(T3); one Newton step on its own images of
         L_1..L_{k-1}, whatever `_comult3_image` is bound to."""
-        return _newton_step(k, image, lambda n: math.prod(
-            newton_psi(n).rename_family("L", f"T{leg}") for leg in (1, 2, 3)))
+        return _newton_step(k, image, lambda n: _product_power(n, ("T1", "T2", "T3")))
     return image
 
 

@@ -11,14 +11,14 @@ guard, and a product, power, substitution or renaming that sets it raises
 
 A monomial is decoded into sorted (family, index, exponent) triples only where
 its order can be seen: printing, serialisation, `key`, `sorted_terms`, the
-keys of `collect`, `split_first` and error texts; `terms` hands out such a
-decoded copy of the term map.  Every order shown comes from `_ordered`.  Both
-output formats decode and sort each distinct monomial once per output:
-`to_json_all` and `to_text_all` write an output's polynomials from one table
-of their monomials; `to_json` and `__str__` are their one-polynomial cases.
-Values are treated as immutable after construction, so they are safe to share,
-hash and memoise.  No other module depends on this layout: they read monomials
-through the query and monomial-view methods and build them from `var`.
+keys of `collect` and error texts; `terms` hands out such a decoded copy of
+the term map.  Every order shown comes from `_ordered`.  Both output formats
+decode and sort each distinct monomial once per output: `to_json_all` and
+`to_text_all` write an output's polynomials from one table of their monomials;
+`to_json` and `__str__` are their one-polynomial cases.  Values are treated as
+immutable after construction, so they are safe to share, hash and memoise.  No
+other module depends on this layout: they read monomials through the query and
+monomial-view methods and build them from `var`.
 
 The registry lives as long as the process and never shrinks, and a variable
 registered later gets a higher field, so monomials holding it are wider
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from functools import cache, reduce
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Mapping
 
 from .errors import LambdaOpsError
@@ -263,14 +263,9 @@ class IntPoly:
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        # repeated multiplication: on sparse polynomials it beats squaring,
+        # whose last product multiplies two dense halves (Fateman 1974)
+        return reduce(mul, [self] * n, IntPoly.one())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -343,13 +338,6 @@ class IntPoly:
     def sorted_terms(self) -> list[tuple["IntPoly", int]]:
         """The terms as (monomial, coefficient) pairs, sorted by monomial."""
         return [(IntPoly._trusted({m: 1}), self._terms[m]) for m in _ordered(self._terms)]
-
-    def split_first(self) -> tuple["IntPoly", "IntPoly"]:
-        """For a monomial other than 1: its first variable and the monomial
-        divided by that variable."""
-        ((m, c),) = self._terms.items()
-        f, i, _ = _decode(m)[0]
-        return IntPoly.var(f, i), IntPoly._trusted({m - (1 << _SHIFTS[(f, i)]): c})
 
     def collect(self, family: str) -> list[tuple["IntPoly", "IntPoly"]]:
         """Group the terms by their `family` part: (monomial in `family`,

@@ -14,7 +14,7 @@ from functools import cache
 
 from .errors import NotReduced
 from .intpoly import IntPoly, Truncated
-from .symfun import lambda_of_multiple, newton_psi, universal_pij, universal_pk
+from .symfun import _adams_lambda, _newton_step, lambda_of_multiple, newton_psi, universal_pk
 
 _SIGMA_CACHE: dict[int, IntPoly] = {}
 _GAMMA_CACHE: dict[tuple[int, int], IntPoly] = {}
@@ -198,55 +198,27 @@ def colinear(kappa: int, x: KBUElem) -> KBUElem:
 # -- internal composition -----------------------------------------------------
 
 
-def _gen_compose(g: int, ypoly: IntPoly) -> IntPoly:
-    """L_g composed with a reduced polynomial, computed exactly.
+@cache
+def _adams_image(n: int, ypoly: IntPoly) -> IntPoly:
+    """psi^n(y), the ring map sending each L_j to psi^n(L_j)."""
+    return ypoly.substitute_family("L", lambda j: _adams_lambda(n, j))
 
-    Extension rules: over a sum via co-addition, over a product via
-    co-multiplication, over an integer multiple via the co-linear structure,
-    and L_g composed with zero is 0 (the augmentation of a generator).
+
+def _gen_compose(g: int, ypoly: IntPoly) -> IntPoly:
+    """L_g composed with a reduced polynomial y, computed exactly.
+
+    With L_j = lambda^j(b) in the free lambda-ring on one generator b, L_g o y
+    is lambda^g(y): one Newton step on L_1 o y..L_{g-1} o y whose power sums
+    are the Adams images psi^n(y); L_g o 0 is 0 (a generator's augmentation).
     """
-    if g == 0:
-        return IntPoly.one()
     if ypoly.is_zero:
         return IntPoly.zero()
     key = (g, ypoly.key())
     cached = _COMPOSE_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    terms = ypoly.sorted_terms()
-    if len(terms) > 1:
-        mono, c = terms[0]
-        head = c * mono
-        rest = ypoly - head
-        result = IntPoly.zero()
-        for i in range(g + 1):
-            left = _gen_compose(i, head)
-            if left.is_zero:
-                continue
-            right = _gen_compose(g - i, rest)
-            if right.is_zero:
-                continue
-            result = result + left * right
-    else:
-        ((mono, c),) = terms
-        linear = mono.linear_coefficients("L")
-        if c != 1:
-            result = _poly_compose(gamma_gen(c, g), mono)
-        elif linear:
-            (j,) = linear
-            result = universal_pij(g, j)
-        else:
-            # split one generator factor off the monomial
-            m1, m2 = mono.split_first()
-            images = {}
-            for i in range(1, g + 1):
-                images[("x", i)] = _gen_compose(i, m1)
-                images[("y", i)] = _gen_compose(i, m2)
-            result = universal_pk(g).substitute(images)
-
-    _COMPOSE_CACHE[key] = result
-    return result
+    if cached is None:
+        cached = _COMPOSE_CACHE[key] = _newton_step(
+            g, lambda t: _gen_compose(t, ypoly), lambda n: _adams_image(n, ypoly))
+    return cached
 
 
 def _poly_compose(xpoly: IntPoly, ypoly: IntPoly) -> IntPoly:
@@ -257,9 +229,9 @@ def _poly_compose(xpoly: IntPoly, ypoly: IntPoly) -> IntPoly:
 def compose_kbu(x: KBUElem, y: KBUElem) -> KBUElem:
     """Internal composition x o y for y in the augmentation ideal.
 
-    Generator on generator is P_{i,j}; the left argument extends as a ring
-    map and the right through the coproduct relations.  Computed exactly,
-    then truncated at N.
+    The left argument extends as a ring map, and L_g o y is lambda^g(y),
+    one Newton step over the Adams images psi^n(y).  Computed exactly, then
+    truncated at N.
     """
     if cozero(y) != 0:
         raise NotReduced("right operand must have zero constant term")

@@ -115,9 +115,16 @@ def universal_pk(k: int) -> IntPoly:
         raise ValueError("k must be >= 1")
     cached = _PK_CACHE.get(k)
     if cached is None:
-        cached = _PK_CACHE[k] = _newton_step(k, universal_pk, lambda n: (
-            newton_psi(n).rename_family("L", "x") * newton_psi(n).rename_family("L", "y")))
+        cached = _PK_CACHE[k] = _newton_step(k, universal_pk,
+                                             lambda n: _product_power(n, ("x", "y")))
     return cached
+
+
+@cache
+def _product_power(n: int, families: tuple[str, ...]) -> IntPoly:
+    """p_n of the products of one line from each alphabet of `families`: the
+    product of psi_n written in each family."""
+    return math.prod([newton_psi(n).rename_family("L", f) for f in families])
 
 
 @cache

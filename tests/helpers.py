@@ -3,17 +3,19 @@
 The integer oracles work on plain integers (or lists of them) so that
 nothing depends on the polynomial kernel they check.  The reference
 coproducts are the slow, literal constructions that the fast paths of
-`lambdaops.evenops` and `lambdaops.loopgrade` replaced; they use only
-public names, and apply gamma through `reference_gamma`, the substitution
-into P_k that the closed form of `lambdaops.symfun.lambda_of_multiple`
-replaced.  `reference_elementary_from_power_sums` and `reference_psi` are
-the Newton recursions that rebuilt each alphabet's sequence on every call,
-before P_k, P_{i,j}, psi_k and the three-leg co-multiplication each took
-one cached Newton step.  `TuplePoly`, the polynomial kernel over tuple
-monomials, is the reference for the packed `IntPoly`, and the argparse
-parser at the end is the reference for `lambdaops.cli.parse_args`.  A few constructors and
-maps that only the tests use (`from_obj`, `from_json`, `retruncate`,
-`un_one`, `fn_sum`, ...) live here rather than in the package.
+`lambdaops.evenops` and `lambdaops.loopgrade` replaced; they use only public
+names, and apply gamma through `reference_gamma`, the substitution into P_k
+that the closed form of `lambdaops.symfun.lambda_of_multiple` replaced.
+`reference_elementary_from_power_sums` and `reference_psi` are the Newton
+recursions that rebuilt each alphabet's sequence on every call, before P_k,
+P_{i,j}, psi_k and the three-leg co-multiplication each took one cached
+Newton step, and `reference_gen_compose` is the case-by-case recursion that
+composition replaced by one Newton step over Adams images.  `TuplePoly`, the
+polynomial kernel over tuple monomials, is the reference for the packed
+`IntPoly`, and the argparse parser at the end is the reference for
+`lambdaops.cli.parse_args`.  A few constructors and maps that only the tests
+use (`from_obj`, `from_json`, `retruncate`, `un_one`, `fn_sum`, ...) live
+here rather than in the package.
 """
 
 from __future__ import annotations
@@ -152,6 +154,45 @@ def reference_comult3(k: int):
     the products a_r b_s c_t."""
     return reference_elementary_from_power_sums(k, lambda n: math.prod(
         reference_psi(n).rename_family("L", f"T{leg}") for leg in (1, 2, 3)))
+
+
+# -- reference composition --------------------------------------------------------
+
+
+@functools.cache
+def reference_gen_compose(g: int, ypoly):
+    """L_g o y for a reduced y by the four-case recursion that one Newton step
+    over the Adams images psi^n(y) replaced: a sum splits off its first term
+    by co-addition, an integer multiple goes through gamma, a generator L_j
+    gives P_{g,j}, and a product substitutes into P_g the composites with its
+    first variable and with the rest."""
+    from lambdaops.kbu import gamma_gen
+    from lambdaops.symfun import universal_pij, universal_pk
+
+    if g == 0:
+        return IntPoly.one()
+    if ypoly.is_zero:
+        return IntPoly.zero()
+    terms = ypoly.sorted_terms()
+    if len(terms) > 1:
+        head = terms[0][1] * terms[0][0]
+        return IntPoly.sum_of_products(
+            (reference_gen_compose(i, head), reference_gen_compose(g - i, ypoly - head))
+            for i in range(g + 1))
+    ((mono, c),) = terms
+    if c != 1:
+        return gamma_gen(c, g).substitute_family("L", lambda i: reference_gen_compose(i, mono))
+    variables = mono.variables()
+    first = min(variables)
+    if variables == {first: 1}:
+        return universal_pij(g, first[1])
+    rest = math.prod([IntPoly.var(f, i, e - ((f, i) == first)) for (f, i), e in variables.items()],
+                     start=IntPoly.one())
+    images = {}
+    for i in range(1, g + 1):
+        images[("x", i)] = reference_gen_compose(i, IntPoly.var(*first))
+        images[("y", i)] = reference_gen_compose(i, rest)
+    return universal_pk(g).substitute(images)
 
 
 # -- reference coproducts of even operations -------------------------------------

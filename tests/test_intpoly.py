@@ -126,8 +126,8 @@ def test_family_degree_filter():
 
 
 def test_monomial_views_randomized():
-    """collect, linear_coefficients, sorted_terms, split_first, coefficient,
-    variables and div_exact against brute force on random polynomials."""
+    """collect, linear_coefficients, sorted_terms, coefficient, variables and
+    div_exact against brute force on random polynomials."""
     rng = random.Random(31)
     families = ("L", "T1", "x")
     for _ in range(40):
@@ -138,9 +138,6 @@ def test_monomial_views_randomized():
         assert [m.to_obj() for m, _ in terms] == [[dict(t, coeff="1")] for t in p.to_obj()]
         for m, c in terms:
             assert p.coefficient(m) == c and len(m.sorted_terms()) == 1
-            if m != 1:
-                first, rest = m.split_first()
-                assert first * rest == m and len(first.variables()) == 1
         for family in families:
             groups = p.collect(family)
             assert IntPoly.sum_of_products(groups) == p

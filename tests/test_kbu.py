@@ -1,8 +1,12 @@
 import itertools
+import math
+import random
+import sys
 
 import pytest
 
-from helpers import reference_gamma, retruncate
+from helpers import reference_gamma, reference_gen_compose, retruncate
+from lambdaops import kbu, symfun
 from lambdaops.errors import NotReduced
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import (
@@ -159,6 +163,51 @@ def test_compose_associative_within_weight():
         lhs = compose_kbu(compose_kbu(gen(i, trunc), gen(j, trunc)), gen(k, trunc))
         rhs = compose_kbu(gen(i, trunc), compose_kbu(gen(j, trunc), gen(k, trunc)))
         assert lhs == rhs, (i, j, k)
+
+
+# every monomial of weight <= 4 in the generators, and seeded sums of two and
+# three of its multiples; the two powers are composed up to L4 only, as L5 and
+# L6 o L1^40 already hold about 10^5 and 10^7 monomials
+_MONOMIALS = [math.prod([IntPoly.var("L", j) for j in parts], start=IntPoly.one())
+              for r in range(1, 5) for parts in itertools.combinations_with_replacement(range(1, 5), r)
+              if sum(parts) <= 4]
+_TERMS = [c * m for m in _MONOMIALS for c in (-3, -1, 1, 2)]
+_RNG = random.Random(20)
+_SUMS = [sum(_RNG.sample(_TERMS, n), IntPoly.zero()) for n in (2, 3) for _ in range(40)]
+COMPOSE_CORPUS = ([(6, y) for y in _TERMS + _SUMS]
+                  + [(4, IntPoly.var("L", 1, 40)), (4, IntPoly.var("L", 2, 8))])
+
+
+def test_gen_compose_matches_the_case_by_case_recursion():
+    assert len(_MONOMIALS) == 11
+    for gmax, y in COMPOSE_CORPUS:
+        for g in range(1, gmax + 1):
+            assert kbu._gen_compose(g, y) == reference_gen_compose(g, y), (g, y)
+
+
+def test_compose_of_generators_is_p_ij():
+    for i, j in itertools.product(range(1, 26), repeat=2):
+        if i * j <= 25:
+            assert compose_kbu(gen(i, i * j), gen(j, i * j)).poly == symfun.universal_pij(i, j)
+
+
+def test_compose_takes_one_path(monkeypatch):
+    """With cleared caches, composition calls none of P_k, P_{i,j} or gamma."""
+    kbu._COMPOSE_CACHE.clear()
+    kbu._adams_image.cache_clear()
+    symfun._adams_lambda.cache_clear()
+
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"compose_kbu called {name}{args}")
+        return call
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("lambdaops")]:
+        for name in ("universal_pk", "universal_pij", "gamma_gen"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    for gmax, y in COMPOSE_CORPUS:
+        compose_kbu(gen(gmax, 6), KBUElem(y, 6))
 
 
 def test_coassociativity_three_routes():
