@@ -144,6 +144,8 @@ def _add_product(out: dict, a: Mapping[int, int], b: Mapping[int, int]) -> None:
     dropping every coefficient that cancels to zero."""
     guard = _GUARD
     get = out.get
+    if len(a) > len(b):  # the shorter map in the outer loop: fewer inner loops to start
+        a, b = b, a
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = ma + mb
@@ -263,8 +265,7 @@ class IntPoly:
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        # repeated multiplication: on sparse polynomials it beats squaring,
-        # whose last product multiplies two dense halves (Fateman 1974)
+        # repeated multiplication beats squaring on sparse polynomials (Fateman 1974)
         return reduce(mul, [self] * n, IntPoly.one())
 
     def __eq__(self, other) -> bool:
