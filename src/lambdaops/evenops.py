@@ -153,27 +153,29 @@ def op_counit(r: EvenOp) -> int:
 def act(r: EvenOp, model: LambdaRingModel, alpha):
     """Apply the operation to a model element:
     x_{eps(alpha)} with generators L_k replaced by lambda^k(alpha - eps(alpha)).
+    Both are read from the point record of alpha, and the monomials of x are
+    evaluated through the memo of the record of alpha - eps(alpha).
     """
-    e = model.eps(alpha)
-    if abs(e) > r.window:
-        raise WindowExhausted(f"augmentation {e} outside window {r.window}")
-    x = r.table.get(e)
+    point = model.point(alpha)
+    if abs(point.eps) > r.window:
+        raise WindowExhausted(f"augmentation {point.eps} outside window {r.window}")
+    x = r.table.get(point.eps)
     if x is None:
         return model.from_int(0)
-    return _eval_on_series(x.poly, model, {"L": (alpha, e)})
+    return _eval_on_series(x.poly, model, {"L": point.reduced},
+                           model.point(point.reduced).values)
 
 
-def _eval_on_series(poly: IntPoly, model: LambdaRingModel, legs: dict):
-    """Evaluate `poly` with each generator (f, k) replaced by
-    lambda^k(alpha - e) for legs[f] = (alpha, e): one lambda series per leg,
-    up to the largest index the leg needs."""
+def _eval_on_series(poly: IntPoly, model: LambdaRingModel, legs: dict, memo=None):
+    """Evaluate `poly` with each generator (f, k) replaced by lambda^k(legs[f]):
+    one lambda series per leg, up to the largest index the leg needs."""
     assign = {}
-    for f, (alpha, e) in legs.items():
+    for f, a in legs.items():
         indices = poly.indices(f)
         if indices:
-            series = model.lambda_series(model.sub(alpha, model.from_int(e)), indices[-1])
+            series = model.lambda_series(a, indices[-1])
             assign |= {(f, i): series[i] for i in indices}
-    return poly_eval_in_model(poly, model, assign)
+    return poly_eval_in_model(poly, model, assign, memo)
 
 
 # -- coalgebra structure -------------------------------------------------------
@@ -184,13 +186,14 @@ def act_pair(entry, model: LambdaRingModel, alpha, beta, window: int):
     model): `entry(ea, eb)` gives the polynomial in T1/T2 at the
     augmentations of alpha and beta, and is asked only once both lie in the
     window."""
-    ea, eb = model.eps(alpha), model.eps(beta)
+    pa, pb = model.point(alpha), model.point(beta)
+    ea, eb = pa.eps, pb.eps
     if abs(ea) > window or abs(eb) > window:
         raise WindowExhausted(f"augmentations ({ea}, {eb}) outside window {window}")
     poly = entry(ea, eb)
     if poly.is_zero:
         return model.from_int(0)
-    return _eval_on_series(poly, model, {"T1": (alpha, ea), "T2": (beta, eb)})
+    return _eval_on_series(poly, model, {"T1": pa.reduced, "T2": pb.reduced})
 
 
 class EvenOpTensor:

@@ -139,6 +139,20 @@ def _family_mask(family: str, above: int | None = None) -> int:
     return mask
 
 
+def _monomial_value(memo: dict, m: int, assign: Mapping, times: Callable):
+    """The value of the monomial m: one `times` from the value of m less its
+    lowest factor, built first when missing.  Each value built is kept in `memo`."""
+    todo = []
+    while m not in memo:
+        sh = ((m & -m).bit_length() - 1) & -_WIDTH
+        todo.append((m, _VARS[sh // _WIDTH]))
+        m -= 1 << sh
+    v = memo[m]
+    for m, var in reversed(todo):
+        v = memo[m] = times(v, assign[var])
+    return v
+
+
 def _add_product(out: dict, a: Mapping[int, int], b: Mapping[int, int]) -> None:
     """Add the product of the term maps `a` and `b` into `out` in place,
     dropping every coefficient that cancels to zero."""
@@ -458,27 +472,28 @@ class IntPoly:
         """
         return self.substitute({(family, k): image(k) for k in self.indices(family)})
 
-    def evaluate(self, assign: Mapping[tuple[str, int], object], ring=None):
+    def evaluate(self, assign: Mapping[tuple[str, int], object], ring=None, memo=None):
         """Evaluate with every variable assigned.  The values are integers,
         or elements of `ring`, an object with from_int, add and mul (such as
-        a lambda-ring model)."""
+        a lambda-ring model).  `memo` keeps the value of each monomial: pass
+        one memo to every evaluation at one assignment (`models.Point.values`);
+        a fresh one still shares prefixes inside this polynomial.  IntPoly
+        values are summed in one term map: `ring` must add them as IntPoly does."""
+        times = mul if ring is None else ring.mul
+        memo = {} if memo is None else memo
+        if not memo:
+            memo[0] = 1 if ring is None else ring.from_int(1)
+        terms = self._terms
+        values = [memo[m] if m in memo else _monomial_value(memo, m, assign, times) for m in terms]
         if ring is None:
-            total = 0
-            for m, c in self._terms.items():
-                v = c
-                for sh, e in _fields(m):
-                    v *= assign[_VARS[sh // _WIDTH]] ** e
-                total += v
-            return total
-        total = ring.from_int(0)
-        for m, c in self._terms.items():
-            acc = ring.from_int(c)
-            for sh, e in _fields(m):
-                value = assign[_VARS[sh // _WIDTH]]
-                for _ in range(e):
-                    acc = ring.mul(acc, value)
-            total = ring.add(total, acc)
-        return total
+            return sum(map(times, terms.values(), values))
+        if isinstance(memo[0], IntPoly):
+            out: dict[int, int] = {}
+            for c, v in zip(terms.values(), values):
+                _add_product(out, {0: c}, v._terms)
+            return IntPoly._trusted(out)
+        return reduce(ring.add, map(times, map(ring.from_int, terms.values()), values),
+                      ring.from_int(0))
 
     # -- serialisation ----------------------------------------------------
 

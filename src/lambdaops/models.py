@@ -23,11 +23,39 @@ from .setzz import COIFamily, IntegerRing, coi_add, coi_mul
 from .symfun import lambda_of_integer, newton_psi, universal_pij, universal_pk
 
 
+class Point:
+    """What a model knows of its element a: eps(a), a - eps(a), a prefix of its
+    lambda series, and `values`, the `IntPoly.evaluate` memo at L_k -> lambda^k(a)."""
+
+    __slots__ = ("eps", "reduced", "series", "values")
+
+    def __init__(self, eps: int, reduced):
+        self.eps, self.reduced, self.series, self.values = eps, reduced, [], {}
+
+
 class LambdaRingModel:
-    """Exact lambda-ring with augmentation; subclasses fix the carrier."""
+    """Exact lambda-ring with augmentation; subclasses fix the carrier of hashable elements."""
 
     name = "model"
     max_lambda: int | None = None
+
+    # Point records kept per model instance, oldest dropped first, so that
+    # acting on a long stream of distinct elements holds bounded memory.  The
+    # 300 compose-and-act pairs on three samples reach under 30 per model.
+    SERIES_MEMO_SIZE = 64
+
+    def __init__(self):
+        self._points: dict = {}  # element -> its Point, oldest first
+
+    def point(self, a) -> Point:
+        """The record of the element `a`, made on first use."""
+        p = self._points.get(a)
+        if p is None:
+            if len(self._points) >= self.SERIES_MEMO_SIZE:
+                del self._points[next(iter(self._points))]  # the oldest record
+            e = self.eps(a)
+            p = self._points[a] = Point(e, self.sub(a, self.from_int(e)) if e else a)
+        return p
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -54,7 +82,15 @@ class LambdaRingModel:
         raise NotImplementedError
 
     def lambda_series(self, a, n: int) -> list:
-        """A fresh list [lambda^0(a), ..., lambda^n(a)]."""
+        """A fresh list [lambda^0(a), ..., lambda^n(a)]: a prefix of the
+        series kept in the point record of a, built longer when n needs it."""
+        self._check_order(n)
+        p = self.point(a)
+        if len(p.series) <= n:
+            p.series = self._build_series(a, n)
+        return p.series[:n + 1]
+
+    def _build_series(self, a, n: int) -> list:
         return [self.lam(k, a) for k in range(n + 1)]
 
     def psi(self, k: int, a):
@@ -106,19 +142,10 @@ class IntegerModel(LambdaRingModel):
 
 
 class LineClassModel(LambdaRingModel):
-    """Carrier whose elements decompose into integer combinations of line
+    """Carrier of IntPolys that decompose into integer combinations of line
     classes; lambda_t(sum n_i C_i) = prod (1 + C_i t)^{n_i} with the binomial
-    series for negative multiplicities.
+    series for negative multiplicities (see `_build_series`).
     """
-
-    # Series kept per model instance, oldest dropped first, so that acting on
-    # a long stream of distinct elements holds bounded memory.  Validation
-    # plus 300 compose-and-act pairs on three samples reuse under 60.
-    SERIES_MEMO_SIZE = 64
-
-    def __init__(self):
-        # element -> the longest lambda series built for it
-        self._series: dict[IntPoly, list[IntPoly]] = {}
 
     def _reduce(self, p: IntPoly) -> IntPoly:
         return p
@@ -140,34 +167,26 @@ class LineClassModel(LambdaRingModel):
     def mul(self, a, b):
         return self._reduce(a * b)
 
-    def lambda_series(self, a, n):
+    def _build_series(self, a, n):
         """[lambda^0(a), ..., lambda^n(a)] from one product of line series
-        truncated at t^n.  The longest series built for each element is
-        memoised per element (see SERIES_MEMO_SIZE); callers get a fresh
-        prefix."""
-        self._check_order(n)
-        series = self._series.get(a)
-        if series is None or len(series) <= n:
-            series = [IntPoly.one()] + [IntPoly.zero() for _ in range(n)]
-            for cls, mult in self._line_decomposition(a):
-                powers = [IntPoly.one()]
-                for _ in range(n):
-                    powers.append(self._reduce(powers[-1] * cls))
-                factor = [IntPoly.const(lambda_of_integer(mult, i)) * powers[i]
-                          for i in range(n + 1)]
-                nxt = [IntPoly.zero() for _ in range(n + 1)]
-                for i in range(n + 1):
-                    if series[i].is_zero:
+        truncated at t^n."""
+        series = [IntPoly.one()] + [IntPoly.zero() for _ in range(n)]
+        for cls, mult in self._line_decomposition(a):
+            powers = [IntPoly.one()]
+            for _ in range(n):
+                powers.append(self._reduce(powers[-1] * cls))
+            factor = [IntPoly.const(lambda_of_integer(mult, i)) * powers[i]
+                      for i in range(n + 1)]
+            nxt = [IntPoly.zero() for _ in range(n + 1)]
+            for i in range(n + 1):
+                if series[i].is_zero:
+                    continue
+                for j in range(n + 1 - i):
+                    if factor[j].is_zero:
                         continue
-                    for j in range(n + 1 - i):
-                        if factor[j].is_zero:
-                            continue
-                        nxt[i + j] = nxt[i + j] + self._reduce(series[i] * factor[j])
-                series = nxt
-            if a not in self._series and len(self._series) >= self.SERIES_MEMO_SIZE:
-                del self._series[next(iter(self._series))]  # the oldest entry
-            self._series[a] = series
-        return series[:n + 1]
+                    nxt[i + j] = nxt[i + j] + self._reduce(series[i] * factor[j])
+            series = nxt
+        return series
 
     def lam(self, k, a):
         return self.lambda_series(a, k)[k]
@@ -273,9 +292,7 @@ class COIModel(LambdaRingModel):
     """
 
     name = "coi"
-
-    def __init__(self):
-        self.ring = IntegerRing()
+    ring = IntegerRing()  # stateless, so shared by every instance
 
     def from_int(self, n):
         return COIFamily.delta(self.ring, n)
@@ -305,9 +322,10 @@ def model_psi(model: LambdaRingModel, k: int, a):
     return model.psi(k, a)
 
 
-def poly_eval_in_model(poly: IntPoly, model: LambdaRingModel, assign: dict):
-    """Evaluate an integer polynomial with carrier values for its variables."""
-    return poly.evaluate(assign, model)
+def poly_eval_in_model(poly: IntPoly, model: LambdaRingModel, assign: dict, memo=None):
+    """Evaluate an integer polynomial with carrier values for its variables,
+    through `memo` when given (see `IntPoly.evaluate`)."""
+    return poly.evaluate(assign, model, memo)
 
 
 def validate_model(model: LambdaRingModel, max_k: int = 4,

@@ -289,7 +289,7 @@ class ModRing(SampleRing):
 class COIFamily:
     """Complete orthogonal idempotents indexed by integers: finitely many
     nonzero entries x_d with sum 1, x_d^2 = x_d and x_d x_e = 0 for d != e.
-    Invariants are asserted on construction.
+    Invariants are asserted on construction; a family is an immutable value.
     """
 
     __slots__ = ("ring", "entries")
@@ -316,6 +316,9 @@ class COIFamily:
 
     def __eq__(self, other):
         return isinstance(other, COIFamily) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(frozenset(self.entries.items()))
 
     def __str__(self):
         return "{" + ", ".join(f"{d}: {v}" for d, v in sorted(self.entries.items())) + "}"

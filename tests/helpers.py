@@ -10,12 +10,13 @@ that the closed form of `lambdaops.symfun.lambda_of_multiple` replaced.
 recursions that rebuilt each alphabet's sequence on every call, before P_k,
 P_{i,j}, psi_k and the three-leg co-multiplication each took one cached
 Newton step, and `reference_gen_compose` is the case-by-case recursion that
-composition replaced by one Newton step over Adams images.  `TuplePoly`, the
-polynomial kernel over tuple monomials, is the reference for the packed
-`IntPoly`, and the argparse parser at the end is the reference for
-`lambdaops.cli.parse_args`.  A few constructors and maps that only the tests
-use (`from_obj`, `from_json`, `retruncate`, `un_one`, `fn_sum`, ...) live
-here rather than in the package.
+composition replaced by one Newton step over Adams images.
+`reference_evaluate` is the per-term loop that the memoised
+`IntPoly.evaluate` replaced.  `TuplePoly`, the polynomial kernel over tuple
+monomials, is the reference for the packed `IntPoly`, and the argparse
+parser at the end is the reference for `lambdaops.cli.parse_args`.  A few
+constructors and maps that only the tests use (`from_obj`, `from_json`,
+`retruncate`, `un_one`, `fn_sum`, ...) live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -442,6 +443,27 @@ def reference_lam(model, k: int, a):
                 nxt[i + j] = nxt[i + j] + model._reduce(series[i] * factor[j])
         series = nxt
     return series[k]
+
+
+def reference_evaluate(poly, assign, ring=None):
+    """`poly` with every variable assigned, term by term: each coefficient
+    times its variables, one `mul` per unit of exponent, with no value shared
+    between terms, summed by `add` (integer arithmetic without `ring`)."""
+    if ring is None:
+        total = 0
+        for mono, c in poly.terms.items():
+            for f, i, e in mono:
+                c *= assign[(f, i)] ** e
+            total += c
+        return total
+    total = ring.from_int(0)
+    for mono, c in poly.terms.items():
+        acc = ring.from_int(c)
+        for f, i, e in mono:
+            for _ in range(e):
+                acc = ring.mul(acc, assign[(f, i)])
+        total = ring.add(total, acc)
+    return total
 
 
 # -- constructors and maps only the tests use ---------------------------------------

@@ -55,3 +55,29 @@ def test_comult_coassociativity_has_a_third_route(monkeypatch):
 def test_comult3_image_matches_the_reference_recursion():
     for k in range(1, 9):
         assert _comult3_image(k) == reference_comult3(k), k
+
+
+def test_a_wrong_monomial_value_fails_compose_and_models(monkeypatch):
+    # the memo of IntPoly.evaluate cannot hide a wrong evaluation: doubling
+    # the value of L1*L3 wherever the monomial step builds it fails the
+    # action oracle of `check compose --trunc 6` and the axioms of `check models`
+    from lambdaops import intpoly
+    from lambdaops.intpoly import IntPoly
+    from lambdaops.setzz import COIFamily, coi_add
+
+    target = IntPoly.var("L", 1) * IntPoly.var("L", 3)
+    step = intpoly._monomial_value
+
+    def doubled(memo, m, assign, times):
+        value = step(memo, m, assign, times)
+        if IntPoly._trusted({m: 1}) == target:  # m is a packed monomial
+            value = memo[m] = coi_add(value, value) if isinstance(value, COIFamily) else 2 * value
+        return value
+
+    for name, trunc in (("compose", 6), ("models", 5)):
+        assert run_suite(name, trunc, 16)["pass"], name
+    monkeypatch.setattr(intpoly, "_monomial_value", doubled)
+    failed = {name: [p["id"] for p in run_suite(name, trunc, 16)["properties"] if not p["pass"]]
+              for name, trunc in (("compose", 6), ("models", 5))}
+    assert "compose-vs-action" in failed["compose"]
+    assert failed["models"] == ["lambda-ring-axioms"]

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from helpers import binom, reference_lam, un_one
+from helpers import binom, reference_evaluate, reference_lam, un_one
 from lambdaops.errors import (
     IndexOutOfRange,
     ModelTruncationExceeded,
     RankUnderflow,
     RegistrationFailure,
 )
+from lambdaops.checks import _operation_corpus
+from lambdaops.evenops import EvenOp, act, compose_even
 from lambdaops.intpoly import IntPoly
+from lambdaops.kbu import gen
 from lambdaops.models import (
     COIModel,
     IntegerModel,
@@ -26,6 +29,8 @@ from lambdaops.models import (
     un_restrict,
     validate_model,
 )
+from lambdaops.setzz import const
+from lambdaops.symfun import universal_pij, universal_pk
 
 
 def test_registration_suite_passes():
@@ -161,11 +166,11 @@ def test_lambda_series_memo_is_bounded():
     elems = [x1 + c * x2 for c in range(split.SERIES_MEMO_SIZE + 10)]
     for a in elems:
         split.lambda_series(a, 3)
-    assert len(split._series) == split.SERIES_MEMO_SIZE
+    assert len(split._points) == split.SERIES_MEMO_SIZE
     for a in elems[:3] + elems[-3:]:  # the oldest were dropped and are rebuilt
         want = [reference_lam(split, k, a) for k in range(5)]
         assert split.lambda_series(a, 4) == want
-    assert len(split._series) == split.SERIES_MEMO_SIZE
+    assert len(split._points) == split.SERIES_MEMO_SIZE
 
 
 def test_lambda_series_guard_after_cached_call():
@@ -194,6 +199,83 @@ def test_validate_model_catches_broken_series():
     assert broken.eq(broken.lambda_series(x1, 2)[2], SplitModel(2).lam(2, x1))
     with pytest.raises(RegistrationFailure):
         validate_model(broken)
+
+
+def _random_l_poly(rng, weight=8):
+    """1 to 5 terms c * L_{p1}...L_{pr} with p1 + ... + pr <= weight."""
+    p = IntPoly.zero()
+    for _ in range(rng.randint(1, 5)):
+        mono, left = IntPoly.one(), rng.randint(0, weight)
+        while left:
+            part = rng.randint(1, left)
+            mono, left = mono * IntPoly.var("L", part), left - part
+        p = p + rng.choice([-3, -2, -1, 1, 2, 3]) * mono
+    return p
+
+
+def test_memoised_evaluate_matches_the_per_term_loop():
+    rng = random.Random(31)
+    l_polys = [_random_l_poly(rng) for _ in range(42)]
+    l_polys += [universal_pij(i, j) for i in range(1, 5) for j in range(1, 4 // i + 1)]
+    xy_polys = [universal_pk(k) for k in range(1, 5)]
+    assert len(l_polys) == 50
+
+    def check(polys, assign, model):
+        shared = {}  # one memo for every polynomial at this point
+        for p in polys:
+            want = reference_evaluate(p, assign, model)
+            assert model.eq(p.evaluate(assign, model), want), (model.name, p)
+            assert model.eq(p.evaluate(assign, model, shared), want), (model.name, p)
+
+    for model in register_models(validate=False).values():
+        a, b, c = model.samples(rng, 3)
+        # the reduced points where `act` evaluates, and unreduced split elements
+        points = [model.point(e).reduced for e in (a, b, c)]
+        for x in points + ([a, b, c] if isinstance(model, SplitModel) else []):
+            series = model.lambda_series(x, 8)
+            check(l_polys, {("L", k): series[k] for k in range(1, 9)}, model)
+        lam_a, lam_b = model.lambda_series(a, 4), model.lambda_series(b, 4)
+        assign = {("x", k): lam_a[k] for k in range(1, 5)}
+        assign |= {("y", k): lam_b[k] for k in range(1, 5)}
+        check(xy_polys, assign, model)
+    values = {("L", k): rng.randint(-3, 3) for k in range(1, 9)}
+    shared = {}
+    for p in l_polys:
+        assert p.evaluate(values) == p.evaluate(values, None, shared) == reference_evaluate(p, values)
+
+
+def test_act_through_a_filled_point_matches_a_fresh_model():
+    rng = random.Random(32)
+    corpus = _operation_corpus(8, 16, rng, 10)
+    ops = corpus + [compose_even(r, s) for r, s in zip(corpus, corpus[1:])]
+    for name in register_models(validate=False):
+        model = get_model(name)
+        elems = model.samples(rng, 3)
+        for r in ops:
+            for alpha in elems:
+                act(r, model, alpha)
+        assert all(model.point(model.point(alpha).reduced).values for alpha in elems), name
+        for r in ops:
+            for alpha in elems:
+                assert model.eq(act(r, model, alpha), act(r, get_model(name), alpha)), name
+
+
+def test_point_records_are_bounded_and_per_instance():
+    split, other = SplitModel(2), SplitModel(2)
+    x1, x2 = IntPoly.var("x", 1), IntPoly.var("x", 2)
+    r = EvenOp.from_pairs([(const(1), gen(2, 4))], 4, 16)
+    elems = [x1 + c * (x1 - x2) for c in range(200)]  # eps 1, so two records each
+    for model in (split, other):
+        for a in elems:
+            assert act(r, model, a) == reference_lam(model, 2, a - 1)
+        assert len(model._points) == model.SERIES_MEMO_SIZE == 64
+    assert split._points is not other._points
+    assert not {id(p) for p in split._points.values()} & {id(p) for p in other._points.values()}
+    # a new instance starts empty, whatever instances came and went before it
+    del other
+    assert SplitModel(2)._points == {} and get_model("split:2")._points == {}
+    for a in elems[:3]:  # dropped long ago: rebuilt, not read from elsewhere
+        assert act(r, split, a) == reference_lam(split, 2, a - 1)
 
 
 def test_get_model_selectors():

@@ -232,6 +232,22 @@ def test_coi_ring_laws_mod6():
         assert lhs == rhs
 
 
+def test_coi_hash_follows_equality():
+    ring = IntegerRing()
+    total = coi_add(COIFamily.delta(ring, 1), COIFamily.delta(ring, 2))
+    assert total == COIFamily.delta(ring, 3)
+    assert hash(total) == hash(COIFamily.delta(ring, 3))
+    assert len({total, COIFamily.delta(ring, 3), COIFamily.delta(IntegerRing(), 3)}) == 1
+    # equal entries in another order, and equal families from the ring laws
+    mod6 = ModRing(6)
+    assert hash(COIFamily(mod6, {2: 3, -1: 4})) == hash(COIFamily(mod6, {-1: 4, 2: 3}))
+    rng = random.Random(4)
+    fams = [random_mod6_family(rng) for _ in range(12)]
+    for a, b in zip(fams, fams[6:]):
+        assert hash(coi_mul(a, b)) == hash(coi_mul(b, a))
+        assert hash(coi_add(a, b)) == hash(coi_add(b, a))
+
+
 def test_coi_collapse_over_integral_domain():
     ring = IntegerRing()
     for c in (-3, 0, 2):
