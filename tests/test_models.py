@@ -3,13 +3,13 @@ import random
 import pytest
 
 from helpers import binom, reference_evaluate, reference_lam, un_one
+from lambdaops.checks import _operation_corpus
 from lambdaops.errors import (
     IndexOutOfRange,
     ModelTruncationExceeded,
     RankUnderflow,
     RegistrationFailure,
 )
-from lambdaops.checks import _operation_corpus
 from lambdaops.evenops import EvenOp, act, compose_even
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import gen
