@@ -23,7 +23,10 @@ each ran one Newton step per alphabet through their own caches; the last
 four (two `compose` at trunc 12 and 10 whose right legs are sums, scalar
 multiples, generators and products, a `compose` onto a generator power, and
 `check compose --trunc 10`) before L_g o y became one Newton step over the
-Adams images of y.  Any change to these outputs is a change of answers, not
+Adams images of y; the last three (`check models --seed 3` and `act` on the
+split and projective models at lambda^8) before each model point's lambda
+series grew in place by Newton's identity and `act` read lambda^k only for
+the monomials its memo misses.  Any change to these outputs is a change of answers, not
 of speed.
 """
 
@@ -133,6 +136,13 @@ PINNED = [
      'f6cfc334319928578eda8c935e4557c4ffa1ca4836740860a3930669fc5ccc4b'),
     (['check', 'compose', '--trunc', '10'],
      '6a7280fe0305299051ff183ed2b45652ad9ff870545120b6f7a0b041780d357b'),
+    (['check', 'models', '--seed', '3'],
+     'e33df114194b0e454869c740db709e454d9fe3b846c8bd2aca572f5a63e07f91'),
+    (['act', '--model', 'split:3', '--trunc', '8', 'chi(1)@(L8)+const(2)@(L3*L5)',
+      'x1*x2*x2-2*x3+1'],
+     'f3c8bd3e65c3ca5a868b90b375b5d5529fe70e48db2ef49a72924ad9875cb540'),
+    (['act', '--model', 'cp:2', '--trunc', '8', 'chi(1)@(L8)+const(2)@(L3*L5)', '3*u*u-u+1'],
+     '38e72c5eeb954c3bbf22c43e86253637d8e0fe0307a066676b83d77a3a90f554'),
 ]
 
 
