@@ -150,11 +150,25 @@ def op_counit(r: EvenOp) -> int:
     return cozero(r.component(1))
 
 
+class _Lambdas:
+    """The assignment (f, k) -> lambda^k(legs[f]), read by `IntPoly.evaluate`
+    only for the monomials its memo misses."""
+
+    __slots__ = ("model", "legs")
+
+    def __init__(self, model: LambdaRingModel, legs: dict):
+        self.model, self.legs = model, legs
+
+    def __getitem__(self, var):
+        return self.model.lam(var[1], self.legs[var[0]])
+
+
 def act(r: EvenOp, model: LambdaRingModel, alpha):
     """Apply the operation to a model element:
     x_{eps(alpha)} with generators L_k replaced by lambda^k(alpha - eps(alpha)).
     Both are read from the point record of alpha, and the monomials of x are
-    evaluated through the memo of the record of alpha - eps(alpha).
+    evaluated through the memo of the record of alpha - eps(alpha), which
+    asks the model for lambda^k only where it misses.
     """
     point = model.point(alpha)
     if abs(point.eps) > r.window:
@@ -162,20 +176,9 @@ def act(r: EvenOp, model: LambdaRingModel, alpha):
     x = r.table.get(point.eps)
     if x is None:
         return model.from_int(0)
-    return _eval_on_series(x.poly, model, {"L": point.reduced},
-                           model.point(point.reduced).values)
-
-
-def _eval_on_series(poly: IntPoly, model: LambdaRingModel, legs: dict, memo=None):
-    """Evaluate `poly` with each generator (f, k) replaced by lambda^k(legs[f]):
-    one lambda series per leg, up to the largest index the leg needs."""
-    assign = {}
-    for f, a in legs.items():
-        indices = poly.indices(f)
-        if indices:
-            series = model.lambda_series(a, indices[-1])
-            assign |= {(f, i): series[i] for i in indices}
-    return poly_eval_in_model(poly, model, assign, memo)
+    leg = point.reduced
+    return poly_eval_in_model(x.poly, model, _Lambdas(model, {"L": leg}),
+                              model.point(leg).values)
 
 
 # -- coalgebra structure -------------------------------------------------------
@@ -193,7 +196,7 @@ def act_pair(entry, model: LambdaRingModel, alpha, beta, window: int):
     poly = entry(ea, eb)
     if poly.is_zero:
         return model.from_int(0)
-    return _eval_on_series(poly, model, {"T1": pa.reduced, "T2": pb.reduced})
+    return poly_eval_in_model(poly, model, _Lambdas(model, {"T1": pa.reduced, "T2": pb.reduced}))
 
 
 class EvenOpTensor:

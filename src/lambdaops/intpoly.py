@@ -474,11 +474,12 @@ class IntPoly:
 
     def evaluate(self, assign: Mapping[tuple[str, int], object], ring=None, memo=None):
         """Evaluate with every variable assigned.  The values are integers,
-        or elements of `ring`, an object with from_int, add and mul (such as
-        a lambda-ring model).  `memo` keeps the value of each monomial: pass
-        one memo to every evaluation at one assignment (`models.Point.values`);
-        a fresh one still shares prefixes inside this polynomial.  IntPoly
-        values are summed in one term map: `ring` must add them as IntPoly does."""
+        or elements of `ring`, an object with from_int, mul and combine (such
+        as a lambda-ring model, see `LambdaRingModel.combine`), whose combine
+        adds up the terms.  `memo` keeps the value of each monomial: pass one
+        memo to every evaluation at one assignment (`models.Point.values`); a
+        fresh one still shares prefixes inside this polynomial.  `assign` is
+        read only for the monomials the memo misses."""
         times = mul if ring is None else ring.mul
         memo = {} if memo is None else memo
         if not memo:
@@ -487,13 +488,7 @@ class IntPoly:
         values = [memo[m] if m in memo else _monomial_value(memo, m, assign, times) for m in terms]
         if ring is None:
             return sum(map(times, terms.values(), values))
-        if isinstance(memo[0], IntPoly):
-            out: dict[int, int] = {}
-            for c, v in zip(terms.values(), values):
-                _add_product(out, {0: c}, v._terms)
-            return IntPoly._trusted(out)
-        return reduce(ring.add, map(times, map(ring.from_int, terms.values()), values),
-                      ring.from_int(0))
+        return ring.combine(terms.values(), values)
 
     # -- serialisation ----------------------------------------------------
 

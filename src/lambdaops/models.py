@@ -2,14 +2,17 @@
 
 Each registered model carries exact arithmetic, an augmentation eps, and a
 lambda rule computed independently of the universal polynomials: elements
-are decomposed into formal line classes and lambda_t is read off the product
-of the line series.  This makes the models usable as ground truth against
-everything built from P_k and P_{i,j}.
+are decomposed into formal line classes and the lambda series grows by
+Newton's identity from their Adams values.  This makes the models usable as
+ground truth against everything built from P_k and P_{i,j}.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
+from itertools import count, islice, repeat
+from operator import mul
 
 from .errors import (
     IndexOutOfRange,
@@ -24,13 +27,15 @@ from .symfun import lambda_of_integer, newton_psi, universal_pij, universal_pk
 
 
 class Point:
-    """What a model knows of its element a: eps(a), a - eps(a), a prefix of its
-    lambda series, and `values`, the `IntPoly.evaluate` memo at L_k -> lambda^k(a)."""
+    """What a model knows of its element a: eps(a), a - eps(a), its lambda series
+    as far as the iterator `lambdas` has grown it, and `values`, the
+    `IntPoly.evaluate` memo at L_k -> lambda^k(a)."""
 
-    __slots__ = ("eps", "reduced", "series", "values")
+    __slots__ = ("eps", "reduced", "series", "lambdas", "values")
 
-    def __init__(self, eps: int, reduced):
-        self.eps, self.reduced, self.series, self.values = eps, reduced, [], {}
+    def __init__(self, eps: int, reduced, lambdas):
+        self.eps, self.reduced, self.lambdas = eps, reduced, lambdas
+        self.series, self.values = [], {}
 
 
 class LambdaRingModel:
@@ -54,7 +59,8 @@ class LambdaRingModel:
             if len(self._points) >= self.SERIES_MEMO_SIZE:
                 del self._points[next(iter(self._points))]  # the oldest record
             e = self.eps(a)
-            p = self._points[a] = Point(e, self.sub(a, self.from_int(e)) if e else a)
+            p = self._points[a] = Point(e, self.sub(a, self.from_int(e)) if e else a,
+                                        self._lambdas(a))
         return p
 
     def from_int(self, n: int):
@@ -75,6 +81,14 @@ class LambdaRingModel:
     def eq(self, a, b) -> bool:
         return a == b
 
+    def combine(self, coeffs, values):
+        """The sum of c * v over the integers c of `coeffs` (a collection) and
+        the `values`, each distinct c made once by from_int: how
+        `IntPoly.evaluate` adds up its terms."""
+        made = {c: self.from_int(c) for c in set(coeffs)}
+        terms = [self.mul(made[c], v) for c, v in zip(coeffs, values)]
+        return reduce(self.add, terms) if terms else self.from_int(0)
+
     def eps(self, a) -> int:
         raise NotImplementedError
 
@@ -83,15 +97,20 @@ class LambdaRingModel:
 
     def lambda_series(self, a, n: int) -> list:
         """A fresh list [lambda^0(a), ..., lambda^n(a)]: a prefix of the
-        series kept in the point record of a, built longer when n needs it."""
+        series kept in the point record of a."""
+        return self._series(a, n)[:n + 1]
+
+    def _series(self, a, n: int) -> list:
+        """The series kept in the record of a, grown in place to lambda^n(a)."""
         self._check_order(n)
         p = self.point(a)
         if len(p.series) <= n:
-            p.series = self._build_series(a, n)
-        return p.series[:n + 1]
+            p.series += islice(p.lambdas, n + 1 - len(p.series))
+        return p.series
 
-    def _build_series(self, a, n: int) -> list:
-        return [self.lam(k, a) for k in range(n + 1)]
+    def _lambdas(self, a):
+        """The iterator lambda^0(a), lambda^1(a), ... of a new point record."""
+        return map(self.lam, count(), repeat(a))
 
     def psi(self, k: int, a):
         """Adams value: Newton's psi_k evaluated at lambda^1(a)..lambda^k(a)."""
@@ -120,8 +139,6 @@ class IntegerModel(LambdaRingModel):
         return n
 
     def add(self, a, b):
-        # no _reduce: a sum of reduced elements is reduced, and an unreduced
-        # element only feeds _line_decomposition, which reads up to u^m
         return a + b
 
     def neg(self, a):
@@ -129,6 +146,9 @@ class IntegerModel(LambdaRingModel):
 
     def mul(self, a, b):
         return a * b
+
+    def combine(self, coeffs, values):
+        return sum(map(mul, coeffs, values))
 
     def eps(self, a):
         return a
@@ -144,7 +164,8 @@ class IntegerModel(LambdaRingModel):
 class LineClassModel(LambdaRingModel):
     """Carrier of IntPolys that decompose into integer combinations of line
     classes; lambda_t(sum n_i C_i) = prod (1 + C_i t)^{n_i} with the binomial
-    series for negative multiplicities (see `_build_series`).
+    series for negative multiplicities, grown by Newton's identity from the
+    Adams values psi^j = sum n_i C_i^j (see `_lambdas`).
     """
 
     def _reduce(self, p: IntPoly) -> IntPoly:
@@ -167,39 +188,38 @@ class LineClassModel(LambdaRingModel):
     def mul(self, a, b):
         return self._reduce(a * b)
 
-    def _build_series(self, a, n):
-        """[lambda^0(a), ..., lambda^n(a)] from one product of line series
-        truncated at t^n."""
-        series = [IntPoly.one()] + [IntPoly.zero() for _ in range(n)]
-        for cls, mult in self._line_decomposition(a):
-            powers = [IntPoly.one()]
-            for _ in range(n):
-                powers.append(self._reduce(powers[-1] * cls))
-            factor = [IntPoly.const(lambda_of_integer(mult, i)) * powers[i]
-                      for i in range(n + 1)]
-            nxt = [IntPoly.zero() for _ in range(n + 1)]
-            for i in range(n + 1):
-                if series[i].is_zero:
-                    continue
-                for j in range(n + 1 - i):
-                    if factor[j].is_zero:
-                        continue
-                    nxt[i + j] = nxt[i + j] + self._reduce(series[i] * factor[j])
-            series = nxt
-        return series
+    def combine(self, coeffs, values):
+        return IntPoly.sum_of_products(zip(map(IntPoly.const, coeffs), values))
+
+    def _adams_powers(self, a: IntPoly):
+        """psi^1(a), psi^2(a), ...: psi^j is the sum of n_i C_i^j over the
+        line decomposition sum n_i C_i of a."""
+        lines = self._line_decomposition(a)
+        mults = [IntPoly.const(n) for _, n in lines]
+        powers = [IntPoly.one()] * len(lines)
+        while True:
+            powers = [self._reduce(p * cls) for p, (cls, _) in zip(powers, lines)]
+            yield IntPoly.sum_of_products(zip(mults, powers))
+
+    def _lambdas(self, a):
+        """lambda^0(a), lambda^1(a), ... by Newton's identity
+        k lambda^k = sum over j <= k of (-1)^(j-1) psi^j lambda^(k-j), reduced
+        before the division by k: the ideal that `_reduce` kills holds terms
+        that k need not divide."""
+        series, signed = [IntPoly.one()], []
+        yield series[0]
+        for k, psi in enumerate(self._adams_powers(a), 1):
+            signed.append(psi if k % 2 else -psi)
+            acc = IntPoly.sum_of_products(zip(reversed(signed), series))
+            series.append(self._reduce(acc).div_exact(k))
+            yield series[k]
 
     def lam(self, k, a):
-        return self.lambda_series(a, k)[k]
+        return self._series(a, k)[k]
 
     def psi(self, k: int, a: IntPoly) -> IntPoly:
         """Adams value from the line decomposition: sum of n_i C_i^k."""
-        out = IntPoly.zero()
-        for cls, mult in self._line_decomposition(a):
-            p = IntPoly.one()
-            for _ in range(k):
-                p = self._reduce(p * cls)
-            out = out + mult * p
-        return self._reduce(out)
+        return next(islice(self._adams_powers(a), k - 1, None))
 
 
 class SplitModel(LineClassModel):

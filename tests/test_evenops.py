@@ -36,7 +36,7 @@ from lambdaops.evenops import (
 )
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import KBUElem, gen, psi_kbu
-from lambdaops.models import ProjectiveModel, register_models
+from lambdaops.models import IntegerModel, ProjectiveModel, SplitModel, register_models
 from lambdaops.parser import OperandParser, parse_operand
 from lambdaops.setzz import IDENT, chi, const
 
@@ -116,11 +116,18 @@ def test_act_window_guard():
 
 
 def test_act_model_truncation_guard():
-    sphere = ProjectiveModel(1, name="sphere")
-    sphere.max_lambda = 1
-    r = ev([(const(1), gen(2, N))])
-    with pytest.raises(ModelTruncationExceeded):
-        act(r, sphere, IntPoly.var("u", 1))
+    # act reads lambda^k only for the monomials its point's memo misses, so a
+    # memo filled by an L1-only operation must not hide the guard on L2
+    r1, r2 = ev([(const(1), gen(1, N))]), ev([(const(1), gen(2, N))])
+    x1, x2, u = IntPoly.var("x", 1), IntPoly.var("x", 2), IntPoly.var("u", 1)
+    for model, alpha in ((ProjectiveModel(1, name="sphere"), u), (SplitModel(2), x1 + x2),
+                         (IntegerModel(), 3)):
+        model.max_lambda = 1
+        first = act(r1, model, alpha)
+        assert model.point(model.point(alpha).reduced).values, model.name
+        with pytest.raises(ModelTruncationExceeded):
+            act(r2, model, alpha)
+        assert model.eq(act(r1, model, alpha), first), model.name
 
 
 def test_compose_unit_laws():

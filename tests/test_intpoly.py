@@ -174,6 +174,9 @@ def test_evaluate_in_a_ring():
         def mul(self, a, b):
             return a * b % 7
 
+        def combine(self, coeffs, values):
+            return sum(c * v for c, v in zip(coeffs, values)) % 7
+
     rng = random.Random(3)
     for _ in range(10):
         p = rand_poly(rng, terms=6)

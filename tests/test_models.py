@@ -160,6 +160,52 @@ def test_lambda_series_memo_prefix_and_regrowth():
             assert all(model.eq(x, y) for x, y in zip(again, want)), model.name
 
 
+def test_series_grown_in_place_matches_the_line_product():
+    # products, sums and act outputs of samples, their series grown in place
+    # to n <= 10 in an order that revisits shorter prefixes
+    rng = random.Random(21)
+    ops = _operation_corpus(8, 16, rng, 3)
+    for model in _series_models():
+        a, b, c = model.samples(rng, 3)
+        elems = [model.mul(a, b), model.add(b, c), model.mul(c, model.add(a, c))]
+        elems += [act(r, model, x) for r, x in zip(ops, (a, b, c))]
+        for x in elems:
+            series = model.point(x).series
+            want = [reference_lam(model, k, x) for k in range(11)]
+            for n in (2, 9, 4, 10):
+                got = model.lambda_series(x, n)
+                assert all(model.eq(v, w) for v, w in zip(got, want[:n + 1])), (model.name, n)
+            assert model.point(x).series is series and len(series) == 11, model.name
+
+
+def test_dividing_before_reducing_fails():
+    class DivideFirst(ProjectiveModel):
+        def _lambdas(self, a):  # LineClassModel._lambdas with the two steps swapped
+            series, signed = [IntPoly.one()], []
+            yield series[0]
+            for k, psi in enumerate(self._adams_powers(a), 1):
+                signed.append(psi if k % 2 else -psi)
+                acc = IntPoly.sum_of_products(zip(reversed(signed), series))
+                series.append(self._reduce(acc.div_exact(k)))
+                yield series[k]
+
+    validate_model(ProjectiveModel(3))
+    with pytest.raises(ValueError, match="not divisible"):
+        validate_model(DivideFirst(3))
+
+
+def test_a_wrong_adams_power_fails_validation():
+    for base, m in ((ProjectiveModel, 3), (SplitModel, 2)):
+        class FlippedPsi2(base):
+            def _adams_powers(self, a):
+                for j, psi in enumerate(super()._adams_powers(a), 1):
+                    yield -psi if j == 2 else psi
+
+        validate_model(base(m))
+        with pytest.raises(RegistrationFailure):
+            validate_model(FlippedPsi2(m))
+
+
 def test_lambda_series_memo_is_bounded():
     split = SplitModel(2)
     x1, x2 = IntPoly.var("x", 1), IntPoly.var("x", 2)
