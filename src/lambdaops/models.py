@@ -195,11 +195,10 @@ class LineClassModel(LambdaRingModel):
         """psi^1(a), psi^2(a), ...: psi^j is the sum of n_i C_i^j over the
         line decomposition sum n_i C_i of a."""
         lines = self._line_decomposition(a)
-        mults = [IntPoly.const(n) for _, n in lines]
-        powers = [IntPoly.one()] * len(lines)
+        terms = [IntPoly.const(n) for _, n in lines]  # n_i C_i^j, from j = 0
         while True:
-            powers = [self._reduce(p * cls) for p, (cls, _) in zip(powers, lines)]
-            yield IntPoly.sum_of_products(zip(mults, powers))
+            terms = [self._reduce(t * cls) for t, (cls, _) in zip(terms, lines)]
+            yield sum(terms, IntPoly.zero())
 
     def _lambdas(self, a):
         """lambda^0(a), lambda^1(a), ... by Newton's identity
@@ -210,8 +209,8 @@ class LineClassModel(LambdaRingModel):
         yield series[0]
         for k, psi in enumerate(self._adams_powers(a), 1):
             signed.append(psi if k % 2 else -psi)
-            acc = IntPoly.sum_of_products(zip(reversed(signed), series))
-            series.append(self._reduce(acc).div_exact(k))
+            series.append(self._reduce(IntPoly.sum_of_products(
+                zip(reversed(signed), series))).div_exact(k))
             yield series[k]
 
     def lam(self, k, a):
