@@ -474,12 +474,12 @@ class IntPoly:
 
     def evaluate(self, assign: Mapping[tuple[str, int], object], ring=None, memo=None):
         """Evaluate with every variable assigned.  The values are integers,
-        or elements of `ring`, an object with from_int, mul and combine (such
-        as a lambda-ring model, see `LambdaRingModel.combine`), whose combine
-        adds up the terms.  `memo` keeps the value of each monomial: pass one
-        memo to every evaluation at one assignment (`models.Point.values`); a
-        fresh one still shares prefixes inside this polynomial.  `assign` is
-        read only for the monomials the memo misses."""
+        or elements of `ring`, an object with from_int, mul and combine, which
+        adds up the terms (such as a lambda-ring model: see
+        `LambdaRingModel.combine`).  `memo` keeps the value of each monomial:
+        pass one memo to every evaluation at one assignment
+        (`models.Point.values`); a fresh one still shares prefixes inside this
+        polynomial.  `assign` is read only for the monomials the memo misses."""
         times = mul if ring is None else ring.mul
         memo = {} if memo is None else memo
         if not memo:

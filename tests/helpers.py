@@ -422,10 +422,11 @@ def two_leg_terms(t) -> dict:
 
 
 def reference_lam(model, k: int, a):
-    """lambda^k(a) with a fresh product truncated at t^k for every k, the
-    construction that `lambda_series` replaced.  For line-class models it
-    reads the model's `_line_decomposition` and `_reduce`; the integer-like
-    models (zz, coi) get the binomial of the augmentation."""
+    """lambda^k(a) from a fresh product of the line series truncated at t^k,
+    for every k: no Newton step and no Adams value, unlike the series that
+    the models grow.  For line-class models it reads the model's
+    `_line_decomposition` and `_reduce`; the integer-like models (zz, coi)
+    get the binomial of the augmentation."""
     from lambdaops.intpoly import IntPoly
     from lambdaops.models import LineClassModel
 
