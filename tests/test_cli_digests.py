@@ -26,7 +26,11 @@ multiples, generators and products, a `compose` onto a generator power, and
 Adams images of y; the last three (`check models --seed 3` and `act` on the
 split and projective models at lambda^8) before each model point's lambda
 series grew in place by Newton's identity and `act` read lambda^k only for
-the monomials its memo misses.  Any change to these outputs is a change of answers, not
+the monomials its memo misses; the last four (two odd `compose` at trunc 20
+and 24 whose generator pairs have every parity, `loop` of an odd operand up
+to l14, and `upoly plin 12` as JSON) before looping, odd composition and
+`upoly plin` used the closed forms of the collapsed Newton step instead of
+building P_k and P_{i,j}.  Any change to these outputs is a change of answers, not
 of speed.
 """
 
@@ -143,6 +147,14 @@ PINNED = [
      'f3c8bd3e65c3ca5a868b90b375b5d5529fe70e48db2ef49a72924ad9875cb540'),
     (['act', '--model', 'cp:2', '--trunc', '8', 'chi(1)@(L8)+const(2)@(L3*L5)', '3*u*u-u+1'],
      '38e72c5eeb954c3bbf22c43e86253637d8e0fe0307a066676b83d77a3a90f554'),
+    (['compose', 'l2*l3+2*l4', 'l2-3*l5', '--trunc', '20'],
+     'e0006a8beb336e2c1867ac03f5a8d2bd5545d21a4af0342154fd9cf643cac11a'),
+    (['compose', 'l2*l4+l3', 'l2+l4-l6', '--trunc', '24'],
+     'ad509c6133d01e951a9ce924e829e4dabaedaf07c94a7475f03f689283af1f27'),
+    (['loop', 'l4-2*l7+l14', '--trunc', '14'],
+     '9acefbe18210bdc1f54af750044f8cafebe634b1b5779da12bb4ddf0e6626b8e'),
+    (['--format', 'json', 'upoly', 'plin', '12'],
+     'adef1d67c85f347875e67b38c506c5f538bc568f9c11f6e89a97f86d42e1ff31'),
 ]
 
 
