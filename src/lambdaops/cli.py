@@ -24,7 +24,7 @@ from .loopgrade import compose_odd, loop_even, loop_odd
 from .models import ProjectiveModel, SplitModel, get_model
 from .parser import OperandParser, OutsideModel, ParseError, parse_element, parse_operand
 from .report import report_lines
-from .symfun import left_linearise, newton_psi, universal_pij, universal_pk
+from .symfun import newton_psi, universal_pij, universal_pk
 
 
 def _emit(fmt: str, payload: Callable[[], dict], text: Callable[[], str]) -> None:
@@ -101,7 +101,7 @@ def cmd_upoly(args) -> int:
     elif kind == "pij":
         poly = universal_pij(idx[0], idx[1])
     elif kind == "plin":
-        poly = left_linearise(universal_pk(idx[0]))
+        poly = IntPoly.var("x", idx[0]) * newton_psi(idx[0]).rename_family("L", "y")
     else:
         poly = newton_psi(idx[0])
     _emit(args.format,

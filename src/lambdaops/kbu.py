@@ -163,21 +163,17 @@ def coadd_multi(x: KBUElem, legs: int) -> IntPoly:
 
 
 def sigma_gen(k: int) -> IntPoly:
-    """Antipode of L_k: the recursion sum_{i+j=k} L_i * sigma(L_j) = 0."""
+    """Antipode of L_k: gamma(-1)(L_k), the t^k coefficient of (1 + sum_i L_i t^i)^-1."""
     if k == 0:
         return IntPoly.one()
     cached = _SIGMA_CACHE.get(k)
     if cached is None:
-        acc = IntPoly.zero()
-        for i in range(1, k + 1):
-            acc = acc + IntPoly.var("L", i) * sigma_gen(k - i)
-        cached = -acc
-        _SIGMA_CACHE[k] = cached
+        cached = _SIGMA_CACHE[k] = gamma_gen(-1, k)
     return cached
 
 
 def antipode(x: KBUElem) -> KBUElem:
-    """Co-additive inverse, extended from the generators as a ring map."""
+    """Co-additive inverse, the ring map colinear(-1, x) on the generators."""
     return KBUElem(x.poly.substitute_family("L", sigma_gen), x.trunc)
 
 

@@ -26,21 +26,18 @@ from .kbu import KBUElem, gen, psi_kbu
 from .models import SplitModel, model_psi, poly_eval_in_model
 from .report import Prop, axioms_report, relations_report
 from .setzz import chi, const
-from .symfun import left_linearise, universal_pij, universal_pk
+from .symfun import left_linearise, newton_psi, universal_pk
 
 _PL_CACHE: dict[int, IntPoly] = {}
 _ODD_GEN_CACHE: dict[tuple[int, int], ExtElem] = {}
 
 
 def loop_polynomial(k: int) -> IntPoly:
-    """P^L_k(1, -1, ..., (-1)^(k-1); L_1..L_k): the left-linearisation of P_k
-    with the alternating sphere values substituted for the x alphabet."""
+    """P^L_k(1, -1, ..., (-1)^(k-1); L_1..L_k) = (-1)^(k-1) psi_k: the left-linear
+    part of P_k is x_k psi_k(y), the last term of Newton's identity."""
     cached = _PL_CACHE.get(k)
     if cached is None:
-        pl = left_linearise(universal_pk(k))
-        images = {("x", i): IntPoly.const((-1) ** (i - 1)) for i in range(1, k + 1)}
-        cached = pl.substitute(images).rename_family("y", "L")
-        _PL_CACHE[k] = cached
+        cached = _PL_CACHE[k] = (-1) ** (k - 1) * newton_psi(k)
     return cached
 
 
@@ -120,8 +117,8 @@ def loop_even(r: EvenOp) -> OddOp:
 
 
 def loop_odd(x: OddOp, window: int) -> EvenOp:
-    """Omega on the odd part: l_k goes to 1 (x) P^L_k(1, -1, ...; L's);
-    exterior monomials of length two or more go to zero."""
+    """Omega on the odd part: l_k goes to 1 (x) P^L_k(1, -1, ...; L's), which
+    is (-1)^(k-1) psi_k; exterior monomials of length two or more go to zero."""
     if x.unit_part() != 0:
         raise NotAugmented("loop requires vanishing unit part")
     total = IntPoly.zero()
@@ -133,7 +130,8 @@ def loop_odd(x: OddOp, window: int) -> EvenOp:
 
 
 def _odd_gen_compose(i: int, j: int, trunc: int) -> ExtElem:
-    """l_i o l_j: the image of the generator-linear part of P_{i,j}."""
+    """l_i o l_j = (-1)^((i-1)(j-1)) l_{ij}, the generator-linear part of P_{i,j}:
+    only l_i o l_j with i and j both even changes sign."""
     if i * j > trunc:
         raise TruncationExceeded(
             f"l{i} o l{j} needs index {i * j} above truncation {trunc}"
@@ -141,14 +139,13 @@ def _odd_gen_compose(i: int, j: int, trunc: int) -> ExtElem:
     key = (i, j)
     cached = _ODD_GEN_CACHE.get(key)
     if cached is None:
-        cached = ExtElem.linear(universal_pij(i, j).linear_coefficients("L"))
-        _ODD_GEN_CACHE[key] = cached
+        cached = _ODD_GEN_CACHE[key] = ExtElem.linear({i * j: -1 if i % 2 == j % 2 == 0 else 1})
     return cached
 
 
 def compose_odd(x: OddOp, y: OddOp) -> OddOp:
-    """Odd composition: generators by the linear part of P_{i,j}, the left
-    argument extended as an algebra map, and Z-bilinearity in the right over
+    """Odd composition: l_i o l_j = (-1)^((i-1)(j-1)) l_{ij} on generators, the
+    left argument extended as an algebra map, and Z-bilinearity in the right over
     primitive combinations (on suspension classes every operation is
     additive, so integer right multiples come out linearly)."""
     if y.unit_part() != 0:
@@ -388,14 +385,17 @@ def _pair_suspension_eval(poly: IntPoly, model: SplitModel, alpha, beta_red):
 def main_relations_check(p_max: int, trunc: int, window: int) -> dict:
     """The two defining relations of the main quotient: looping an even
     operation forgets the function leg through evaluation at zero, and the
-    double loop is the alternating left-linearised polynomial, built here as
-    (-1)^(p-1) psi_p apart from the loop_polynomial that loop_odd reads."""
+    double loop is the alternating left-linearised polynomial, built here from
+    P_p at the sphere values x_i = (-1)^(i-1), apart from the closed form
+    (-1)^(p-1) psi_p that loop_odd reads."""
     if p_max > trunc:
         raise ValueError("p_max must not exceed the truncation level")
     fns = [(f"chi({d})", chi(d)) for d in range(-window, window + 1)]
     fns.append(("const(1)", const(1)))
     relations = []
     for p in range(1, p_max + 1):
+        sphere = {("x", i): IntPoly.const((-1) ** (i - 1)) for i in range(1, p + 1)}
+        plin = left_linearise(universal_pk(p)).substitute(sphere).rename_family("y", "L")
         base = EvenOp.from_pairs([(const(1), gen(p, trunc))], trunc, window)
         loop_base = loop_even(base)
         prop = Prop(p)
@@ -405,7 +405,7 @@ def main_relations_check(p_max: int, trunc: int, window: int) -> dict:
             prop.check(loop_even(r) == f0 * loop_base,
                        lambda: f"first relation at p={p}, f={fname}")
             expected = EvenOp.from_pairs(
-                [(const(f0), (-1) ** (p - 1) * psi_kbu(p, trunc))], trunc, window
+                [(const(f0), KBUElem(plin, trunc))], trunc, window
             )
             prop.check(loop_odd(loop_even(r), window) == expected,
                        lambda: f"second relation at p={p}, f={fname}")

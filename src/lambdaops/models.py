@@ -410,6 +410,7 @@ def register_models(validate: bool = True) -> dict[str, LambdaRingModel]:
     ):
         if validate:
             validate_model(model)
+            model._points.clear()  # records of the sample elements only
         models[model.name] = model
     return models
 

@@ -11,6 +11,9 @@ recursions that rebuilt each alphabet's sequence on every call, before P_k,
 P_{i,j}, psi_k and the three-leg co-multiplication each took one cached
 Newton step, and `reference_gen_compose` is the case-by-case recursion that
 composition replaced by one Newton step over Adams images.
+`reference_sigma_gen` and `reference_loop_polynomial` are the antipode
+recursion and the left-linearised P_k that the closed forms gamma(-1)(L_k)
+and (-1)^(k-1) psi_k replaced.
 `reference_evaluate` is the per-term loop that the memoised
 `IntPoly.evaluate` replaced.  `TuplePoly`, the polynomial kernel over tuple
 monomials, is the reference for the packed `IntPoly`, and the argparse
@@ -103,6 +106,18 @@ def reference_colinear(kappa: int, poly, family: str = "L"):
     return poly.substitute_family(family, lambda k: reference_gamma(kappa, k, family))
 
 
+@functools.cache
+def reference_sigma_gen(k: int):
+    """The antipode of L_k by the recursion sum_{i+j=k} L_i sigma(L_j) = 0
+    that the closed form gamma(-1)(L_k) replaced; 1 for k = 0."""
+    if k == 0:
+        return IntPoly.one()
+    acc = IntPoly.zero()
+    for i in range(1, k + 1):
+        acc = acc + IntPoly.var("L", i) * reference_sigma_gen(k - i)
+    return -acc
+
+
 # -- reference Newton recursions ------------------------------------------------
 
 
@@ -148,6 +163,16 @@ def reference_pij(i: int, j: int):
     n-th powers, whose m-th power sum is psi_{nm}; no shortcut at i or j = 1."""
     return reference_elementary_from_power_sums(i, lambda n: reference_elementary_from_power_sums(
         j, lambda m: reference_psi(n * m)))
+
+
+def reference_loop_polynomial(k: int):
+    """P^L_k as the construction that (-1)^(k-1) psi_k replaced: the
+    left-linear part of P_k at the sphere values x_i = (-1)^(i-1), its y_j
+    renamed to L_j."""
+    from lambdaops.symfun import left_linearise, universal_pk
+
+    sphere = {("x", i): IntPoly.const((-1) ** (i - 1)) for i in range(1, k + 1)}
+    return left_linearise(universal_pk(k)).substitute(sphere).rename_family("y", "L")
 
 
 def reference_comult3(k: int):

@@ -46,6 +46,18 @@ def test_upoly_text_forms():
     assert run_cli("upoly", "psi", "2").stdout.strip() == "L1^2 - 2*L2"
 
 
+def test_upoly_plin_is_the_left_linear_part_of_p_k(capsys):
+    from helpers import from_obj
+    from lambdaops.symfun import left_linearise, universal_pk
+
+    for k in range(1, 11):
+        want = left_linearise(universal_pk(k))
+        assert main(["upoly", "plin", str(k)]) == 0
+        assert capsys.readouterr().out == f"{want}\n", k
+        assert main(["--format", "json", "upoly", "plin", str(k)]) == 0
+        assert from_obj(json.loads(capsys.readouterr().out)["result"]) == want, k
+
+
 def test_upoly_bad_indices():
     for argv in (
         ["upoly", "pij", "3"],

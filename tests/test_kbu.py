@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import reference_gamma, reference_gen_compose, retruncate
+from helpers import reference_gamma, reference_gen_compose, reference_sigma_gen, retruncate
 from lambdaops import kbu, symfun
 from lambdaops.errors import NotReduced
 from lambdaops.intpoly import IntPoly
@@ -120,7 +120,19 @@ def test_gamma_closed_form_matches_the_substitution_into_p_k():
     for k in range(1, 11):
         assert gamma_gen(0, k).is_zero
         assert gamma_gen(1, k) == IntPoly.var("L", k)
-        assert gamma_gen(-1, k) == sigma_gen(k)
+    for k in range(16):
+        assert gamma_gen(-1, k) == sigma_gen(k) == reference_sigma_gen(k), k
+
+
+def test_antipode_law_sees_a_wrong_sigma_gen(monkeypatch):
+    from lambdaops.checks import biring_suite
+
+    wrong = sigma_gen(3) + gen(1, N).poly * gen(2, N).poly
+    monkeypatch.setitem(kbu._SIGMA_CACHE, 3, wrong)
+    assert sigma_gen(3) == wrong
+    props = {p["id"]: p["pass"] for p in biring_suite(4)["properties"]}
+    assert not props["antipode-law"]
+    assert props["colinear-structure"]
 
 
 def test_colinear_multiplicative():

@@ -1,9 +1,12 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
 from helpers import (
     reference_coadd_odd,
+    reference_loop_polynomial,
     reference_odd_is_primitive,
     suspension_value,
     two_leg_terms,
@@ -109,11 +112,9 @@ def test_loop_odd_requires_reduced():
 
 
 def test_loop_polynomial_is_signed_newton():
-    # P^L_k at the alternating sphere values collapses to +/- the power sum
-    from lambdaops.symfun import newton_psi
-
-    for k in range(1, 6):
-        assert loop_polynomial(k) == (-1) ** (k - 1) * newton_psi(k)
+    # (-1)^(k-1) psi_k against P^L_k built from P_k at the sphere values
+    for k in range(1, 13):
+        assert loop_polynomial(k) == reference_loop_polynomial(k), k
 
 
 def test_double_loop_lands_in_primitives():
@@ -133,6 +134,52 @@ def test_compose_odd_units():
 
 def test_compose_odd_generator_pair():
     assert compose_odd(lgen(2, N), lgen(2, N)) == -1 * lgen(4, N)
+
+
+def test_odd_gen_compose_is_the_linear_part_of_p_ij():
+    from lambdaops.loopgrade import _odd_gen_compose
+    from lambdaops.symfun import universal_pij
+
+    for i in range(1, 25):
+        for j in range(1, 24 // i + 1):
+            want = ExtElem.linear(universal_pij(i, j).linear_coefficients("L"))
+            assert _odd_gen_compose(i, j, 24) == want, (i, j)
+    with pytest.raises(TruncationExceeded):
+        _odd_gen_compose(5, 5, 24)
+
+
+@pytest.mark.parametrize("mutation", [
+    lambda i, j, gen: -gen,  # every sign flipped
+    lambda i, j, gen: -gen if i % 2 == j % 2 == 0 else gen,  # the sign rule dropped
+])
+def test_looping_axiom_3_sees_a_wrong_odd_gen_compose(monkeypatch, mutation):
+    import lambdaops.loopgrade as loopgrade
+
+    odd_gen_compose = loopgrade._odd_gen_compose
+    monkeypatch.setattr(loopgrade, "_odd_gen_compose",
+                        lambda i, j, trunc: mutation(i, j, odd_gen_compose(i, j, trunc)))
+    rep = check_looping_axioms(4, 8)
+    assert not rep["axioms"]["3"]["pass"]
+    assert all(rep["axioms"][a]["pass"] for a in ("1", "2", "4"))
+
+
+def test_closed_forms_build_no_universal_polynomial():
+    # loop of an odd operand, odd composition, upoly plin and the antipode
+    # read closed forms, so a fresh process never fills P_k or P_{i,j}
+    code = """
+import contextlib, io
+from lambdaops import cli, symfun
+from lambdaops.kbu import antipode, gen
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(['loop', 'l4-2*l7+l14', '--trunc', '14']) == 0
+    assert cli.main(['compose', 'l2*l4+l3', 'l2+l4-l6', '--trunc', '24']) == 0
+    assert cli.main(['upoly', 'plin', '12']) == 0
+assert antipode(gen(3, 12) * gen(9, 12)) != gen(3, 12) * gen(9, 12)
+print(len(symfun._PK_CACHE), len(symfun._PIJ_CACHE))
+"""
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.split() == ["0", "0"]
 
 
 def test_compose_odd_algebra_map_in_left():

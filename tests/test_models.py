@@ -38,6 +38,12 @@ def test_registration_suite_passes():
     assert set(models) == {"zz", "sphere", "cp:2", "cp:3", "split:2", "split:3", "coi"}
 
 
+def test_validated_registration_keeps_no_point_records():
+    # validation acts at sample elements that nothing reads again
+    for name, model in register_models(validate=True).items():
+        assert model._points == {}, name
+
+
 def test_integer_model():
     zz = IntegerModel()
     assert zz.lam(2, 3) == 3
