@@ -30,8 +30,11 @@ the monomials its memo misses; the last four (two odd `compose` at trunc 20
 and 24 whose generator pairs have every parity, `loop` of an odd operand up
 to l14, and `upoly plin 12` as JSON) before looping, odd composition and
 `upoly plin` used the closed forms of the collapsed Newton step instead of
-building P_k and P_{i,j}.  Any change to these outputs is a change of answers, not
-of speed.
+building P_k and P_{i,j}; the last three (`coprod mul` at trunc 8 of a
+generator above L5 on the operation carrier, and of a nonlinear table in both
+formats) before each co-multiplication entry became a binomial combination
+of one fixed basis per generator.  Any change to these outputs is a change
+of answers, not of speed.
 """
 
 import hashlib
@@ -155,6 +158,14 @@ PINNED = [
      '9acefbe18210bdc1f54af750044f8cafebe634b1b5779da12bb4ddf0e6626b8e'),
     (['--format', 'json', 'upoly', 'plin', '12'],
      'adef1d67c85f347875e67b38c506c5f538bc568f9c11f6e89a97f86d42e1ff31'),
+    (['coprod', 'mul', 'id@L7', '--trunc', '8', '--window', '12', '--format', 'json'],
+     '9b694b339d74337b808828ce84ea229a2efe34dde0ce3af574c7029c0afa2319'),
+    (['coprod', 'mul', 'id@(L1*L2)+const(3)@L6', '--trunc', '8', '--window', '12',
+      '--format', 'json'],
+     'a39651ac94076e677948b8f952b6067c6acc9078346a8414112121b14fd637ee'),
+    (['coprod', 'mul', 'id@(L1*L2)+const(3)@L6', '--trunc', '8', '--window', '12',
+      '--format', 'text'],
+     '4fd26a1de93fc897ac91a320cd13f4a0d20220a434c6a84054e58ed752c40093'),
 ]
 
 
