@@ -17,7 +17,7 @@ from .intpoly import IntPoly
 from .kbu import KBUElem, coadd, colinear, comult_image, compose_kbu, cozero
 from .models import LambdaRingModel, poly_eval_in_model
 from .setzz import FnZZ, FnChi, FnCompose, const
-from .symfun import lambda_of_multiple
+from .symfun import lambda_of_integer, partition_slice
 
 
 def divisor_pairs(d: int, W: int) -> list[tuple[int, int]]:
@@ -289,26 +289,27 @@ def op_is_primitive(r: EvenOp) -> bool:
 
 
 @cache
-def _gamma_in(kappa: int, k: int, family: str) -> IntPoly:
-    """gamma(kappa)(L_k) = lambda^k(kappa * a), in `family`; 1 for k = 0."""
-    return lambda_of_multiple(kappa, k, family)
-
-
-@cache
-def _product_gen(s: int, n: int) -> IntPoly:
-    """lambda^n(ab + s*a) = sum over i+j=n of P_i(T1; T2) gamma(s)(L_j)[T1]."""
+def _comult_basis(k: int, q: int, r: int) -> IntPoly:
+    """M_{k,q,r} = [t^k] lambda_t(ab) (lambda_t(a) - 1)^q (lambda_t(b) - 1)^r
+    in the generators of a (T1) and b (T2): the sum over i + j + l = k of
+    P_i(T1; T2) D_{j,q}[T1] D_{l,r}[T2], with D the slices of
+    `partition_slice` (D_{j,q} is zero below j = q)."""
     return IntPoly.sum_of_products(
-        (comult_image(i) if i else IntPoly.one(), _gamma_in(s, n - i, "T1")) for i in range(n + 1))
+        (comult_image(i) if i else IntPoly.one(),
+         partition_slice(j, q, "T1") * partition_slice(k - i - j, r, "T2"))
+        for i in range(k - q - r + 1) for j in range(q, k - i - r + 1))
 
 
 @cache
 def _comult_gen(rho: int, s: int, k: int) -> IntPoly:
     """lambda^k(alpha*beta - rho*s) at alpha = rho + a, beta = s + b, in the
-    generators of a (T1) and b (T2): alpha*beta - rho*s = (ab + s*a) + rho*b,
-    so by the sum rule it is the sum over n+m=k of
-    lambda^n(ab + s*a) gamma(rho)(L_m)[T2]."""
-    return IntPoly.sum_of_products(
-        (_product_gen(s, n), _gamma_in(rho, k - n, "T2")) for n in range(k + 1))
+    generators of a (T1) and b (T2): alpha*beta - rho*s = ab + s*a + rho*b,
+    and lambda_t(n*x) = (1 + (lambda_t(x) - 1))^n, so it is the sum over
+    q + r <= k of C(s, q) C(rho, r) M_{k,q,r} (see `_comult_basis`)."""
+    cs, crho = ([lambda_of_integer(n, i) for i in range(k + 1)] for n in (s, rho))
+    return IntPoly.linear_combination(
+        (cs[q] * crho[r], _comult_basis(k, q, r))
+        for q in range(k + 1) if cs[q] for r in range(k - q + 1) if crho[r])
 
 
 def comult_entry(r: EvenOp, rho: int, s: int) -> IntPoly:

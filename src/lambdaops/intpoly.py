@@ -276,6 +276,22 @@ class IntPoly:
             _add_product(out, a._terms, b._terms)
         return IntPoly._trusted(out)
 
+    @staticmethod
+    def linear_combination(pairs: Iterable[tuple[int, "IntPoly"]]) -> "IntPoly":
+        """The sum of c * p over the (integer, polynomial) pairs (c, p),
+        accumulated in one term map: no monomial is added, so no guard test."""
+        out: dict[int, int] = {}
+        get = out.get
+        for c, p in pairs:
+            if c:
+                for m, v in p._terms.items():
+                    v = get(m, 0) + c * v
+                    if v:
+                        out[m] = v
+                    else:
+                        del out[m]
+        return IntPoly._trusted(out)
+
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")

@@ -28,14 +28,16 @@ from .symfun import lambda_of_integer, newton_psi, universal_pij, universal_pk
 
 class Point:
     """What a model knows of its element a: eps(a), a - eps(a), its lambda series
-    as far as the iterator `lambdas` has grown it, and `values`, the
-    `IntPoly.evaluate` memo at L_k -> lambda^k(a)."""
+    as far as the iterator `lambdas` has grown it, `values`, the
+    `IntPoly.evaluate` memo at L_k -> lambda^k(a), and for the line-class
+    models its Adams values psi^1(a), psi^2(a), ... as far as the iterator
+    `powers`, made on first use, has grown them."""
 
-    __slots__ = ("eps", "reduced", "series", "lambdas", "values")
+    __slots__ = ("eps", "reduced", "series", "lambdas", "values", "adams", "powers")
 
     def __init__(self, eps: int, reduced, lambdas):
         self.eps, self.reduced, self.lambdas = eps, reduced, lambdas
-        self.series, self.values = [], {}
+        self.series, self.values, self.adams, self.powers = [], {}, [], None
 
 
 class LambdaRingModel:
@@ -189,16 +191,16 @@ class LineClassModel(LambdaRingModel):
         return self._reduce(a * b)
 
     def combine(self, coeffs, values):
-        return IntPoly.sum_of_products(zip(map(IntPoly.const, coeffs), values))
+        return IntPoly.linear_combination(zip(coeffs, values))
 
     def _adams_powers(self, a: IntPoly):
         """psi^1(a), psi^2(a), ...: psi^j is the sum of n_i C_i^j over the
         line decomposition sum n_i C_i of a."""
         lines = self._line_decomposition(a)
-        terms = [IntPoly.const(n) for _, n in lines]  # n_i C_i^j, from j = 0
+        powers = [IntPoly.one() for _ in lines]  # C_i^j, from j = 0
         while True:
-            terms = [self._reduce(t * cls) for t, (cls, _) in zip(terms, lines)]
-            yield sum(terms, IntPoly.zero())
+            powers = [self._reduce(c * cls) for c, (cls, _) in zip(powers, lines)]
+            yield IntPoly.linear_combination(zip([n for _, n in lines], powers))
 
     def _lambdas(self, a):
         """lambda^0(a), lambda^1(a), ... by Newton's identity
@@ -207,7 +209,8 @@ class LineClassModel(LambdaRingModel):
         that k need not divide."""
         series, signed = [IntPoly.one()], []
         yield series[0]
-        for k, psi in enumerate(self._adams_powers(a), 1):
+        for k in count(1):
+            psi = self.psi(k, a)
             signed.append(psi if k % 2 else -psi)
             series.append(self._reduce(IntPoly.sum_of_products(
                 zip(reversed(signed), series))).div_exact(k))
@@ -217,8 +220,15 @@ class LineClassModel(LambdaRingModel):
         return self._series(a, k)[k]
 
     def psi(self, k: int, a: IntPoly) -> IntPoly:
-        """Adams value from the line decomposition: sum of n_i C_i^k."""
-        return next(islice(self._adams_powers(a), k - 1, None))
+        """Adams value from the line decomposition, sum of n_i C_i^k: read from
+        the record of a, whose Adams values grow in place from one
+        `_adams_powers` iterator."""
+        p = self.point(a)
+        if len(p.adams) < k:
+            if p.powers is None:
+                p.powers = self._adams_powers(a)
+            p.adams += islice(p.powers, k - len(p.adams))
+        return p.adams[k - 1]
 
 
 class SplitModel(LineClassModel):

@@ -4,7 +4,8 @@ member of each alphabet, and elementary-basis expansion.
 `elementary_expand` is the public splitting-principle tool for symmetric
 polynomials in formal line variables; it is not the route to P_k or
 P_{i,j}.  `lambda_of_multiple` gives lambda^k(kappa * b) in closed form,
-one term per partition of k.
+one term per partition of k, as a binomial combination of the slices
+`partition_slice` of the partitions of k by length.
 
 Families used here: "x"/"y" for the two elementary alphabets of the product
 polynomials, "L" for lambda-generator symbols, "e" for the generic
@@ -210,12 +211,20 @@ def _partition_terms(k: int, family: str) -> tuple[tuple[int, int, IntPoly], ...
     return tuple(out)
 
 
+@cache
+def partition_slice(m: int, r: int, family: str = "L") -> IntPoly:
+    """D_{m,r}: the t^m coefficient of (lambda_t(b) - 1)^r in the
+    lambda-generators family_i = lambda^i(b), the partitions mu of m of length
+    r, each as r! / prod_i m_i(mu)! prod_j family_{mu_j}."""
+    return IntPoly.linear_combination(
+        (multi, mono) for length, multi, mono in _partition_terms(m, family) if length == r)
+
+
 def lambda_of_multiple(kappa: int, k: int, family: str = "L") -> IntPoly:
     """lambda^k(kappa * b) in the lambda-generators family_i = lambda^i(b),
-    for any integer kappa: the t^k coefficient of (1 + sum_i family_i t^i)^kappa,
-    sum over partitions mu of k of C(kappa, l(mu)) l(mu)! / prod_i m_i(mu)!
-    prod_j family_{mu_j}.  One term per partition, whatever |kappa|.
+    for any integer kappa: the t^k coefficient of
+    lambda_t(b)^kappa = sum_r C(kappa, r) (lambda_t(b) - 1)^r, that is
+    sum_r C(kappa, r) D_{k,r}.  One term per partition, whatever |kappa|.
     """
-    return IntPoly.sum_of_products(
-        (IntPoly.const(lambda_of_integer(kappa, length) * multi), mono)
-        for length, multi, mono in _partition_terms(k, family))
+    return IntPoly.linear_combination(
+        (lambda_of_integer(kappa, r), partition_slice(k, r, family)) for r in range(k + 1))

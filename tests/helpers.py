@@ -88,6 +88,7 @@ def lam_assignment(vals, family: str, kmax: int) -> dict:
     return {(family, k): esym(vals, k) for k in range(1, kmax + 1)}
 
 
+@functools.cache
 def reference_gamma(kappa: int, k: int, family: str = "L"):
     """gamma(kappa)(L_k) = lambda^k(kappa * b) as the construction that the
     closed form replaced: P_k at x_i = C(kappa, i), its y_j renamed to
@@ -98,6 +99,26 @@ def reference_gamma(kappa: int, k: int, family: str = "L"):
         return IntPoly.one()
     images = {("x", i): IntPoly.const(binom(kappa, i)) for i in range(1, k + 1)}
     return universal_pk(k).substitute(images).rename_family("y", family)
+
+
+@functools.cache
+def _reference_product_gen(s: int, n: int):
+    """lambda^n(ab + s*a) by the sum rule: the sum over i + j = n of
+    P_i(T1; T2) gamma(s)(L_j)[T1]."""
+    from lambdaops.kbu import comult_image
+
+    return IntPoly.sum_of_products(
+        (comult_image(i) if i else IntPoly.one(), reference_gamma(s, n - i, "T1"))
+        for i in range(n + 1))
+
+
+def reference_comult_gen(rho: int, s: int, k: int):
+    """lambda^k(ab + s*a + rho*b), the generator image of co-multiplication
+    entry (rho, s), by the sum rule as it was built before the binomial basis
+    of `evenops._comult_basis`: the sum over n + m = k of lambda^n(ab + s*a)
+    gamma(rho)(L_m)[T2], each gamma from the substitution into P_k."""
+    return IntPoly.sum_of_products(
+        (_reference_product_gen(s, n), reference_gamma(rho, k - n, "T2")) for n in range(k + 1))
 
 
 def reference_colinear(kappa: int, poly, family: str = "L"):

@@ -6,6 +6,7 @@ from helpers import (
     fn_sum,
     from_obj,
     reference_comult_entry,
+    reference_comult_gen,
     reference_compose_even,
     reference_from_pairs,
     reference_op_coadd,
@@ -305,6 +306,47 @@ def test_comult_entry_outside_table_and_window():
     # an index outside the window still fails through divisor_pairs
     with pytest.raises(WindowExhausted):
         op_comult(EvenOp({5: gen(1, 4)}, 4, 3))
+
+
+def test_comult_gen_matches_the_sum_rule():
+    """The binomial combination of the fixed basis against the sum over
+    i + j + m = k of P_i(T1; T2) gamma(s)(L_j)[T1] gamma(rho)(L_m)[T2]:
+    every pair with |rho|, |s| <= 17 or +-10^6 up to k = 7, and the pairs of
+    nine of those values from k = 8 to 10."""
+    kappas = [*range(-17, 18), 10**6, -10**6]
+    wide = [-10**6, -17, -3, -1, 0, 1, 2, 17, 10**6]
+    for k in range(1, 11):
+        for rho in kappas if k <= 7 else wide:
+            for s in kappas if k <= 7 else wide:
+                assert evenops._comult_gen(rho, s, k) == reference_comult_gen(rho, s, k), (rho, s, k)
+
+
+def test_comult_entry_matches_the_four_leg_expansion():
+    for k in range(1, 8):
+        r = EvenOp.from_pairs([(const(1), gen(k, 7))], 7, 36)
+        for rho in range(-6, 7):
+            for s in range(-6, 7):
+                assert comult_entry(r, rho, s) == reference_comult_entry(r, rho, s), (k, rho, s)
+
+
+def test_a_wrong_t2_linear_comult_gen_fails_looping_and_compose(monkeypatch):
+    # axiom 2 reads only the T2-linear part of the entries (eps, 0), and the
+    # action oracle of `check compose` reads whole entries: the T2-linear
+    # coefficient of T1_1^2 T2_2 (1, from P_2) doubled in every image of L2
+    # fails both
+    from lambdaops.checks import run_suite
+
+    right = evenops._comult_gen
+    mono = IntPoly.var("T1", 1, 2) * IntPoly.var("T2", 2)
+
+    def wrong(rho, s, k):
+        image = right(rho, s, k)
+        return image + image.coefficient(mono) * mono if k == 2 else image
+
+    monkeypatch.setattr(evenops, "_comult_gen", wrong)
+    failed = {name: [p["id"] for p in run_suite(name, trunc, 16)["properties"] if not p["pass"]]
+              for name, trunc in (("looping", 5), ("compose", 6))}
+    assert failed == {"looping": ["axiom-2"], "compose": ["coproducts-vs-action"]}
 
 
 def test_coadd_entry_outside_table_and_window():

@@ -106,9 +106,11 @@ def test_colinear_examples():
 
 def test_gamma_closed_form_matches_the_substitution_into_p_k():
     """gamma(kappa)(L_k), one term per partition of k, against P_k at
-    x_i = C(kappa, i): in L through gamma_gen and in the T1/T2 legs of the
-    co-multiplication, at every kappa in [-17, 17] and +-10^6, k <= 10."""
-    from lambdaops.evenops import _gamma_in
+    x_i = C(kappa, i): in L through gamma_gen, and in the T1/T2 legs of the
+    co-multiplication as sum_r C(kappa, r) D_{k,r}, D_{k,r} being the slices
+    of the partitions of k by length that its basis reads, at every kappa in
+    [-17, 17] and +-10^6, k <= 10."""
+    from lambdaops.symfun import lambda_of_integer, partition_slice
 
     for kappa in [*range(-17, 18), 10**6, -10**6]:
         for k in range(11):
@@ -116,7 +118,9 @@ def test_gamma_closed_form_matches_the_substitution_into_p_k():
             if k:
                 assert gamma_gen(kappa, k) == want, (kappa, k)
             for leg in ("T1", "T2"):
-                assert _gamma_in(kappa, k, leg) == want.rename_family("L", leg), (kappa, k, leg)
+                got = IntPoly.linear_combination(
+                    (lambda_of_integer(kappa, r), partition_slice(k, r, leg)) for r in range(k + 1))
+                assert got == want.rename_family("L", leg), (kappa, k, leg)
     for k in range(1, 11):
         assert gamma_gen(0, k).is_zero
         assert gamma_gen(1, k) == IntPoly.var("L", k)

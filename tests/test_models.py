@@ -16,6 +16,8 @@ from lambdaops.kbu import gen
 from lambdaops.models import (
     COIModel,
     IntegerModel,
+    LambdaRingModel,
+    LineClassModel,
     ProjectiveModel,
     SplitModel,
     bun_beta,
@@ -182,6 +184,23 @@ def test_series_grown_in_place_matches_the_line_product():
                 got = model.lambda_series(x, n)
                 assert all(model.eq(v, w) for v, w in zip(got, want[:n + 1])), (model.name, n)
             assert model.point(x).series is series and len(series) == 11, model.name
+
+
+def test_adams_values_kept_in_the_record_match_the_newton_evaluation():
+    # psi^1..psi^10 of the line-class models, asked in ascending, descending
+    # and shuffled order, against Newton's psi_k at the lambda series (the
+    # base-class psi); each record grows one list of Adams values
+    rng = random.Random(22)
+    for model in _series_models():
+        if not isinstance(model, LineClassModel):
+            continue
+        for a in model.samples(rng, 3):
+            want = [LambdaRingModel.psi(model, k, a) for k in range(1, 11)]
+            for order in (range(1, 11), range(10, 0, -1), rng.sample(range(1, 11), 10)):
+                model._points.clear()
+                for k in order:
+                    assert model.eq(model.psi(k, a), want[k - 1]), (model.name, k)
+                assert len(model.point(a).adams) == 10, model.name
 
 
 def test_dividing_before_reducing_fails():
