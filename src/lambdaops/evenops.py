@@ -17,7 +17,7 @@ from .intpoly import IntPoly
 from .kbu import KBUElem, coadd, colinear, comult_image, compose_kbu, cozero
 from .models import LambdaRingModel, poly_eval_in_model
 from .setzz import FnZZ, FnChi, FnCompose, const
-from .symfun import lambda_of_integer, partition_slice
+from .symfun import lambda_of_integer, partition_slices
 
 
 def divisor_pairs(d: int, W: int) -> list[tuple[int, int]]:
@@ -292,11 +292,11 @@ def op_is_primitive(r: EvenOp) -> bool:
 def _comult_basis(k: int, q: int, r: int) -> IntPoly:
     """M_{k,q,r} = [t^k] lambda_t(ab) (lambda_t(a) - 1)^q (lambda_t(b) - 1)^r
     in the generators of a (T1) and b (T2): the sum over i + j + l = k of
-    P_i(T1; T2) D_{j,q}[T1] D_{l,r}[T2], with D the slices of
-    `partition_slice` (D_{j,q} is zero below j = q)."""
+    P_i(T1; T2) D_{j,q}[T1] D_{l,r}[T2], with D from `partition_slices`
+    (D_{j,q} is zero below j = q)."""
     return IntPoly.sum_of_products(
         (comult_image(i) if i else IntPoly.one(),
-         partition_slice(j, q, "T1") * partition_slice(k - i - j, r, "T2"))
+         partition_slices(j, "T1")[q] * partition_slices(k - i - j, "T2")[r])
         for i in range(k - q - r + 1) for j in range(q, k - i - r + 1))
 
 

@@ -5,7 +5,7 @@ member of each alphabet, and elementary-basis expansion.
 polynomials in formal line variables; it is not the route to P_k or
 P_{i,j}.  `lambda_of_multiple` gives lambda^k(kappa * b) in closed form,
 one term per partition of k, as a binomial combination of the slices
-`partition_slice` of the partitions of k by length.
+`partition_slices` of the partitions of k by length.
 
 Families used here: "x"/"y" for the two elementary alphabets of the product
 polynomials, "L" for lambda-generator symbols, "e" for the generic
@@ -193,14 +193,17 @@ def lambda_of_integer(n: int, k: int) -> int:
 
 
 @cache
-def _partition_terms(k: int, family: str) -> tuple[tuple[int, int, IntPoly], ...]:
-    """(length l, l! / prod_i m_i!, prod_j family_{mu_j}) for each partition mu
-    of k, m_i being the multiplicity of the part i."""
-    out = []
+def partition_slices(k: int, family: str = "L") -> tuple[IntPoly, ...]:
+    """(D_{k,0}, ..., D_{k,k}): D_{k,r} is the t^k coefficient of
+    (lambda_t(b) - 1)^r in the lambda-generators family_i = lambda^i(b), the
+    sum over the partitions mu of k of length r of
+    r! / prod_i m_i! prod_j family_{mu_j}, m_i being the multiplicity of the
+    part i."""
+    slices = [[] for _ in range(k + 1)]  # (r! / prod_i m_i!, monomial) pairs by length r
 
     def parts(rest: int, largest: int, length: int, multi: int, mono: IntPoly):
         if not rest:
-            out.append((length, multi, mono))
+            slices[length].append((multi, mono))
             return
         for part in range(min(rest, largest), 0, -1):
             for m in range(1, rest // part + 1):
@@ -208,16 +211,7 @@ def _partition_terms(k: int, family: str) -> tuple[tuple[int, int, IntPoly], ...
                       multi * math.comb(length + m, m), mono * IntPoly.var(family, part, m))
 
     parts(k, k, 0, 1, IntPoly.one())
-    return tuple(out)
-
-
-@cache
-def partition_slice(m: int, r: int, family: str = "L") -> IntPoly:
-    """D_{m,r}: the t^m coefficient of (lambda_t(b) - 1)^r in the
-    lambda-generators family_i = lambda^i(b), the partitions mu of m of length
-    r, each as r! / prod_i m_i(mu)! prod_j family_{mu_j}."""
-    return IntPoly.linear_combination(
-        (multi, mono) for length, multi, mono in _partition_terms(m, family) if length == r)
+    return tuple(map(IntPoly.linear_combination, slices))
 
 
 def lambda_of_multiple(kappa: int, k: int, family: str = "L") -> IntPoly:
@@ -227,4 +221,4 @@ def lambda_of_multiple(kappa: int, k: int, family: str = "L") -> IntPoly:
     sum_r C(kappa, r) D_{k,r}.  One term per partition, whatever |kappa|.
     """
     return IntPoly.linear_combination(
-        (lambda_of_integer(kappa, r), partition_slice(k, r, family)) for r in range(k + 1))
+        (lambda_of_integer(kappa, r), d) for r, d in enumerate(partition_slices(k, family)))

@@ -13,7 +13,9 @@ Newton step, and `reference_gen_compose` is the case-by-case recursion that
 composition replaced by one Newton step over Adams images.
 `reference_sigma_gen` and `reference_loop_polynomial` are the antipode
 recursion and the left-linearised P_k that the closed forms gamma(-1)(L_k)
-and (-1)^(k-1) psi_k replaced.
+and (-1)^(k-1) psi_k replaced, and `reference_comult_gen` is the sum-rule
+construction of the co-multiplication's generator images that the binomial
+combination of a fixed basis replaced.
 `reference_evaluate` is the per-term loop that the memoised
 `IntPoly.evaluate` replaced.  `TuplePoly`, the polynomial kernel over tuple
 monomials, is the reference for the packed `IntPoly`, and the argparse

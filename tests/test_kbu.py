@@ -110,7 +110,7 @@ def test_gamma_closed_form_matches_the_substitution_into_p_k():
     co-multiplication as sum_r C(kappa, r) D_{k,r}, D_{k,r} being the slices
     of the partitions of k by length that its basis reads, at every kappa in
     [-17, 17] and +-10^6, k <= 10."""
-    from lambdaops.symfun import lambda_of_integer, partition_slice
+    from lambdaops.symfun import lambda_of_integer, partition_slices
 
     for kappa in [*range(-17, 18), 10**6, -10**6]:
         for k in range(11):
@@ -119,7 +119,7 @@ def test_gamma_closed_form_matches_the_substitution_into_p_k():
                 assert gamma_gen(kappa, k) == want, (kappa, k)
             for leg in ("T1", "T2"):
                 got = IntPoly.linear_combination(
-                    (lambda_of_integer(kappa, r), partition_slice(k, r, leg)) for r in range(k + 1))
+                    (lambda_of_integer(kappa, r), d) for r, d in enumerate(partition_slices(k, leg)))
                 assert got == want.rename_family("L", leg), (kappa, k, leg)
     for k in range(1, 11):
         assert gamma_gen(0, k).is_zero
