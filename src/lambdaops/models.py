@@ -197,10 +197,11 @@ class LineClassModel(LambdaRingModel):
         """psi^1(a), psi^2(a), ...: psi^j is the sum of n_i C_i^j over the
         line decomposition sum n_i C_i of a."""
         lines = self._line_decomposition(a)
+        mults = [n for _, n in lines]
         powers = [IntPoly.one() for _ in lines]  # C_i^j, from j = 0
         while True:
-            powers = [self._reduce(c * cls) for c, (cls, _) in zip(powers, lines)]
-            yield IntPoly.linear_combination(zip([n for _, n in lines], powers))
+            powers = [self._reduce(p * cls) for p, (cls, _) in zip(powers, lines)]
+            yield IntPoly.linear_combination(zip(mults, powers))
 
     def _lambdas(self, a):
         """lambda^0(a), lambda^1(a), ... by Newton's identity
