@@ -33,7 +33,11 @@ to l14, and `upoly plin 12` as JSON) before looping, odd composition and
 building P_k and P_{i,j}; the last three (`coprod mul` at trunc 8 of a
 generator above L5 on the operation carrier, and of a nonlinear table in both
 formats) before each co-multiplication entry became a binomial combination
-of one fixed basis per generator.  Any change to these outputs is a change
+of one fixed basis per generator; the last three (`act` on `cp:64` with a
+term of degree 40, on `split:4` at lambda^10 and on `cp:7` at lambda^9, the
+first pins of models with m > 3) before the line-class models computed
+psi^k as the ring map that raises each line to its k-th power instead of
+splitting each element into line classes.  Any change to these outputs is a change
 of answers, not of speed.
 """
 
@@ -42,6 +46,9 @@ import subprocess
 import sys
 
 import pytest
+
+# an element of cp:64 with a term far above u^8 and one far below u^64
+_CP64_ELEMENT = '2+3*u-' + '*'.join(['u'] * 5) + '+' + '*'.join(['u'] * 40)
 
 PINNED = [
     (['coprod', 'mul', 'const(-1)@L5', '--trunc', '5', '--window', '16', '--format', 'json'],
@@ -166,6 +173,14 @@ PINNED = [
     (['coprod', 'mul', 'id@(L1*L2)+const(3)@L6', '--trunc', '8', '--window', '12',
       '--format', 'text'],
      '4fd26a1de93fc897ac91a320cd13f4a0d20220a434c6a84054e58ed752c40093'),
+    (['act', '--model', 'cp:64', '--trunc', '8', 'const(1)@(L8+L3*L5)', _CP64_ELEMENT],
+     'c5b9e343db15369e28664563431623781d38e54d6c4913ed560277259fb929b9'),
+    (['act', '--model', 'split:4', '--trunc', '10', 'chi(0)@(L10)+const(1)@(L4*L6)',
+      'x1*x2-x3*x4*x4+x1*x1*x3'],
+     '7112c9efd8e94bf83b02c229ac1ec3203f170c77677b2d70e7ed252435a3ab6a'),
+    (['act', '--model', 'cp:7', '--trunc', '9', 'id@(L9-L2*L7)+chi(2)@(L3*L3*L3)',
+      '2+u*u*u-3*u'],
+     '2c8cb366add70940a860ae950cdc4452ba5e3d45c82baf7f512b854052461667'),
 ]
 
 
