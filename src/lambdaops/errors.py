@@ -25,10 +25,6 @@ class TruncationExceeded(LambdaOpsError):
     """A required generator index exceeds the truncation level."""
 
 
-class ModelTruncationExceeded(LambdaOpsError):
-    """The model cannot supply a lambda operation of the requested order."""
-
-
 class InvalidFamily(LambdaOpsError):
     """Orthogonal-idempotent family invariants violated."""
 

@@ -1,10 +1,11 @@
 """Lambda-ring action oracles and the finite-rank unitary-group models.
 
 Each registered model carries exact arithmetic, an augmentation eps, and a
-lambda rule computed independently of the universal polynomials: elements
-are decomposed into formal line classes and the lambda series grows by
-Newton's identity from their Adams values.  This makes the models usable as
-ground truth against everything built from P_k and P_{i,j}.
+lambda rule computed independently of the universal polynomials: on the
+line-class models psi^k is the ring map that raises each line to its k-th
+power, and the lambda series grows from those Adams values by Newton's
+identity.  This makes the models usable as ground truth against everything
+built from P_k and P_{i,j}.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from functools import reduce
 from itertools import count, islice, repeat
 from operator import mul
 
-from .errors import (
-    IndexOutOfRange,
-    ModelTruncationExceeded,
-    RankUnderflow,
-    RegistrationFailure,
-)
+from .errors import IndexOutOfRange, RankUnderflow, RegistrationFailure
 from .exterior import ExtElem
 from .intpoly import IntPoly, Truncated
 from .setzz import COIFamily, IntegerRing, coi_add, coi_mul
@@ -28,23 +24,20 @@ from .symfun import lambda_of_integer, newton_psi, universal_pij, universal_pk
 
 class Point:
     """What a model knows of its element a: eps(a), a - eps(a), its lambda series
-    as far as the iterator `lambdas` has grown it, `values`, the
-    `IntPoly.evaluate` memo at L_k -> lambda^k(a), and for the line-class
-    models its Adams values psi^1(a), psi^2(a), ... as far as the iterator
-    `powers`, made on first use, has grown them."""
+    as far as the iterator `lambdas` has grown it, and `values`, the
+    `IntPoly.evaluate` memo at L_k -> lambda^k(a)."""
 
-    __slots__ = ("eps", "reduced", "series", "lambdas", "values", "adams", "powers")
+    __slots__ = ("eps", "reduced", "series", "lambdas", "values")
 
     def __init__(self, eps: int, reduced, lambdas):
         self.eps, self.reduced, self.lambdas = eps, reduced, lambdas
-        self.series, self.values, self.adams, self.powers = [], {}, [], None
+        self.series, self.values = [], {}
 
 
 class LambdaRingModel:
     """Exact lambda-ring with augmentation; subclasses fix the carrier of hashable elements."""
 
     name = "model"
-    max_lambda: int | None = None
 
     # Point records kept per model instance, oldest dropped first, so that
     # acting on a long stream of distinct elements holds bounded memory.  The
@@ -104,7 +97,6 @@ class LambdaRingModel:
 
     def _series(self, a, n: int) -> list:
         """The series kept in the record of a, grown in place to lambda^n(a)."""
-        self._check_order(n)
         p = self.point(a)
         if len(p.series) <= n:
             p.series += islice(p.lambdas, n + 1 - len(p.series))
@@ -124,12 +116,6 @@ class LambdaRingModel:
 
     def show(self, a) -> str:
         return str(a)
-
-    def _check_order(self, k: int):
-        if self.max_lambda is not None and k > self.max_lambda:
-            raise ModelTruncationExceeded(
-                f"model {self.name} supplies lambda^k only for k <= {self.max_lambda}"
-            )
 
 
 class IntegerModel(LambdaRingModel):
@@ -156,7 +142,6 @@ class IntegerModel(LambdaRingModel):
         return a
 
     def lam(self, k, a):
-        self._check_order(k)
         return lambda_of_integer(a, k)
 
     def samples(self, rng, count):
@@ -164,16 +149,17 @@ class IntegerModel(LambdaRingModel):
 
 
 class LineClassModel(LambdaRingModel):
-    """Carrier of IntPolys that decompose into integer combinations of line
-    classes; lambda_t(sum n_i C_i) = prod (1 + C_i t)^{n_i} with the binomial
-    series for negative multiplicities, grown by Newton's identity from the
-    Adams values psi^j = sum n_i C_i^j (see `_lambdas`).
+    """Carrier of IntPolys in line classes, on which psi^k is the ring map
+    with psi^k(C) = C^k for each line class C (Atiyah-Tall); the lambda
+    series grows from these Adams values by Newton's identity (see
+    `_lambdas`), so lambda_t(sum n_i C_i) = prod (1 + C_i t)^{n_i}.
     """
 
     def _reduce(self, p: IntPoly) -> IntPoly:
         return p
 
-    def _line_decomposition(self, a: IntPoly) -> list[tuple[IntPoly, int]]:
+    def _adams_image(self, k: int, a: IntPoly) -> dict:
+        """psi^k of each line generator that `a` holds."""
         raise NotImplementedError
 
     def from_int(self, n):
@@ -181,7 +167,7 @@ class LineClassModel(LambdaRingModel):
 
     def add(self, a, b):
         # no _reduce: a sum of reduced elements is reduced, and an unreduced
-        # element only feeds _line_decomposition, which reads up to u^m
+        # element only feeds psi, whose products `mul` reduces
         return a + b
 
     def neg(self, a):
@@ -192,16 +178,6 @@ class LineClassModel(LambdaRingModel):
 
     def combine(self, coeffs, values):
         return IntPoly.linear_combination(zip(coeffs, values))
-
-    def _adams_powers(self, a: IntPoly):
-        """psi^1(a), psi^2(a), ...: psi^j is the sum of n_i C_i^j over the
-        line decomposition sum n_i C_i of a."""
-        lines = self._line_decomposition(a)
-        mults = [n for _, n in lines]
-        powers = [IntPoly.one() for _ in lines]  # C_i^j, from j = 0
-        while True:
-            powers = [self._reduce(p * cls) for p, (cls, _) in zip(powers, lines)]
-            yield IntPoly.linear_combination(zip(mults, powers))
 
     def _lambdas(self, a):
         """lambda^0(a), lambda^1(a), ... by Newton's identity
@@ -221,15 +197,9 @@ class LineClassModel(LambdaRingModel):
         return self._series(a, k)[k]
 
     def psi(self, k: int, a: IntPoly) -> IntPoly:
-        """Adams value from the line decomposition, sum of n_i C_i^k: read from
-        the record of a, whose Adams values grow in place from one
-        `_adams_powers` iterator."""
-        p = self.point(a)
-        if len(p.adams) < k:
-            if p.powers is None:
-                p.powers = self._adams_powers(a)
-            p.adams += islice(p.powers, k - len(p.adams))
-        return p.adams[k - 1]
+        """Adams value: a evaluated in the model at the Adams images of its
+        line generators, psi^k being a ring map."""
+        return a.evaluate(self._adams_image(k, a), self)
 
 
 class SplitModel(LineClassModel):
@@ -240,8 +210,9 @@ class SplitModel(LineClassModel):
         self.m = m
         self.name = f"split:{m}"
 
-    def _line_decomposition(self, a):
-        return a.sorted_terms()
+    def _adams_image(self, k, a):
+        # only the variables a holds, so no x_i is built that a lacks
+        return {("x", i): IntPoly.var("x", i, k) for i in a.indices("x")}
 
     def eps(self, a):
         return a.evaluate({("x", i): 1 for i in range(1, self.m + 1)})
@@ -264,9 +235,7 @@ class SplitModel(LineClassModel):
 
 
 class ProjectiveModel(LineClassModel):
-    """Z[u]/(u^(m+1)) with u the reduced class of a line; lambda is induced
-    by rewriting elements in the basis of powers of the line class 1 + u.
-    """
+    """Z[u]/(u^(m+1)) with u = L - 1 the reduced class of the line L."""
 
     def __init__(self, m: int, name: str | None = None):
         super().__init__()
@@ -276,26 +245,11 @@ class ProjectiveModel(LineClassModel):
     def _reduce(self, p: IntPoly):
         return p.part_of_family_degree("u", 0, self.m)
 
-    def _xi_power(self, j: int) -> IntPoly:
-        # (1 + u)^j truncated at u^(m+1)
-        out = IntPoly.one()
-        for i in range(1, min(j, self.m) + 1):
-            out = out + lambda_of_integer(j, i) * IntPoly.var("u", 1, i)
-        return out
-
-    def _line_decomposition(self, a):
-        u = IntPoly.var("u", 1)
-        coeffs = [a.coefficient(u ** i) for i in range(self.m + 1)]
-        # u^i = (xi - 1)^i  =>  multiplicity of xi^j is sum_i a_i C(i, j) (-1)^(i-j)
-        out = []
-        for j in range(self.m + 1):
-            n_j = sum(
-                coeffs[i] * lambda_of_integer(i, j) * (-1) ** (i - j)
-                for i in range(j, self.m + 1)
-            )
-            if n_j:
-                out.append((self._xi_power(j), n_j))
-        return out
+    def _adams_image(self, k, a):
+        # psi^k(u) = (1 + u)^k - 1, truncated above u^m
+        powers = range(1, min(k, self.m) + 1)
+        return {("u", 1): IntPoly.linear_combination(
+            (lambda_of_integer(k, i), IntPoly.var("u", 1, i)) for i in powers)}
 
     def eps(self, a):
         return a.constant_term()
@@ -340,7 +294,6 @@ class COIModel(LambdaRingModel):
         return a.delta_index()
 
     def lam(self, k, a):
-        self._check_order(k)
         return COIFamily.delta(self.ring, lambda_of_integer(a.delta_index(), k))
 
     def samples(self, rng, count):

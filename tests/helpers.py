@@ -17,7 +17,9 @@ and (-1)^(k-1) psi_k replaced, and `reference_comult_gen` is the sum-rule
 construction of the co-multiplication's generator images that the binomial
 combination of a fixed basis replaced.
 `reference_evaluate` is the per-term loop that the memoised
-`IntPoly.evaluate` replaced.  `TuplePoly`, the polynomial kernel over tuple
+`IntPoly.evaluate` replaced, and `reference_line_decomposition` the split
+into line classes with multiplicities that the line-class models used
+before psi^k became the ring map raising each line to its k-th power.  `TuplePoly`, the polynomial kernel over tuple
 monomials, is the reference for the packed `IntPoly`, and the argparse
 parser at the end is the reference for `lambdaops.cli.parse_args`.  A few
 constructors and maps that only the tests use (`from_obj`, `from_json`,
@@ -35,7 +37,7 @@ from lambdaops.cli import cmd_act, cmd_check, cmd_compose, cmd_coprod, cmd_loop,
 from lambdaops.exterior import ExtElem
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import KBUElem
-from lambdaops.models import UnElem, model_psi
+from lambdaops.models import SplitModel, UnElem, model_psi
 from lambdaops.parser import ParseError
 from lambdaops.setzz import FnProd, FnSum
 
@@ -469,19 +471,37 @@ def two_leg_terms(t) -> dict:
 # -- reference lambda values of the models ------------------------------------
 
 
+def reference_line_decomposition(model, a) -> list:
+    """a = sum n_i C_i over line classes C_i, as (C_i, n_i) pairs: the
+    decomposition that the line-class models split elements into before psi^k
+    became the ring map C -> C^k.  On split models each monomial is a line
+    class; on cp:m the classes are the powers (1 + u)^j, and as
+    u^i = ((1 + u) - 1)^i, n_j = sum over i of a_i C(i, j) (-1)^(i-j)."""
+    if isinstance(model, SplitModel):
+        return a.sorted_terms()
+    u = IntPoly.var("u", 1)
+    coeffs = [a.coefficient(u ** i) for i in range(model.m + 1)]
+    out = []
+    for j in range(model.m + 1):
+        n_j = sum(coeffs[i] * binom(i, j) * (-1) ** (i - j) for i in range(j, model.m + 1))
+        if n_j:
+            out.append((model._reduce((u + 1) ** j), n_j))
+    return out
+
+
 def reference_lam(model, k: int, a):
     """lambda^k(a) from a fresh product of the line series truncated at t^k,
     for every k: no Newton step and no Adams value, unlike the series that
-    the models grow.  For line-class models it reads the model's
-    `_line_decomposition` and `_reduce`; the integer-like models (zz, coi)
-    get the binomial of the augmentation."""
+    the models grow.  For line-class models it reads
+    `reference_line_decomposition` and the model's `_reduce`; the
+    integer-like models (zz, coi) get the binomial of the augmentation."""
     from lambdaops.intpoly import IntPoly
     from lambdaops.models import LineClassModel
 
     if not isinstance(model, LineClassModel):
         return model.from_int(binom(model.eps(a), k))
     series = [IntPoly.one()] + [IntPoly.zero() for _ in range(k)]
-    for cls, mult in model._line_decomposition(a):
+    for cls, mult in reference_line_decomposition(model, a):
         powers = [IntPoly.one()]
         for _ in range(k):
             powers.append(model._reduce(powers[-1] * cls))

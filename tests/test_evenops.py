@@ -15,10 +15,7 @@ from helpers import (
     pairwise_op_is_primitive,
 )
 from lambdaops import evenops
-from lambdaops.errors import (
-    ModelTruncationExceeded,
-    WindowExhausted,
-)
+from lambdaops.errors import WindowExhausted
 from lambdaops.evenops import (
     EvenOp,
     act,
@@ -37,7 +34,7 @@ from lambdaops.evenops import (
 )
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import KBUElem, gen, psi_kbu
-from lambdaops.models import IntegerModel, ProjectiveModel, SplitModel, register_models
+from lambdaops.models import register_models
 from lambdaops.parser import OperandParser, parse_operand
 from lambdaops.setzz import IDENT, chi, const
 
@@ -114,21 +111,6 @@ def test_act_window_guard():
     zz = MODELS["zz"]
     with pytest.raises(WindowExhausted):
         act(identity_op(N, W), zz, 17)
-
-
-def test_act_model_truncation_guard():
-    # act reads lambda^k only for the monomials its point's memo misses, so a
-    # memo filled by an L1-only operation must not hide the guard on L2
-    r1, r2 = ev([(const(1), gen(1, N))]), ev([(const(1), gen(2, N))])
-    x1, x2, u = IntPoly.var("x", 1), IntPoly.var("x", 2), IntPoly.var("u", 1)
-    for model, alpha in ((ProjectiveModel(1, name="sphere"), u), (SplitModel(2), x1 + x2),
-                         (IntegerModel(), 3)):
-        model.max_lambda = 1
-        first = act(r1, model, alpha)
-        assert model.point(model.point(alpha).reduced).values, model.name
-        with pytest.raises(ModelTruncationExceeded):
-            act(r2, model, alpha)
-        assert model.eq(act(r1, model, alpha), first), model.name
 
 
 def test_compose_unit_laws():

@@ -1,15 +1,13 @@
 import random
+import subprocess
+import sys
+from itertools import count
 
 import pytest
 
 from helpers import binom, reference_evaluate, reference_lam, un_one
 from lambdaops.checks import _operation_corpus
-from lambdaops.errors import (
-    IndexOutOfRange,
-    ModelTruncationExceeded,
-    RankUnderflow,
-    RegistrationFailure,
-)
+from lambdaops.errors import IndexOutOfRange, RankUnderflow, RegistrationFailure
 from lambdaops.evenops import EvenOp, act, compose_even
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import gen
@@ -115,13 +113,6 @@ def test_adams_operations_fix_every_integer():
                 assert model.eq(model_psi(model, k, a), a), (model.name, model.show(a), k)
 
 
-def test_max_lambda_guard():
-    sphere = ProjectiveModel(1, name="sphere")
-    sphere.max_lambda = 2
-    with pytest.raises(ModelTruncationExceeded):
-        sphere.lam(3, IntPoly.var("u", 1))
-
-
 def test_validate_model_catches_broken_lambda():
     class Broken(IntegerModel):
         name = "broken"
@@ -136,7 +127,7 @@ def test_validate_model_catches_broken_lambda():
 
 
 def _series_models():
-    extra = [ProjectiveModel(m) for m in (1, 2, 3)] + [SplitModel(m) for m in (1, 2, 3)]
+    extra = [ProjectiveModel(m) for m in (1, 2, 3, 5, 7)] + [SplitModel(m) for m in (1, 2, 3, 4)]
     return list(register_models(validate=False).values()) + extra
 
 
@@ -186,10 +177,10 @@ def test_series_grown_in_place_matches_the_line_product():
             assert model.point(x).series is series and len(series) == 11, model.name
 
 
-def test_adams_values_kept_in_the_record_match_the_newton_evaluation():
+def test_adams_values_match_the_newton_evaluation():
     # psi^1..psi^10 of the line-class models, asked in ascending, descending
     # and shuffled order, against Newton's psi_k at the lambda series (the
-    # base-class psi); each record grows one list of Adams values
+    # base-class psi)
     rng = random.Random(22)
     for model in _series_models():
         if not isinstance(model, LineClassModel):
@@ -200,7 +191,51 @@ def test_adams_values_kept_in_the_record_match_the_newton_evaluation():
                 model._points.clear()
                 for k in order:
                     assert model.eq(model.psi(k, a), want[k - 1]), (model.name, k)
-                assert len(model.point(a).adams) == 10, model.name
+
+
+def _ring_map_models():
+    return [ProjectiveModel(m) for m in range(1, 8)] + [SplitModel(m) for m in range(1, 5)]
+
+
+def test_adams_operations_are_ring_maps():
+    # psi^k(a + b) = psi^k(a) + psi^k(b), psi^k(ab) = psi^k(a) psi^k(b), and
+    # psi^j(psi^k(a)) = psi^(jk)(a) for j * k <= 12
+    rng = random.Random(23)
+    for model in _ring_map_models():
+        elems = model.samples(rng, 4)
+        for a, b in zip(elems, elems[1:]):
+            for k in range(1, 13):
+                psi_a, psi_b = model.psi(k, a), model.psi(k, b)
+                assert model.eq(model.psi(k, model.add(a, b)), model.add(psi_a, psi_b)), \
+                    (model.name, k)
+                assert model.eq(model.psi(k, model.mul(a, b)), model.mul(psi_a, psi_b)), \
+                    (model.name, k)
+        for a in elems:
+            for k in range(1, 13):
+                psi_a = model.psi(k, a)
+                for j in range(1, 12 // k + 1):
+                    assert model.eq(model.psi(j, psi_a), model.psi(j * k, a)), \
+                        (model.name, j, k)
+
+
+def test_split_psi_registers_only_the_variables_of_its_element():
+    # a variable is built only once it is known to be in range: neither the
+    # series nor `act` on split:64 registers x3..x64 for an element in x1, x2
+    script = "\n".join([
+        "import contextlib, io",
+        "from lambdaops import cli, intpoly",
+        "from lambdaops.intpoly import IntPoly",
+        "from lambdaops.models import SplitModel",
+        "shown = lambda: print(sorted(i for f, i in intpoly._SHIFTS if f == 'x'))",
+        "x1, x2 = IntPoly.var('x', 1), IntPoly.var('x', 2)",
+        "SplitModel(64).lambda_series(x1 * x2 + x2, 4)",
+        "shown()",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['act', '--model', 'split:64', 'const(1)@L4', 'x1*x2+x2']) == 0",
+        "shown()",
+    ])
+    got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert got.returncode == 0 and got.stdout == "[1, 2]\n[1, 2]\n", got.stderr
 
 
 def test_dividing_before_reducing_fails():
@@ -208,7 +243,8 @@ def test_dividing_before_reducing_fails():
         def _lambdas(self, a):  # LineClassModel._lambdas with the two steps swapped
             series, signed = [IntPoly.one()], []
             yield series[0]
-            for k, psi in enumerate(self._adams_powers(a), 1):
+            for k in count(1):
+                psi = self.psi(k, a)
                 signed.append(psi if k % 2 else -psi)
                 acc = IntPoly.sum_of_products(zip(reversed(signed), series))
                 series.append(self._reduce(acc.div_exact(k)))
@@ -222,13 +258,28 @@ def test_dividing_before_reducing_fails():
 def test_a_wrong_adams_power_fails_validation():
     for base, m in ((ProjectiveModel, 3), (SplitModel, 2)):
         class FlippedPsi2(base):
-            def _adams_powers(self, a):
-                for j, psi in enumerate(super()._adams_powers(a), 1):
-                    yield -psi if j == 2 else psi
+            def psi(self, k, a):
+                psi = super().psi(k, a)
+                return -psi if k == 2 else psi
 
         validate_model(base(m))
         with pytest.raises(RegistrationFailure):
             validate_model(FlippedPsi2(m))
+
+
+def test_a_wrong_adams_image_fails_validation():
+    class LineNotReduced(ProjectiveModel):  # u -> (1 + u)^k, the -1 dropped
+        def _adams_image(self, k, a):
+            return {("u", 1): super()._adams_image(k, a)[("u", 1)] + 1}
+
+    class OnePowerTooMany(SplitModel):  # x_i -> x_i^(k+1)
+        def _adams_image(self, k, a):
+            return super()._adams_image(k + 1, a)
+
+    for base, wrong, m in ((ProjectiveModel, LineNotReduced, 3), (SplitModel, OnePowerTooMany, 2)):
+        validate_model(base(m))
+        with pytest.raises(RegistrationFailure):
+            validate_model(wrong(m))
 
 
 def test_lambda_series_memo_is_bounded():
@@ -242,19 +293,6 @@ def test_lambda_series_memo_is_bounded():
         want = [reference_lam(split, k, a) for k in range(5)]
         assert split.lambda_series(a, 4) == want
     assert len(split._points) == split.SERIES_MEMO_SIZE
-
-
-def test_lambda_series_guard_after_cached_call():
-    x1, x2, u = IntPoly.var("x", 1), IntPoly.var("x", 2), IntPoly.var("u", 1)
-    for model, a in ((ProjectiveModel(1, name="sphere"), 2 * u), (SplitModel(2), x1 + x2),
-                     (IntegerModel(), 2)):
-        model.lambda_series(a, 5)
-        model.max_lambda = 3
-        assert len(model.lambda_series(a, 3)) == 4
-        with pytest.raises(ModelTruncationExceeded):
-            model.lambda_series(a, 4)
-        with pytest.raises(ModelTruncationExceeded):
-            model.lam(5, a)
 
 
 def test_validate_model_catches_broken_series():
