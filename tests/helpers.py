@@ -19,9 +19,10 @@ combination of a fixed basis replaced.
 `reference_evaluate` is the per-term loop that the memoised
 `IntPoly.evaluate` replaced, and `reference_line_decomposition` the split
 into line classes with multiplicities that the line-class models used
-before psi^k became the ring map raising each line to its k-th power.  `TuplePoly`, the polynomial kernel over tuple
-monomials, is the reference for the packed `IntPoly`, and the argparse
-parser at the end is the reference for `lambdaops.cli.parse_args`.  A few
+before psi^k became the ring map raising each line to its k-th power.
+`TuplePoly`, the polynomial kernel over tuple monomials, is the reference
+for the packed `IntPoly`, and the argparse parser at the end is the
+reference for `lambdaops.cli.parse_args`.  A few
 constructors and maps that only the tests use (`from_obj`, `from_json`,
 `retruncate`, `un_one`, `fn_sum`, ...) live here rather than in the package.
 """

@@ -193,15 +193,12 @@ def test_adams_values_match_the_newton_evaluation():
                     assert model.eq(model.psi(k, a), want[k - 1]), (model.name, k)
 
 
-def _ring_map_models():
-    return [ProjectiveModel(m) for m in range(1, 8)] + [SplitModel(m) for m in range(1, 5)]
-
-
 def test_adams_operations_are_ring_maps():
     # psi^k(a + b) = psi^k(a) + psi^k(b), psi^k(ab) = psi^k(a) psi^k(b), and
     # psi^j(psi^k(a)) = psi^(jk)(a) for j * k <= 12
     rng = random.Random(23)
-    for model in _ring_map_models():
+    models = [ProjectiveModel(m) for m in range(1, 8)] + [SplitModel(m) for m in range(1, 5)]
+    for model in models:
         elems = model.samples(rng, 4)
         for a, b in zip(elems, elems[1:]):
             for k in range(1, 13):
