@@ -37,8 +37,14 @@ of one fixed basis per generator; the last three (`act` on `cp:64` with a
 term of degree 40, on `split:4` at lambda^10 and on `cp:7` at lambda^9, the
 first pins of models with m > 3) before the line-class models computed
 psi^k as the ring map that raises each line to its k-th power instead of
-splitting each element into line classes.  Any change to these outputs is a change
-of answers, not of speed.
+splitting each element into line classes; the last four (`coprod add` of
+one leg repeated across about 800 entries as text, `loop` of an odd operand
+to 33 copies of one leg as JSON, and a `coprod mul` at window 5 with
+negative and one-sided indices in both formats) before the
+co-multiplication built only the entries with rho <= s and took the others
+by exchanging the tensor legs, and the writers sorted one row layout per
+distinct monomial set.  Any change to these outputs is a change of answers,
+not of speed.
 """
 
 import hashlib
@@ -181,6 +187,15 @@ PINNED = [
     (['act', '--model', 'cp:7', '--trunc', '9', 'id@(L9-L2*L7)+chi(2)@(L3*L3*L3)',
       '2+u*u*u-3*u'],
      '2c8cb366add70940a860ae950cdc4452ba5e3d45c82baf7f512b854052461667'),
+    (['coprod', 'add', 'const(1)@L5', '--trunc', '5', '--window', '16'],
+     '0d7db0a16cd9e804984d73dc229a609a34bb7420aff312b54cedf8b08691c88b'),
+    (['loop', 'l4-2*l7+l14', '--trunc', '14', '--format', 'json'],
+     '402c1ca4f96eccaf60d9b47b64a2980f6d087b6ebf66da982274d8a0f496556a'),
+    (['coprod', 'mul', 'chi(-3)@(L1*L2) + chi(5)@L1', '--trunc', '6', '--window', '5'],
+     'ae6b095ab4042bad3331f713a7fc11043257edfcbbe4ccb49594d9dce9df6f02'),
+    (['coprod', 'mul', 'chi(-3)@(L1*L2) + chi(5)@L1', '--trunc', '6', '--window', '5',
+      '--format', 'json'],
+     '273c93a40a8a4f31d89412b86248d367d4dd143fb5dc0f48299f562e18f6323c'),
 ]
 
 
