@@ -328,9 +328,15 @@ def op_comult(r: EvenOp) -> EvenOpTensor:
     chi_r (x) b(1)[1] gamma(s)(b(2))  (x)  chi_s (x) b(1)[2] gamma(r)(b(3)),
     where (1)(2)(3) is iterated co-addition and [1][2] co-multiplication.
     On generators it is one ring map per divisor pair: see comult_entry.
+    The plethory is a commutative biring, so its co-multiplication is
+    cocommutative: entry (s, rho) is entry (rho, s) with the legs T1 and T2
+    exchanged, and only the entries with rho <= s are built.
     """
     entries = {(rho, s): comult_entry(r, rho, s)
-               for d in r.table for rho, s in divisor_pairs(d, r.window)}
+               for d in r.table for rho, s in divisor_pairs(d, r.window) if rho <= s}
+    below = [key for key in entries if key[0] < key[1]]
+    swapped = IntPoly.rename_all([entries[key] for key in below], {"T1": "T2", "T2": "T1"})
+    entries.update(((s, rho), poly) for (rho, s), poly in zip(below, swapped))
     return EvenOpTensor(entries, r.trunc, r.window)
 
 

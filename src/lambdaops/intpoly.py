@@ -15,7 +15,11 @@ keys of `collect` and error texts; `terms` hands out such a decoded copy of
 the term map.  Every order shown comes from `_ordered`.  Both output formats
 decode and sort each distinct monomial once per output: `to_json_all` and
 `to_text_all` write an output's polynomials from one table of their monomials;
-`to_json` and `__str__` are their one-polynomial cases.  Values are treated as
+`to_json` and `__str__` are their one-polynomial cases.  The writers write
+each distinct polynomial object once, and the table sorts one row layout (a
+row's monomials in table order) per distinct monomial sequence, not one per
+row; the JSON writer fills one `%` template per layout.  `rename_all` renames
+each distinct monomial of a list of polynomials once.  Values are treated as
 immutable after construction, so they are safe to share, hash and memoise.  No
 other module depends on this layout: they read monomials through the query and
 monomial-view methods and build them from `var`.
@@ -94,18 +98,32 @@ def _ordered(monos: Iterable[int]) -> dict[int, tuple]:
     return dict(sorted([(m, _decode(m)) for m in monos], key=itemgetter(1)))
 
 
-def _table(polys: list["IntPoly"]) -> tuple[dict[int, tuple], list]:
-    """One table of the monomials of one output: their `_ordered` decoded forms,
-    and a (term map, monomials in table order) row per polynomial.  Ranks sort
-    a polynomial that holds part of the table, built only if one does."""
+def _table(polys: list["IntPoly"]) -> tuple[dict[int, tuple], list, dict[int, tuple]]:
+    """One table of the monomials of one output: their `_ordered` decoded
+    forms; the row layouts (a row's monomials in table order), one per
+    distinct monomial sequence, as rows built alike share one and a tuple
+    keys faster than a set; and, keyed by id, a (term map, layout number) row
+    per distinct polynomial object.  Ranks sort a layout that is part of the
+    table, built only if one is."""
+    distinct = {id(p): p._terms for p in polys}
     monos: dict[int, int] = {}  # in first-seen order: term maps are often near sorted
-    for p in polys:
-        monos.update(p._terms)
+    for terms in distinct.values():
+        monos.update(terms)
     decoded = _ordered(monos)
-    part = [len(p._terms) < len(decoded) for p in polys]
-    rank = {m: r for r, m in enumerate(decoded)} if any(part) else None
-    return decoded, [(p._terms, sorted(p._terms, key=rank.__getitem__) if some else decoded)
-                     for p, some in zip(polys, part)]
+    numbers: dict[tuple | None, int] = {}  # monomial sequence -> layout number; None: the table
+    layouts: list = []
+    rows = {}
+    rank = None
+    for key, terms in distinct.items():
+        seq = tuple(terms) if len(terms) < len(decoded) else None
+        n = numbers.get(seq)
+        if n is None:
+            if seq is not None and rank is None:
+                rank = {m: r for r, m in enumerate(decoded)}
+            n = numbers[seq] = len(layouts)
+            layouts.append(decoded if seq is None else sorted(terms, key=rank.__getitem__))
+        rows[key] = (terms, n)
+    return decoded, layouts, rows
 
 
 # The text and the JSON text of a (family, index, exponent) factor, such as `L3^2`
@@ -421,19 +439,35 @@ class IntPoly:
         return IntPoly._trusted(out)
 
     def rename_family(self, src: str, dst: str) -> "IntPoly":
-        mask = _family_mask(src)
+        """The one-polynomial case of `rename_all`: `src` variables become
+        `dst` variables of the same index."""
+        return IntPoly.rename_all([self], {src: dst})[0]
 
-        def fn(m, c):
+    @staticmethod
+    def rename_all(polys: list["IntPoly"], names: Mapping[str, str]) -> list["IntPoly"]:
+        """Each polynomial with the variables of every family `src` of `names`
+        renamed at once to names[src] at the same index, so that {"T1": "T2",
+        "T2": "T1"} exchanges two families.  Each distinct monomial of the
+        list is decoded and renamed once."""
+        mask = reduce(or_, map(_family_mask, names), 0)
+
+        def renamed(m):
             part = m & mask
-            if not part:
-                return m, c
-            m = (m ^ part) + sum(e << _shift((dst, _VARS[sh // _WIDTH][1]))
-                                 for sh, e in _fields(part))
-            if m & _GUARD:
-                _overflow()
-            return m, c
+            m ^= part
+            for sh, e in _fields(part):
+                f, i = _VARS[sh // _WIDTH]
+                m += e << _shift((names[f], i))
+            return m
 
-        return self.map_terms(fn)
+        monos: dict[int, int] = {}
+        for p in polys:
+            monos.update(p._terms)
+        moved = {m: renamed(m) for m in monos}
+        if reduce(or_, moved.values(), 0) & _GUARD:
+            _overflow()
+        if len(set(moved.values())) < len(moved):  # two monomials meet: add up their terms
+            return [p.map_terms(lambda m, c: (moved[m], c)) for p in polys]
+        return [IntPoly._trusted({moved[m]: c for m, c in p._terms.items()}) for p in polys]
 
     def truncate_family(self, family: str, max_index: int) -> "IntPoly":
         """Drop every monomial containing a `family` variable above `max_index`."""
@@ -519,9 +553,11 @@ class IntPoly:
         """The text of each polynomial of one output, such as `L1^2 - 2*L2`,
         written from one table of the monomials they hold (see `_table`):
         each distinct monomial gets the text of its factors once."""
-        decoded, rows = _table(polys)
+        decoded, layouts, rows = _table(polys)
         factors = {m: "*".join(map(_text_factor, mono)) for m, mono in decoded.items()}
-        return [IntPoly.sum_text((terms[m], factors[m]) for m in ms) for terms, ms in rows]
+        written = {key: IntPoly.sum_text((terms[m], factors[m]) for m in layouts[n])
+                   for key, (terms, n) in rows.items()}
+        return [written[id(p)] for p in polys]
 
     @staticmethod
     def sum_text(terms: Iterable[tuple[int, str]]) -> str:
@@ -551,11 +587,16 @@ class IntPoly:
     def to_json_all(polys: list["IntPoly"]) -> list[str]:
         """The `to_json()` text of each polynomial of one output, written
         from one table of the monomials they hold (see `_table`): each
-        distinct monomial gets its `,"mono":[...]}` text once."""
-        decoded, rows = _table(polys)
-        text = {m: ',"mono":[' + ",".join(map(_json_factor, mono)) + "]}" for m, mono in decoded.items()}
-        return ["[" + ",".join([f'{{"coeff":"{terms[m]}"{text[m]}' for m in ms]) + "]"
-                for terms, ms in rows]
+        distinct monomial gets its `{"coeff":"%d","mono":[...]}` text once,
+        with any `%` of a family name doubled, and each row layout one
+        template of them, filled with a row's coefficients."""
+        decoded, layouts, rows = _table(polys)
+        term = {m: '{"coeff":"%d","mono":[' + ",".join(map(_json_factor, mono)).replace("%", "%%")
+                + "]}" for m, mono in decoded.items()}
+        templates = ["[" + ",".join(map(term.__getitem__, ms)) + "]" for ms in layouts]
+        written = {key: templates[n] % tuple(map(terms.__getitem__, layouts[n]))
+                   for key, (terms, n) in rows.items()}
+        return [written[id(p)] for p in polys]
 
 
 def _coerce(x) -> IntPoly:

@@ -321,16 +321,21 @@ def check_looping_axioms(trunc: int, window: int,
     # (3) Omega is multiplicative under composition, both parities.
     third = Prop("3")
     fns = [chi(0), chi(1), chi(-1), const(1)]
+
+    def operand(f, k):  # f (x) L_k and its loop, built once per (f, k)
+        op = EvenOp.from_pairs([(f, gen(k, trunc))], trunc, window)
+        return op, loop_even(op)
+
+    ops = [(f, {k: operand(f, k) for k in range(1, trunc + 1)}) for f in fns]
     for i in range(1, trunc + 1):
         for j in range(1, trunc + 1):
             if i * j > trunc:
                 continue
-            for f in fns:
-                for g in fns:
-                    r = EvenOp.from_pairs([(f, gen(i, trunc))], trunc, window)
-                    s = EvenOp.from_pairs([(g, gen(j, trunc))], trunc, window)
+            for f, f_ops in ops:
+                for g, g_ops in ops:
+                    (r, loop_r), (s, loop_s) = f_ops[i], g_ops[j]
                     lhs = loop_even(compose_even(r, s))
-                    rhs = compose_odd(loop_even(r), loop_even(s))
+                    rhs = compose_odd(loop_r, loop_s)
                     third.check(lhs == rhs, lambda: f"even axiom 3 at ({f}(x)L{i}, {g}(x)L{j})")
             lhs = loop_odd(compose_odd(lgen(i, trunc), lgen(j, trunc)), window)
             rhs = compose_even(

@@ -120,6 +120,41 @@ def test_text_writer_matches_the_reference_on_random_leaf_pools():
     assert IntPoly.to_text_all(leaves) == [reference_str(p) for p in leaves]
 
 
+def _layout_cases():
+    """Leaf lists that share row layouts: named (leaves, number of row
+    layouts) cases, where rows built alike from one monomial set share a
+    layout.  One family holds a `%`, which the JSON row templates must
+    double."""
+    x = [IntPoly.var(*v) for v in [("oL", 1), ("oL", 2), ("oL", 3), ("p%d", 1)]]
+    monos = [x[0], x[0] * x[1], x[2] * x[3], x[3] ** 2, IntPoly.one(), x[1] * x[3]]
+    big = 10**31 + 7
+
+    def poly(coeffs):
+        return sum((c * m for c, m in zip(coeffs, monos)), IntPoly.zero())
+
+    one_set = [poly([c, -c, 2 * c, -big * c, c + 1, 3]) for c in range(1, 9)]
+    subset = [poly([c, 0, -big * c, 0, 7 - c, 0]) for c in (1, -1, 5, 2)]
+    twin = poly([1, -2, 3, 4, 5, -big])
+    equal = [twin, poly([1, -2, 3, 4, 5, -big]), twin, twin]
+    return {
+        "one monomial set": (one_set, 1),
+        "a shared strict subset": (subset + one_set[:1] + subset[::-1], 2),
+        "equal and repeated objects": (equal, 1),
+        "zero": ([IntPoly.zero(), twin, IntPoly.zero()], 2),
+        "all": (one_set + subset + equal + [IntPoly.zero(), -twin, IntPoly.const(-(10**40))], 4),
+    }
+
+
+@pytest.mark.parametrize("name", list(_layout_cases()))
+def test_writers_share_row_layouts_and_match_the_reference(name):
+    leaves, sets = _layout_cases()[name]
+    assert IntPoly.to_text_all(leaves) == [reference_str(p) for p in leaves]
+    tree = {"rows": leaves, "first": leaves[0]}
+    assert cli._json(tree) == _reference(tree)
+    _, layouts, rows = intpoly._table(leaves)
+    assert len(layouts) == sets and len(rows) == len({id(p) for p in leaves})
+
+
 # The argv lines of EVERY_KIND whose result is an odd class: an exterior
 # element, which holds no polynomial and is written by ExtElem.render.
 ODD_RESULT = [["compose", "l1*l2", "l3", "--trunc", "8"], ["loop", "chi(1)@L2 - chi(0)@L2"]]

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -329,6 +331,67 @@ def test_a_wrong_t2_linear_comult_gen_fails_looping_and_compose(monkeypatch):
     failed = {name: [p["id"] for p in run_suite(name, trunc, 16)["properties"] if not p["pass"]]
               for name, trunc in (("looping", 5), ("compose", 6))}
     assert failed == {"looping": ["axiom-2"], "compose": ["coproducts-vs-action"]}
+
+
+# product legs, negative scalars and indicators at both ends of the window
+def comult_oracle_ops(trunc, window):
+    return [f"chi({window})@(L1*L2) + const(-2)@L3",
+            f"chi(-{window})@(2*L1*L1 - L2) + id@L{trunc}",
+            "const(-1)@(L2*L3) + chi(0)@L1 + chi(1)@(-L1)",
+            f"id@(L1*L{trunc - 1}) + const(3)@L2",
+            "const(2)@(L1*L1*L2) - chi(2)@L3"]
+
+
+def comult_oracle_mismatches(trunc, window):
+    """The ops whose op_comult entries differ from the nonzero comult_entry
+    over every pair of indices in the window, and the number of entries."""
+    mismatches, count = [], 0
+    for text in comult_oracle_ops(trunc, window):
+        r = parse_op(text, trunc, window)
+        expected = {(rho, s): comult_entry(r, rho, s)
+                    for rho in range(-window, window + 1) for s in range(-window, window + 1)}
+        expected = {key: poly for key, poly in expected.items() if not poly.is_zero}
+        count += len(expected)
+        if op_comult(r).entries != expected:
+            mismatches.append(text)
+    return mismatches, count
+
+
+COMULT_ORACLE_SIZES = [(5, 3), (6, 9), (7, 16)]
+
+
+@pytest.mark.parametrize("trunc,window", COMULT_ORACLE_SIZES)
+def test_op_comult_matches_comult_entry_at_every_pair(trunc, window):
+    assert comult_oracle_mismatches(trunc, window)[0] == []
+
+
+def test_a_leg_exchange_that_keeps_t1_1_fails_the_comult_oracle(monkeypatch):
+    right = IntPoly.rename_all
+    swap = {"T1": "T2", "T2": "T1"}
+
+    def wrong(polys, names):
+        if names != swap:
+            return right(polys, names)
+        images = {(f, i): IntPoly.var(swap[f], i) for p in polys for f in swap
+                  for i in p.indices(f) if (f, i) != ("T1", 1)}
+        return [p.substitute(images) for p in polys]
+
+    monkeypatch.setattr(IntPoly, "rename_all", staticmethod(wrong))
+    for trunc, window in COMULT_ORACLE_SIZES:
+        mismatches, count = comult_oracle_mismatches(trunc, window)
+        assert mismatches == comult_oracle_ops(trunc, window) and count
+
+
+def test_op_comult_builds_only_the_entries_with_rho_at_most_s():
+    code = ("import contextlib, io\n"
+            "from lambdaops import cli, evenops\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['coprod', 'mul', 'const(1)@L5', '--window', '16']) == 0\n"
+            "print(evenops._comult_gen.cache_info().currsize)\n")
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    pairs = {(rho, s) for d in range(-16, 17) for rho, s in divisor_pairs(d, 16) if rho <= s}
+    assert int(got.stdout) == len(pairs)
 
 
 def test_coadd_entry_outside_table_and_window():
