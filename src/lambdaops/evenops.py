@@ -334,9 +334,9 @@ def op_comult(r: EvenOp) -> EvenOpTensor:
     """
     entries = {(rho, s): comult_entry(r, rho, s)
                for d in r.table for rho, s in divisor_pairs(d, r.window) if rho <= s}
-    below = [key for key in entries if key[0] < key[1]]
-    swapped = IntPoly.rename_all([entries[key] for key in below], {"T1": "T2", "T2": "T1"})
-    entries.update(((s, rho), poly) for (rho, s), poly in zip(below, swapped))
+    mirrored = [key for key in entries if key[0] < key[1]]
+    swapped = IntPoly.rename_all([entries[key] for key in mirrored], {"T1": "T2", "T2": "T1"})
+    entries.update(((s, rho), poly) for (rho, s), poly in zip(mirrored, swapped))
     return EvenOpTensor(entries, r.trunc, r.window)
 
 
