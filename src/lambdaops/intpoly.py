@@ -448,26 +448,32 @@ class IntPoly:
         """Each polynomial with the variables of every family `src` of `names`
         renamed at once to names[src] at the same index, so that {"T1": "T2",
         "T2": "T1"} exchanges two families.  Each distinct monomial of the
-        list is decoded and renamed once."""
-        mask = reduce(or_, map(_family_mask, names), 0)
+        list is decoded and renamed once; a polynomial two of whose monomials
+        meet, which its length shows, has their terms added."""
+        mask = sum(map(_family_mask, names))  # the families' masks are disjoint
 
         def renamed(m):
             part = m & mask
+            if not part:
+                return m
             m ^= part
             for sh, e in _fields(part):
                 f, i = _VARS[sh // _WIDTH]
                 m += e << _shift((names[f], i))
+            if m & _GUARD:
+                _overflow()
             return m
 
         monos: dict[int, int] = {}
         for p in polys:
             monos.update(p._terms)
         moved = {m: renamed(m) for m in monos}
-        if reduce(or_, moved.values(), 0) & _GUARD:
-            _overflow()
-        if len(set(moved.values())) < len(moved):  # two monomials meet: add up their terms
-            return [p.map_terms(lambda m, c: (moved[m], c)) for p in polys]
-        return [IntPoly._trusted({moved[m]: c for m, c in p._terms.items()}) for p in polys]
+        out = []
+        for p in polys:
+            terms = {moved[m]: c for m, c in p._terms.items()}
+            out.append(IntPoly._trusted(terms) if len(terms) == len(p._terms)
+                       else p.map_terms(lambda m, c: (moved[m], c)))
+        return out
 
     def truncate_family(self, family: str, max_index: int) -> "IntPoly":
         """Drop every monomial containing a `family` variable above `max_index`."""

@@ -43,7 +43,7 @@ to 33 copies of one leg as JSON, and a `coprod mul` at window 5 with
 negative and one-sided indices in both formats) before the
 co-multiplication built only the entries with rho <= s and took the others
 by exchanging the tensor legs, and the writers sorted one row layout per
-distinct monomial set.  Any change to these outputs is a change of answers,
+distinct monomial sequence.  Any change to these outputs is a change of answers,
 not of speed.
 """
 

@@ -122,8 +122,8 @@ def test_text_writer_matches_the_reference_on_random_leaf_pools():
 
 def _layout_cases():
     """Leaf lists that share row layouts: named (leaves, number of row
-    layouts) cases, where rows built alike from one monomial set share a
-    layout.  One family holds a `%`, which the JSON row templates must
+    layouts) cases, where rows built alike, so holding one monomial
+    sequence, share a layout.  One family holds a `%`, which the JSON row templates must
     double."""
     x = [IntPoly.var(*v) for v in [("oL", 1), ("oL", 2), ("oL", 3), ("p%d", 1)]]
     monos = [x[0], x[0] * x[1], x[2] * x[3], x[3] ** 2, IntPoly.one(), x[1] * x[3]]

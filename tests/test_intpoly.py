@@ -319,6 +319,23 @@ def test_packed_kernel_matches_the_tuple_kernel():
         assert a.variables() == ta.variables()
 
 
+def test_rename_all_swaps_families_and_adds_the_terms_that_meet():
+    """`rename_all` against the tuple kernel: an exchange of two families on
+    a list of random polynomials (no monomials can meet), and a renaming
+    onto a family already present, where some polynomials of the list have
+    two monomials meeting and others none."""
+    rng = random.Random(26)
+    twins = [twin_polys(rng) for _ in range(12)]
+    swapped = IntPoly.rename_all([a for a, _ in twins], {"L": "T1", "T1": "L"})
+    for got, (_, t) in zip(swapped, twins):
+        assert_same(got, t.rename_family("L", "U").rename_family("T1", "L").rename_family("U", "T1"))
+    l1, t1, x1 = IntPoly.var("L", 1), IntPoly.var("T1", 1), IntPoly.var("x", 1)
+    polys = [l1 + t1, l1 - t1, l1 * t1 + 3 * x1, x1 - 2 * l1 * l1, IntPoly.zero()]
+    want = [2 * t1, IntPoly.zero(), t1 * t1 + 3 * x1, x1 - 2 * t1 * t1, IntPoly.zero()]
+    assert IntPoly.rename_all(polys, {"L": "T1"}) == want
+    assert [p.rename_family("L", "T1") for p in polys] == want
+
+
 def test_substitute_scaled_copy_of_one_image():
     """A term c * v, with v substituted and nothing left untouched, lands in
     an empty result as a copy of v's image scaled by c; every other term,
