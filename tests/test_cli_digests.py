@@ -43,8 +43,10 @@ to 33 copies of one leg as JSON, and a `coprod mul` at window 5 with
 negative and one-sided indices in both formats) before the
 co-multiplication built only the entries with rho <= s and took the others
 by exchanging the tensor legs, and the writers sorted one row layout per
-distinct monomial sequence.  Any change to these outputs is a change of answers,
-not of speed.
+distinct monomial sequence; the last one (`check looping --trunc 14` as
+JSON) before every evaluation at model lambda values went through
+`poly_eval_in_model` with the legs as its input.  Any change to these
+outputs is a change of answers, not of speed.
 """
 
 import hashlib
@@ -196,6 +198,8 @@ PINNED = [
     (['coprod', 'mul', 'chi(-3)@(L1*L2) + chi(5)@L1', '--trunc', '6', '--window', '5',
       '--format', 'json'],
      '273c93a40a8a4f31d89412b86248d367d4dd143fb5dc0f48299f562e18f6323c'),
+    (['check', 'looping', '--trunc', '14', '--format', 'json'],
+     '0af4c387c8ff6dd38cff633d372a6453eecd1eca25cbb9a4c5be71657179b06b'),
 ]
 
 
