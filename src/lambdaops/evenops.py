@@ -150,25 +150,10 @@ def op_counit(r: EvenOp) -> int:
     return cozero(r.component(1))
 
 
-class _Lambdas:
-    """The assignment (f, k) -> lambda^k(legs[f]), read by `IntPoly.evaluate`
-    only for the monomials its memo misses."""
-
-    __slots__ = ("model", "legs")
-
-    def __init__(self, model: LambdaRingModel, legs: dict):
-        self.model, self.legs = model, legs
-
-    def __getitem__(self, var):
-        return self.model.lam(var[1], self.legs[var[0]])
-
-
 def act(r: EvenOp, model: LambdaRingModel, alpha):
     """Apply the operation to a model element:
-    x_{eps(alpha)} with generators L_k replaced by lambda^k(alpha - eps(alpha)).
-    Both are read from the point record of alpha, and the monomials of x are
-    evaluated through the memo of the record of alpha - eps(alpha), which
-    asks the model for lambda^k only where it misses.
+    x_{eps(alpha)} with generators L_k replaced by lambda^k(alpha - eps(alpha)),
+    both read from the point record of alpha (see `poly_eval_in_model`).
     """
     point = model.point(alpha)
     if abs(point.eps) > r.window:
@@ -176,9 +161,7 @@ def act(r: EvenOp, model: LambdaRingModel, alpha):
     x = r.table.get(point.eps)
     if x is None:
         return model.from_int(0)
-    leg = point.reduced
-    return poly_eval_in_model(x.poly, model, _Lambdas(model, {"L": leg}),
-                              model.point(leg).values)
+    return poly_eval_in_model(x.poly, model, {"L": point.reduced})
 
 
 # -- coalgebra structure -------------------------------------------------------
@@ -196,7 +179,7 @@ def act_pair(entry, model: LambdaRingModel, alpha, beta, window: int):
     poly = entry(ea, eb)
     if poly.is_zero:
         return model.from_int(0)
-    return poly_eval_in_model(poly, model, _Lambdas(model, {"T1": pa.reduced, "T2": pb.reduced}))
+    return poly_eval_in_model(poly, model, {"T1": pa.reduced, "T2": pb.reduced})
 
 
 class EvenOpTensor:

@@ -533,9 +533,10 @@ class IntPoly:
         or elements of `ring`, an object with from_int, mul and combine, which
         adds up the terms (such as a lambda-ring model: see
         `LambdaRingModel.combine`).  `memo` keeps the value of each monomial:
-        pass one memo to every evaluation at one assignment
-        (`models.Point.values`); a fresh one still shares prefixes inside this
-        polynomial.  `assign` is read only for the monomials the memo misses."""
+        pass one memo to every evaluation at one assignment, as
+        `models.poly_eval_in_model` does at lambda values; without one, a
+        fresh memo still shares prefixes inside this polynomial.  `assign` is
+        read only for the monomials the memo misses."""
         times = mul if ring is None else ring.mul
         memo = {} if memo is None else memo
         if not memo:

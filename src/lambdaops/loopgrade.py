@@ -302,17 +302,20 @@ def check_looping_axioms(trunc: int, window: int,
     srng = random.Random(23)
     alphas = model.samples(srng, 4)
     betas = model.samples(srng, 4)
+    # (eps(alpha), alpha, beta - eps(beta), alpha * (beta - eps(beta))) per
+    # pair whose augmentation stays in the window, from the point records
+    pairs = []
+    for alpha, beta in zip(alphas, betas):
+        ea, beta_red = model.point(alpha).eps, model.point(beta).reduced
+        if abs(ea) <= window:
+            pairs.append((ea, alpha, beta_red, model.mul(alpha, beta_red)))
     for k in range(1, trunc + 1):
         for f in (chi(0), chi(1), chi(-1), const(1)):
             r = EvenOp.from_pairs([(f, gen(k, trunc))], trunc, window)
-            for alpha, beta in zip(alphas, betas):
-                if abs(model.eps(alpha)) > window:
-                    continue
-                beta_red = model.sub(beta, model.from_int(model.eps(beta)))
-                q = model.mul(alpha, beta_red)
+            for ea, alpha, beta_red, q in pairs:
                 lhs = _suspension_eval(r, model, q)
                 # the suspension pairs only against the entry (eps(alpha), 0)
-                entry = comult_entry(r, model.eps(alpha), 0)
+                entry = comult_entry(r, ea, 0)
                 rhs = _pair_suspension_eval(entry, model, alpha, beta_red)
                 # the witness numbers the pair by the instances counted so far
                 second.check(model.eq(lhs, rhs),
@@ -371,10 +374,7 @@ def _suspension_eval(r: EvenOp, model: SplitModel, q):
 def _pair_suspension_eval(poly: IntPoly, model: SplitModel, alpha, beta_red):
     """One comultiplication entry paired against (alpha, u*beta): the left leg
     acts on alpha, the right leg loops and acts on beta through suspension."""
-    alpha_red = model.sub(alpha, model.from_int(model.eps(alpha)))
-    top = max(poly.indices("T1"), default=0)
-    lam_alpha = model.lambda_series(alpha_red, top)
-    assign = {("T1", i): lam_alpha[i] for i in range(1, top + 1)}
+    alpha_red = model.point(alpha).reduced
     total = model.from_int(0)
     for right, left in poly.collect("T2"):
         # the right leg must be generator-linear to survive looping
@@ -382,7 +382,7 @@ def _pair_suspension_eval(poly: IntPoly, model: SplitModel, alpha, beta_red):
             signed_psi = model.mul(
                 model.from_int((-1) ** (k - 1)), model_psi(model, k, beta_red)
             )
-            left_val = poly_eval_in_model(left, model, assign)
+            left_val = poly_eval_in_model(left, model, {"T1": alpha_red})
             total = model.add(total, model.mul(left_val, signed_psi))
     return total
 

@@ -25,7 +25,8 @@ from .symfun import lambda_of_integer, newton_psi, universal_pij, universal_pk
 class Point:
     """What a model knows of its element a: eps(a), a - eps(a), its lambda series
     as far as the iterator `lambdas` has grown it, and `values`, the
-    `IntPoly.evaluate` memo at L_k -> lambda^k(a)."""
+    `IntPoly.evaluate` memo that maps a monomial in any family f to its value
+    at f_k -> lambda^k(a).  Only `poly_eval_in_model` writes `values`."""
 
     __slots__ = ("eps", "reduced", "series", "lambdas", "values")
 
@@ -108,8 +109,7 @@ class LambdaRingModel:
 
     def psi(self, k: int, a):
         """Adams value: Newton's psi_k evaluated at lambda^1(a)..lambda^k(a)."""
-        lams = self.lambda_series(a, k)
-        return newton_psi(k).evaluate({("L", i): lams[i] for i in range(1, k + 1)}, self)
+        return poly_eval_in_model(newton_psi(k), self, {"L": a})
 
     def samples(self, rng: random.Random, count: int) -> list:
         raise NotImplementedError
@@ -305,10 +305,26 @@ def model_psi(model: LambdaRingModel, k: int, a):
     return model.psi(k, a)
 
 
-def poly_eval_in_model(poly: IntPoly, model: LambdaRingModel, assign: dict, memo=None):
-    """Evaluate an integer polynomial with carrier values for its variables,
-    through `memo` when given (see `IntPoly.evaluate`)."""
-    return poly.evaluate(assign, model, memo)
+class _Lambdas:
+    """The assignment (f, k) -> lambda^k(legs[f]), read by `IntPoly.evaluate`
+    only for the monomials its memo misses."""
+
+    __slots__ = ("model", "legs")
+
+    def __init__(self, model: LambdaRingModel, legs: dict):
+        self.model, self.legs = model, legs
+
+    def __getitem__(self, var):
+        return self.model.lam(var[1], self.legs[var[0]])
+
+
+def poly_eval_in_model(poly: IntPoly, model: LambdaRingModel, legs: dict):
+    """`poly` evaluated at f_k -> lambda^k(legs[f]) for each family f of `legs`,
+    a map from families to model elements.  With one leg x the monomial
+    values are kept in the point record of x, shared by every evaluation at
+    x; with two, in a fresh memo."""
+    memo = model.point(*legs.values()).values if len(legs) == 1 else None
+    return poly.evaluate(_Lambdas(model, legs), model, memo)
 
 
 def validate_model(model: LambdaRingModel, max_k: int = 4,
@@ -345,17 +361,14 @@ def validate_model(model: LambdaRingModel, max_k: int = 4,
                 rhs = model.add(rhs, model.mul(lam_a[i], lam_b[k - i]))
             if not model.eq(lam_sum[k], rhs):
                 fail(f"sum rule k={k}", f"{model.show(a)}, {model.show(b)}")
-            assign = {("x", i): lam_a[i] for i in range(1, k + 1)}
-            assign |= {("y", j): lam_b[j] for j in range(1, k + 1)}
-            rhs = poly_eval_in_model(universal_pk(k), model, assign)
+            rhs = poly_eval_in_model(universal_pk(k), model, {"x": a, "y": b})
             if not model.eq(lam_prod[k], rhs):
                 fail(f"product rule k={k}", f"{model.show(a)}, {model.show(b)}")
         # lambda^i(lambda^j(a)) for every i * j <= 4
         lam_lam = {j: model.lambda_series(lam_a[j], 4 // j) for j in range(1, 5)}
         for i in range(1, 5):
             for j in range(1, 4 // i + 1):
-                assign = {("L", m): lam_a[m] for m in range(1, i * j + 1)}
-                rhs = poly_eval_in_model(universal_pij(i, j), model, assign)
+                rhs = poly_eval_in_model(universal_pij(i, j), model, {"L": a})
                 if not model.eq(lam_lam[j][i], rhs):
                     fail(f"composition rule ({i},{j})", model.show(a))
 

@@ -40,7 +40,6 @@ from lambdaops.models import (
     register_models,
     un_mu,
     un_restrict,
-    poly_eval_in_model,
 )
 from lambdaops.setzz import COIFamily, IntegerRing, ModRing, coi_add, coi_mul
 from lambdaops.symfun import left_linearise, universal_pij, universal_pk
@@ -68,7 +67,7 @@ def test_criterion_01_universal_polynomial_oracle():
             assign = {("x", i): split.lam(i, a) for i in range(1, k + 1)}
             assign |= {("y", j): split.lam(j, b) for j in range(1, k + 1)}
             lhs = split.lam(k, split.mul(a, b))
-            rhs = poly_eval_in_model(universal_pk(k), split, assign)
+            rhs = universal_pk(k).evaluate(assign, split)
             assert split.eq(lhs, rhs), (k, str(a), str(b))
     # P_{i,j} against iterated lambda, all i*j <= 8
     pairs = [(i, j) for i in range(1, 9) for j in range(1, 9) if i * j <= 8]
@@ -76,7 +75,7 @@ def test_criterion_01_universal_polynomial_oracle():
         for a in samples[:6]:
             assign = {("L", m): split.lam(m, a) for m in range(1, i * j + 1)}
             lhs = split.lam(i, split.lam(j, a))
-            rhs = poly_eval_in_model(universal_pij(i, j), split, assign)
+            rhs = universal_pij(i, j).evaluate(assign, split)
             assert split.eq(lhs, rhs), (i, j, str(a))
     _report(1, "P_k and P_{i,j} reproduce the split-model lambda operations",
             t0, budget=30)

@@ -57,15 +57,13 @@ def test_comult3_image_matches_the_reference_recursion():
         assert _comult3_image(k) == reference_comult3(k), k
 
 
-def test_a_wrong_monomial_value_fails_compose_and_models(monkeypatch):
-    # the memo of IntPoly.evaluate cannot hide a wrong evaluation: doubling
-    # the value of L1*L3 wherever the monomial step builds it fails the
-    # action oracle of `check compose --trunc 6` and the axioms of `check models`
+def _double_monomial(monkeypatch, target):
+    """Double the value of the monomial `target` wherever the monomial step
+    of IntPoly.evaluate builds it, memo included."""
     from lambdaops import intpoly
     from lambdaops.intpoly import IntPoly
     from lambdaops.setzz import COIFamily, coi_add
 
-    target = IntPoly.var("L", 1) * IntPoly.var("L", 3)
     step = intpoly._monomial_value
 
     def doubled(memo, m, assign, times):
@@ -74,10 +72,31 @@ def test_a_wrong_monomial_value_fails_compose_and_models(monkeypatch):
             value = memo[m] = coi_add(value, value) if isinstance(value, COIFamily) else 2 * value
         return value
 
+    monkeypatch.setattr(intpoly, "_monomial_value", doubled)
+
+
+def test_a_wrong_monomial_value_fails_compose_and_models(monkeypatch):
+    # the memo of IntPoly.evaluate cannot hide a wrong evaluation: doubling
+    # the value of L1*L3 fails the action oracle of `check compose --trunc 6`
+    # and the axioms of `check models`
+    from lambdaops.intpoly import IntPoly
+
     for name, trunc in (("compose", 6), ("models", 5)):
         assert run_suite(name, trunc, 16)["pass"], name
-    monkeypatch.setattr(intpoly, "_monomial_value", doubled)
+    _double_monomial(monkeypatch, IntPoly.var("L", 1) * IntPoly.var("L", 3))
     failed = {name: [p["id"] for p in run_suite(name, trunc, 16)["properties"] if not p["pass"]]
               for name, trunc in (("compose", 6), ("models", 5))}
     assert "compose-vs-action" in failed["compose"]
     assert failed["models"] == ["lambda-ring-axioms"]
+
+
+def test_a_wrong_monomial_value_fails_looping_axiom_2(monkeypatch):
+    # axiom 2 evaluates the left legs of the co-multiplication entries through
+    # the memo of alpha - eps(alpha): doubling the value of T1_1*T1_2 there
+    # fails that axiom and no other
+    from lambdaops.intpoly import IntPoly
+
+    assert run_suite("looping", 5, 16)["pass"]
+    _double_monomial(monkeypatch, IntPoly.var("T1", 1) * IntPoly.var("T1", 2))
+    props = run_suite("looping", 5, 16)["properties"]
+    assert [p["id"] for p in props if not p["pass"]] == ["axiom-2"]

@@ -10,7 +10,7 @@ from lambdaops.checks import _operation_corpus
 from lambdaops.errors import IndexOutOfRange, RankUnderflow, RegistrationFailure
 from lambdaops.evenops import EvenOp, act, compose_even
 from lambdaops.intpoly import IntPoly
-from lambdaops.kbu import gen
+from lambdaops.kbu import KBUElem, gen
 from lambdaops.models import (
     COIModel,
     IntegerModel,
@@ -24,6 +24,7 @@ from lambdaops.models import (
     lambdak_from_beta,
     lk_from_mu,
     model_psi,
+    poly_eval_in_model,
     register_models,
     un_mu,
     un_restrict,
@@ -364,6 +365,55 @@ def test_act_through_a_filled_point_matches_a_fresh_model():
         for r in ops:
             for alpha in elems:
                 assert model.eq(act(r, model, alpha), act(r, get_model(name), alpha)), name
+
+
+def test_evaluation_at_lambda_values_matches_an_explicit_assignment():
+    # poly_eval_in_model keeps the values of one leg in the point record of
+    # that leg, whatever the family, and those of two legs in a fresh memo.
+    # One-leg L and T1 evaluations, `act` and two-leg pairings interleaved at
+    # the same elements, and a stream that evicts records mid-way, must all
+    # agree with an explicit assignment from the lambda series and no memo.
+    rng = random.Random(33)
+    weight, window = 6, 96
+    l_polys = [_random_l_poly(rng, weight) for _ in range(4)]
+    t1_polys = [p.rename_family("L", "T1") for p in l_polys]
+    pairings = [p.rename_family("L", "T1") * q.rename_family("L", "T2") + q.rename_family("L", "T1")
+                for p, q in zip(l_polys, l_polys[1:] + l_polys[:1])]
+    ops = [EvenOp.from_pairs([(const(1), KBUElem(p, weight))], weight, window) for p in l_polys]
+
+    def explicit(poly, model, legs):
+        assign = {}
+        for f, x in legs.items():
+            series = model.lambda_series(x, weight)
+            assign |= {(f, k): series[k] for k in range(1, weight + 1)}
+        return poly.evaluate(assign, model)
+
+    def check(model, x, y, kinds):
+        red = model.point(x).reduced
+        cases = {"L": (l_polys, {"L": x}), "T1": (t1_polys, {"T1": red}),
+                 "pair": (pairings, {"T1": x, "T2": y})}
+        for i in range(kinds):
+            for kind, (polys, legs) in cases.items():
+                got = poly_eval_in_model(polys[i], model, legs)
+                assert model.eq(got, explicit(polys[i], model, legs)), (model.name, kind, i)
+            got = act(ops[i], model, x)
+            assert model.eq(got, explicit(l_polys[i], model, {"L": red})), (model.name, "act", i)
+
+    models = list(register_models(validate=False).values()) + [get_model("cp:5"), get_model("split:4")]
+    for model in models:
+        samples = model.samples(rng, 3)
+        s = samples[0]
+        # an element of augmentation 7, beside the samples
+        elems = samples + [model.add(s, model.from_int(7 - model.eps(s)))]
+        for x, y in zip(elems, elems[1:] + elems[:1]):
+            check(model, x, y, len(l_polys))
+        # s + c for more c than there are point records: every one shares the
+        # reduced leg s - eps(s), whose record is dropped and rebuilt mid-way
+        first = model.point(model.point(s).reduced)
+        stream = [model.add(s, model.from_int(c)) for c in range(model.SERIES_MEMO_SIZE + 8)]
+        for x, y in zip(stream, stream[1:]):
+            check(model, x, y, 1)
+        assert model.point(model.point(s).reduced) is not first, model.name
 
 
 def test_point_records_are_bounded_and_per_instance():
