@@ -45,8 +45,11 @@ co-multiplication built only the entries with rho <= s and took the others
 by exchanging the tensor legs, and the writers sorted one row layout per
 distinct monomial sequence; the last one (`check looping --trunc 14` as
 JSON) before every evaluation at model lambda values went through
-`poly_eval_in_model` with the legs as its input.  Any change to these
-outputs is a change of answers, not of speed.
+`poly_eval_in_model` with the legs as its input; the last one (`check
+biring --trunc 9` as JSON, the first biring pin above trunc 8) before
+`IntPoly.substitute` grouped its terms by their substituted part and built
+each part's image once through the monomial step of `evaluate`.  Any change
+to these outputs is a change of answers, not of speed.
 """
 
 import hashlib
@@ -200,6 +203,8 @@ PINNED = [
      '273c93a40a8a4f31d89412b86248d367d4dd143fb5dc0f48299f562e18f6323c'),
     (['check', 'looping', '--trunc', '14', '--format', 'json'],
      '0af4c387c8ff6dd38cff633d372a6453eecd1eca25cbb9a4c5be71657179b06b'),
+    (['check', 'biring', '--trunc', '9', '--format', 'json'],
+     'cb2f40b3af68099a36b81dc615d5a9d7ef8618102bc9a923be56b0fd6f47ea60'),
 ]
 
 
