@@ -16,7 +16,7 @@ from .errors import WindowExhausted
 from .intpoly import IntPoly
 from .kbu import KBUElem, coadd, colinear, comult_image, compose_kbu, cozero
 from .models import LambdaRingModel, poly_eval_in_model
-from .setzz import FnZZ, FnChi, FnCompose, const
+from .setzz import FnZZ, FnChi, FnCompose, Window, const, window_table
 from .symfun import lambda_of_integer, partition_slices
 
 
@@ -58,14 +58,12 @@ class EvenOp:
             if isinstance(x, int):
                 x = KBUElem.from_int(x, trunc)
             scaled: dict[int, KBUElem] = {}
-            for d in range(-window, window + 1):
-                v = f.ev(d)
-                if v:
-                    vx = scaled.get(v)
-                    if vx is None:
-                        vx = scaled[v] = v * x
-                    cur = table.get(d)
-                    table[d] = vx if cur is None else cur + vx
+            for d, v in window_table(f, Window(window)).items():
+                vx = scaled.get(v)
+                if vx is None:
+                    vx = scaled[v] = v * x
+                cur = table.get(d)
+                table[d] = vx if cur is None else cur + vx
         return EvenOp(table, trunc, window)
 
     def _match(self, other: "EvenOp"):

@@ -158,17 +158,32 @@ def _family_mask(family: str, above: int | None = None) -> int:
 
 
 def _monomial_value(memo: dict, m: int, assign: Mapping, times: Callable):
-    """The value of the monomial m: one `times` from the value of m less its
-    lowest factor, built first when missing.  Each value built is kept in `memo`."""
+    """The value of the monomial m, which `memo` misses: the assigned value
+    of one variable to the first power, else one `times` from the value of
+    m less its lowest factor, built first when missing.  Each value built
+    is kept in `memo`, which holds the unit at 0."""
     todo = []
     while m not in memo:
         sh = ((m & -m).bit_length() - 1) & -_WIDTH
         todo.append((m, _VARS[sh // _WIDTH]))
         m -= 1 << sh
+    if not m:  # the lowest factor alone: its assigned value, not a product with the unit
+        m, var = todo.pop()
+        memo[m] = assign[var]
     v = memo[m]
     for m, var in reversed(todo):
         v = memo[m] = times(v, assign[var])
     return v
+
+
+def _groups(terms: Mapping[int, int], mask: int) -> dict[int, dict[int, int]]:
+    """The term map grouped by the part of each monomial inside `mask`:
+    {part: term map of the cofactors outside it}, in first-seen order."""
+    groups: dict[int, dict[int, int]] = {}
+    for m, c in terms.items():
+        inside = m & mask
+        groups.setdefault(inside, {})[m ^ inside] = c
+    return groups
 
 
 def _add_product(out: dict, a: Mapping[int, int], b: Mapping[int, int]) -> None:
@@ -392,11 +407,7 @@ class IntPoly:
         """Group the terms by their `family` part: (monomial in `family`,
         coefficient polynomial in the other families) pairs, sorted by
         monomial."""
-        mask = _family_mask(family)
-        groups: dict[int, dict[int, int]] = {}
-        for m, c in self._terms.items():
-            inside = m & mask
-            groups.setdefault(inside, {})[m ^ inside] = c
+        groups = _groups(self._terms, _family_mask(family))
         return [(IntPoly._trusted({m: 1}), IntPoly._trusted(groups[m]))
                 for m in _ordered(groups)]
 
@@ -488,37 +499,26 @@ class IntPoly:
         """Simultaneously substitute polynomials for variables.
 
         Variables absent from `images` are left untouched.  Substitution is
-        a ring map, so the result is exact.
+        a ring map, so the result is exact.  Each distinct substituted part
+        (see `_groups`) has its image built once by `evaluate`'s monomial
+        step, and that image is added times the part's untouched cofactors.
         """
-        imgs: dict[int, IntPoly] = {}  # bit offset -> image
-        mask = 0
+        assign, mask = {}, 0
         for v, p in images.items():
             sh = _SHIFTS.get(v)
             if sh is not None:  # else no monomial holds v
-                imgs[sh] = _coerce(p)
+                assign[v] = _coerce(p)
                 mask |= _FIELD << sh
-        pow_cache: dict[int, dict[int, int]] = {}  # packed power of one variable -> image
+        memo = {0: IntPoly.one()}
         out: dict[int, int] = {}
-        for m, c in self._terms.items():
-            # the untouched variables and the coefficient form the first factor
-            acc = {m & ~mask: c}
-            factors = []
-            for sh, e in _fields(m & mask):
-                p = pow_cache.get(e << sh)
-                if p is None:
-                    p = pow_cache[e << sh] = (imgs[sh] if e == 1 else imgs[sh] ** e)._terms
-                factors.append(p)
-            # multiply all but the last factor into acc, then add acc times
-            # the last factor straight into the result
-            *head, last = factors or [{0: 1}]
-            for p in head:
-                acc, prev = {}, acc
-                _add_product(acc, prev, p)
-            if not out and len(acc) == 1 and 0 in acc:  # `last` scaled: no guard test
-                c = acc[0]
-                out = dict(last) if c == 1 else {mm: c * cc for mm, cc in last.items()}
+        for part, cofactor in _groups(self._terms, mask).items():
+            image = (memo[part] if part in memo
+                     else _monomial_value(memo, part, assign, mul))._terms
+            if not out and len(cofactor) == 1 and 0 in cofactor:  # `image` scaled: no guard test
+                c = cofactor[0]
+                out = dict(image) if c == 1 else {m: c * v for m, v in image.items()}
             else:
-                _add_product(out, acc, last)
+                _add_product(out, cofactor, image)
         return IntPoly._trusted(out)
 
     def substitute_family(self, family: str, image: Callable[[int], "IntPoly | int"]) -> "IntPoly":

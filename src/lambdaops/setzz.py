@@ -168,11 +168,8 @@ def window_table(f: FnZZ, w: Window) -> dict[int, int]:
 
 def fn_window_normalise(f: FnZZ, w: Window) -> FnZZ:
     """Indicator-basis form sum_{|d|<=W} f(d) chi_d, agreeing with f on the window."""
-    parts = []
-    for d in sorted(window_table(f, w)):
-        v = f.ev(d)
-        parts.append(FnChi(d) if v == 1 else FnProd((FnConst(v), FnChi(d))))
-    return FnSum(tuple(parts))
+    return FnSum(tuple(FnChi(d) if v == 1 else FnProd((FnConst(v), FnChi(d)))
+                       for d, v in fn_window_pairs(f, w)))
 
 
 def fn_window_pairs(f: FnZZ, w: Window) -> list[tuple[int, int]]:
@@ -234,13 +231,7 @@ def fn_comult(f: FnZZ, w: Window) -> FnTensor:
 
 
 def _fn_coproduct(f: FnZZ, w: Window, index_op) -> FnTensor:
-    table = {}
-    for i in w.indices():
-        for j in w.indices():
-            v = f.ev(index_op(i, j))
-            if v:
-                table[(i, j)] = v
-    return FnTensor(table, w)
+    return FnTensor({(i, j): f.ev(index_op(i, j)) for i in w.indices() for j in w.indices()}, w)
 
 
 # -- complete orthogonal idempotents ---------------------------------------
@@ -289,7 +280,8 @@ class ModRing(SampleRing):
 class COIFamily:
     """Complete orthogonal idempotents indexed by integers: finitely many
     nonzero entries x_d with sum 1, x_d^2 = x_d and x_d x_e = 0 for d != e.
-    Invariants are asserted on construction; a family is an immutable value.
+    Invariants are asserted on construction, except where a family is valid
+    by construction (see `_built`); a family is an immutable value.
     """
 
     __slots__ = ("ring", "entries")
@@ -312,7 +304,7 @@ class COIFamily:
 
     @staticmethod
     def delta(ring: SampleRing, d: int) -> "COIFamily":
-        return COIFamily(ring, {d: ring.one()})
+        return _built(ring, {d: ring.one()})
 
     def __eq__(self, other):
         return isinstance(other, COIFamily) and self.entries == other.entries
@@ -330,6 +322,15 @@ class COIFamily:
         if not self.entries:
             raise InvalidFamily("empty family has no index")
         raise InvalidFamily("family is not a single delta")
+
+
+def _built(ring: SampleRing, entries: dict[int, object]) -> COIFamily:
+    """The family of the nonzero `entries`, built without the checks of
+    `COIFamily.__init__`: for families that are valid by construction."""
+    f = object.__new__(COIFamily)
+    f.ring = ring
+    f.entries = {d: v for d, v in entries.items() if v != ring.zero()}
+    return f
 
 
 def coi_add(a: COIFamily, b: COIFamily) -> COIFamily:
@@ -350,4 +351,4 @@ def _coi_convolve(a, b, index_op):
         for j, u in b.entries.items():
             l = index_op(i, j)
             out[l] = ring.add(out.get(l, ring.zero()), ring.mul(v, u))
-    return COIFamily(ring, out)
+    return _built(ring, out)

@@ -16,8 +16,9 @@ recursion and the left-linearised P_k that the closed forms gamma(-1)(L_k)
 and (-1)^(k-1) psi_k replaced, and `reference_comult_gen` is the sum-rule
 construction of the co-multiplication's generator images that the binomial
 combination of a fixed basis replaced.
-`reference_evaluate` is the per-term loop that the memoised
-`IntPoly.evaluate` replaced, and `reference_line_decomposition` the split
+`reference_evaluate` and `reference_substitute` are the per-term loops that
+the memoised `IntPoly.evaluate` and the grouped `IntPoly.substitute`
+replaced, and `reference_line_decomposition` the split
 into line classes with multiplicities that the line-class models used
 before psi^k became the ring map raising each line to its k-th power.
 `TuplePoly`, the polynomial kernel over tuple monomials, is the reference
@@ -533,6 +534,23 @@ def reference_evaluate(poly, assign, ring=None):
             for _ in range(e):
                 acc = ring.mul(acc, assign[(f, i)])
         total = ring.add(total, acc)
+    return total
+
+
+def reference_substitute(poly, images):
+    """`poly` with each variable of `images` replaced by its image, term by
+    term: each coefficient times its untouched variables and the power of
+    each substituted variable's image, with no product shared between terms."""
+    total = IntPoly.zero()
+    for mono, c in poly.terms.items():
+        acc = IntPoly.const(c)
+        for f, i, e in mono:
+            image = images.get((f, i))
+            if image is None:
+                acc = acc * IntPoly.var(f, i, e)
+            else:
+                acc = acc * (IntPoly.const(image) if isinstance(image, int) else image) ** e
+        total = total + acc
     return total
 
 

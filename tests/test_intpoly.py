@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import TuplePoly, from_json, reference_str, reference_to_json
+from helpers import TuplePoly, from_json, reference_str, reference_substitute, reference_to_json
 from lambdaops.errors import LambdaOpsError
 from lambdaops.intpoly import MAX_EXPONENT, IntPoly
 
@@ -372,6 +372,47 @@ def test_substitute_scaled_copy_of_one_image():
     for p in (big, 7 * IntPoly.var("L", 2) + big):
         with pytest.raises(LambdaOpsError, match=f"exponent above {MAX_EXPONENT}"):
             p.substitute({("L", 2): IntPoly.var("L", 1)})
+
+
+def test_substitute_matches_the_per_term_loop():
+    """Grouped by their substituted part, the terms give what the per-term
+    loop gives: with untouched families as cofactors, one part shared by
+    several cofactors, powers up to 4, integer and zero images, images that
+    reuse a mapped variable, cancellation to zero and the exponent guard."""
+    rng = random.Random(29)
+    ls = [IntPoly.var("L", i) for i in (1, 2, 3)]
+    ts = [IntPoly.var("T1", 1), IntPoly.var("T2", 1), IntPoly.var("T1", 2)]
+
+    def rand_mono(pool, top):
+        mono = IntPoly.one()
+        for v in rng.sample(pool, rng.randint(0, len(pool))):
+            mono = mono * v ** rng.randint(1, top)
+        return mono
+
+    for _ in range(60):
+        parts = [rand_mono(ls, 4) for _ in range(3)]
+        cofactors = [rng.randint(-3, 3) * rand_mono(ts, 2) for _ in range(4)]
+        p = IntPoly.sum_of_products((rng.choice(parts), c) for c in cofactors)
+        p = p + IntPoly.sum_of_products((part, sum(rng.sample(cofactors, 3))) for part in parts)
+        images = {("L", 1): rng.choice([ls[1], ls[1] + ls[0] * ts[0], 2 - ts[1], -3]),
+                  ("L", 2): rng.choice([ls[0], ls[0] - ls[2], 0, ts[0] * ts[0]]),
+                  ("L", 3): rng.choice([ls[2], 5, ls[0] * ls[1] + ts[2], IntPoly.zero()])}
+        images = dict(rng.sample(sorted(images.items()), rng.randint(1, 3)))
+        assert p.substitute(images) == reference_substitute(p, images), (p, images)
+    # a swap, and terms that cancel to zero after the swap
+    l1, l2 = ls[:2]
+    p = (l1 * l1 * l2 - l2 * l1) * (ts[0] - 2 * ts[1]) + l2 ** 4 * ts[2]
+    swap = {("L", 1): l2, ("L", 2): l1}
+    assert p.substitute(swap) == reference_substitute(p, swap) == \
+        (l2 * l2 * l1 - l1 * l2) * (ts[0] - 2 * ts[1]) + l1 ** 4 * ts[2]
+    q = (l1 * l2 - l2 * l2) * (ts[0] + ts[1] * ts[1])
+    assert q.substitute({("L", 1): l2}).is_zero and reference_substitute(q, {("L", 1): l2}).is_zero
+    # a product of images above the exponent guard raises in both
+    x = IntPoly.var("x", 1, MAX_EXPONENT // 3)
+    p = l1 ** 4 * ts[0] + l1 * ts[1]
+    for substitute in (p.substitute, lambda im: reference_substitute(p, im)):
+        with pytest.raises(LambdaOpsError, match=f"exponent above {MAX_EXPONENT}"):
+            substitute({("L", 1): x})
 
 
 def test_packed_kernel_near_the_exponent_bound():

@@ -232,6 +232,36 @@ def test_coi_ring_laws_mod6():
         assert lhs == rhs
 
 
+def test_coi_results_pass_the_public_constructor():
+    """`delta`, `coi_add` and `coi_mul` build their families without the
+    checks of `COIFamily.__init__`; over Z, Z/6 and Z/30, with families of up
+    to three entries, each result still passes them and holds no zero entry."""
+    rng = random.Random(23)
+    # the orthogonal idempotents of Z/30 that lift 1 mod one prime of 30
+    primes = {2: 15, 3: 10, 5: 6}
+
+    def mod30_family():
+        blocks: dict[int, int] = {}
+        for e in primes.values():
+            d = rng.choice(rng.sample(range(-5, 6), 3))
+            blocks[d] = (blocks.get(d, 0) + e) % 30
+        return COIFamily(ModRing(30), blocks)
+
+    samples = [
+        [COIFamily.delta(IntegerRing(), rng.randint(-6, 6)) for _ in range(6)],
+        [random_mod6_family(rng) for _ in range(6)],
+        [mod30_family() for _ in range(6)],
+    ]
+    assert any(len(f.entries) == 3 for f in samples[2])
+    for fams in samples:
+        ring = fams[0].ring
+        results = [COIFamily.delta(ring, d) for d in (-2, 0, 3)]
+        results += [op(a, b) for a in fams for b in fams for op in (coi_add, coi_mul)]
+        for r in results:
+            assert ring.zero() not in r.entries.values()
+            assert COIFamily(ring, r.entries) == r
+
+
 def test_coi_hash_follows_equality():
     ring = IntegerRing()
     total = coi_add(COIFamily.delta(ring, 1), COIFamily.delta(ring, 2))
