@@ -48,8 +48,11 @@ JSON) before every evaluation at model lambda values went through
 `poly_eval_in_model` with the legs as its input; the last one (`check
 biring --trunc 9` as JSON, the first biring pin above trunc 8) before
 `IntPoly.substitute` grouped its terms by their substituted part and built
-each part's image once through the monomial step of `evaluate`.  Any change
-to these outputs is a change of answers, not of speed.
+each part's image once through the monomial step of `evaluate`; the last
+one (`coprod mul` of L11 + L5*L6 at trunc 11 as JSON, the first ring-carrier
+pin to build P_11 in the tensor legs) before every co-multiplication image
+was built in its own legs by one Newton step per product alphabet.  Any
+change to these outputs is a change of answers, not of speed.
 """
 
 import hashlib
@@ -205,6 +208,8 @@ PINNED = [
      '0af4c387c8ff6dd38cff633d372a6453eecd1eca25cbb9a4c5be71657179b06b'),
     (['check', 'biring', '--trunc', '9', '--format', 'json'],
      'cb2f40b3af68099a36b81dc615d5a9d7ef8618102bc9a923be56b0fd6f47ea60'),
+    (['coprod', 'mul', 'L11+L5*L6', '--trunc', '11', '--format', 'json'],
+     '0d5be4c04957ac9c12f75d203a6469491d48d05025e91b1deee564ddd37b6e5c'),
 ]
 
 
