@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cache, partial
+from functools import partial
 
 from .evenops import (
     EvenOp,
@@ -42,7 +42,7 @@ from .models import (
 from .errors import RegistrationFailure
 from .report import SKIP, Prop, all_report, suite_report
 from .setzz import chi, const, IDENT
-from .symfun import _newton_step, _product_power, lambda_of_integer
+from .symfun import lambda_of_integer, product_alphabet
 
 
 def _monomial_corpus(trunc: int) -> list[KBUElem]:
@@ -75,18 +75,9 @@ def _coassociativity_routes(x: KBUElem, image, trunc: int) -> tuple[IntPoly, Int
     return route1, route2
 
 
-def _triple_alphabet():
-    @cache
-    def image(k: int) -> IntPoly:
-        """L_k under the iterated co-multiplication, in the legs T1, T2, T3: e_k
-        of the products a_r b_s c_t, whose n-th power sum is
-        psi_n(T1) psi_n(T2) psi_n(T3); one Newton step on its own images of
-        L_1..L_{k-1}, whatever `_comult3_image` is bound to."""
-        return _newton_step(k, image, lambda n: _product_power(n, ("T1", "T2", "T3")))
-    return image
-
-
-_comult3_image = _triple_alphabet()
+def _comult3_image(k: int) -> IntPoly:
+    """L_k under the iterated co-multiplication: the product alphabet of T1, T2, T3."""
+    return product_alphabet(k, ("T1", "T2", "T3"))
 
 
 def biring_suite(trunc: int, seed: int = 0) -> dict:

@@ -54,11 +54,12 @@ class EvenOp:
         expanded in the indicator basis over the window and grouped.  Each
         leg is scaled once per distinct function value."""
         table: dict[int, KBUElem] = {}
+        w = Window(window)
         for f, x in pairs:
             if isinstance(x, int):
                 x = KBUElem.from_int(x, trunc)
             scaled: dict[int, KBUElem] = {}
-            for d, v in window_table(f, Window(window)).items():
+            for d, v in window_table(f, w).items():
                 vx = scaled.get(v)
                 if vx is None:
                     vx = scaled[v] = v * x

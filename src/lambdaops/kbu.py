@@ -14,7 +14,7 @@ from functools import cache
 
 from .errors import NotReduced
 from .intpoly import IntPoly, Truncated
-from .symfun import _adams_lambda, _newton_step, lambda_of_multiple, newton_psi, universal_pk
+from .symfun import _adams_lambda, _newton_step, lambda_of_multiple, newton_psi, product_alphabet
 
 _SIGMA_CACHE: dict[int, IntPoly] = {}
 _GAMMA_CACHE: dict[tuple[int, int], IntPoly] = {}
@@ -116,10 +116,10 @@ def coadd_image(k: int, left: str = "T1", right: str = "T2") -> IntPoly:
     return out
 
 
-@cache
 def comult_image(k: int, left: str = "T1", right: str = "T2") -> IntPoly:
-    """Image of L_k under co-multiplication: P_k(left_i ; right_j)."""
-    return universal_pk(k).rename_family("x", left).rename_family("y", right)
+    """Image of L_k under co-multiplication: P_k(left_i ; right_j), the
+    product alphabet of the two legs."""
+    return product_alphabet(k, (left, right))
 
 
 def coadd(x: KBUElem) -> TensorKBU:

@@ -26,7 +26,7 @@ from .kbu import KBUElem, gen, psi_kbu
 from .models import SplitModel, model_psi, poly_eval_in_model
 from .report import Prop, axioms_report, relations_report
 from .setzz import chi, const
-from .symfun import left_linearise, newton_psi, universal_pk
+from .symfun import left_linearise, newton_psi, product_alphabet
 
 _PL_CACHE: dict[int, IntPoly] = {}
 _ODD_GEN_CACHE: dict[tuple[int, int], ExtElem] = {}
@@ -391,8 +391,8 @@ def main_relations_check(p_max: int, trunc: int, window: int) -> dict:
     """The two defining relations of the main quotient: looping an even
     operation forgets the function leg through evaluation at zero, and the
     double loop is the alternating left-linearised polynomial, built here from
-    P_p at the sphere values x_i = (-1)^(i-1), apart from the closed form
-    (-1)^(p-1) psi_p that loop_odd reads."""
+    P_p in (x; L) at the sphere values x_i = (-1)^(i-1), apart from the closed
+    form (-1)^(p-1) psi_p that loop_odd reads."""
     if p_max > trunc:
         raise ValueError("p_max must not exceed the truncation level")
     fns = [(f"chi({d})", chi(d)) for d in range(-window, window + 1)]
@@ -400,7 +400,7 @@ def main_relations_check(p_max: int, trunc: int, window: int) -> dict:
     relations = []
     for p in range(1, p_max + 1):
         sphere = {("x", i): IntPoly.const((-1) ** (i - 1)) for i in range(1, p + 1)}
-        plin = left_linearise(universal_pk(p)).substitute(sphere).rename_family("y", "L")
+        plin = left_linearise(product_alphabet(p, ("x", "L"))).substitute(sphere)
         base = EvenOp.from_pairs([(const(1), gen(p, trunc))], trunc, window)
         loop_base = loop_even(base)
         prop = Prop(p)

@@ -19,7 +19,7 @@ from .errors import IndexOutOfRange, RankUnderflow, RegistrationFailure
 from .exterior import ExtElem
 from .intpoly import IntPoly, Truncated
 from .setzz import COIFamily, IntegerRing, coi_add, coi_mul
-from .symfun import lambda_of_integer, newton_psi, universal_pij, universal_pk
+from .symfun import _newton_step, lambda_of_integer, newton_psi, universal_pij, universal_pk
 
 
 class Point:
@@ -180,17 +180,13 @@ class LineClassModel(LambdaRingModel):
         return IntPoly.linear_combination(zip(coeffs, values))
 
     def _lambdas(self, a):
-        """lambda^0(a), lambda^1(a), ... by Newton's identity
-        k lambda^k = sum over j <= k of (-1)^(j-1) psi^j lambda^(k-j), reduced
-        before the division by k: the ideal that `_reduce` kills holds terms
-        that k need not divide."""
-        series, signed = [IntPoly.one()], []
+        """lambda^0(a), lambda^1(a), ...: lambda^k is one Newton step over the
+        Adams values psi^1(a)..psi^k(a) in the quotient that `_reduce` maps to."""
+        series, powers = [IntPoly.one()], [None]
         yield series[0]
         for k in count(1):
-            psi = self.psi(k, a)
-            signed.append(psi if k % 2 else -psi)
-            series.append(self._reduce(IntPoly.sum_of_products(
-                zip(reversed(signed), series))).div_exact(k))
+            powers.append(self.psi(k, a))
+            series.append(_newton_step(k, series.__getitem__, powers.__getitem__, self._reduce))
             yield series[k]
 
     def lam(self, k, a):

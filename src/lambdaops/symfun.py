@@ -91,33 +91,41 @@ def elementary_expand(p: IntPoly, family: str = "x", m: int | None = None,
         out = out + coeff * emono
 
 
-def _newton_step(n: int, elem, power) -> IntPoly:
+def _newton_step(n: int, elem, power, quotient=None) -> IntPoly:
     """e_n of an alphabet with e_1..e_{n-1} given by elem(1)..elem(n-1) and
     i-th power sum power(i), by Newton's identity
-    n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i.
+    n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i, the sum mapped first by
+    `quotient` when given: the ideal it kills may hold terms n need not divide.
     """
     acc = IntPoly.sum_of_products(
         (elem(n - i) if i < n else IntPoly.one(), power(i) if i % 2 else -power(i))
         for i in range(1, n + 1))
+    if quotient is not None:
+        acc = quotient(acc)
     try:
         return acc.div_exact(n)
     except ValueError as exc:
         raise LambdaOpsError(f"Newton step {n}: {exc}") from None
 
 
-def universal_pk(k: int) -> IntPoly:
-    """P_k(x_1..x_k; y_1..y_k): the polynomial with P_k(e(a); e(b)) equal to
-    the k-th elementary symmetric polynomial of the k^2 products a_r * b_s.
+@cache
+def product_alphabet(k: int, families: tuple[str, ...]) -> IntPoly:
+    """e_k of the products of one line from each alphabet of `families`, in
+    their elementary symmetric polynomials family_i (P_k in x/y, co-multiplication
+    images in their legs): one Newton step on e_1..e_{k-1} over `_product_power`."""
+    return _newton_step(k, lambda t: product_alphabet(t, families),
+                        lambda n: _product_power(n, families))
 
-    The n-th power sum of the products is p_n(a) * p_n(b), so P_k is one
-    Newton step on P_1..P_{k-1}.
-    """
+
+def universal_pk(k: int) -> IntPoly:
+    """P_k(x_1..x_k; y_1..y_k), the product alphabet of x and y: P_k(e(a); e(b))
+    is the k-th elementary symmetric polynomial of the k^2 products a_r * b_s.
+    `_PK_CACHE` mirrors what it returns, for the benchmark tracer."""
     if k < 1:
         raise ValueError("k must be >= 1")
     cached = _PK_CACHE.get(k)
     if cached is None:
-        cached = _PK_CACHE[k] = _newton_step(k, universal_pk,
-                                             lambda n: _product_power(n, ("x", "y")))
+        cached = _PK_CACHE[k] = product_alphabet(k, ("x", "y"))
     return cached
 
 

@@ -15,7 +15,9 @@ composition replaced by one Newton step over Adams images.
 recursion and the left-linearised P_k that the closed forms gamma(-1)(L_k)
 and (-1)^(k-1) psi_k replaced, and `reference_comult_gen` is the sum-rule
 construction of the co-multiplication's generator images that the binomial
-combination of a fixed basis replaced.
+combination of a fixed basis replaced.  `reference_comult_image` is the
+renaming of P_k in x/y into the tensor legs that building each product
+alphabet in its own families replaced.
 `reference_evaluate` and `reference_substitute` are the per-term loops that
 the memoised `IntPoly.evaluate` and the grouped `IntPoly.substitute`
 replaced, and `reference_line_decomposition` the split
@@ -57,10 +59,6 @@ def esym(vals, k: int) -> int:
     return row[k]
 
 
-def esym_values(vals, kmax: int) -> list[int]:
-    return [esym(vals, k) for k in range(kmax + 1)]
-
-
 def grid_products(a, b) -> list[int]:
     return [x * y for x in a for y in b]
 
@@ -90,10 +88,6 @@ def pk_assignment(a, b, k: int) -> dict:
     return assign
 
 
-def lam_assignment(vals, family: str, kmax: int) -> dict:
-    return {(family, k): esym(vals, k) for k in range(1, kmax + 1)}
-
-
 @functools.cache
 def reference_gamma(kappa: int, k: int, family: str = "L"):
     """gamma(kappa)(L_k) = lambda^k(kappa * b) as the construction that the
@@ -105,6 +99,14 @@ def reference_gamma(kappa: int, k: int, family: str = "L"):
         return IntPoly.one()
     images = {("x", i): IntPoly.const(binom(kappa, i)) for i in range(1, k + 1)}
     return universal_pk(k).substitute(images).rename_family("y", family)
+
+
+def reference_comult_image(k: int, left: str, right: str):
+    """The image of L_k under co-multiplication as P_k(x; y) with x and y
+    renamed at once to the legs `left` and `right`."""
+    from lambdaops.symfun import universal_pk
+
+    return IntPoly.rename_all([universal_pk(k)], {"x": left, "y": right})[0]
 
 
 @functools.cache

@@ -548,3 +548,19 @@ def test_from_pairs_scales_once_per_function_value(monkeypatch):
     monkeypatch.setattr(KBUElem, "__rmul__", counted)
     r = ev([(const(2), gen(1, N))])
     assert calls == [2] and len(r.table) == 2 * W + 1
+
+
+def test_from_pairs_builds_one_window_per_call(monkeypatch):
+    windows = []
+    make = evenops.Window
+
+    def counted(w):
+        windows.append(w)
+        return make(w)
+
+    monkeypatch.setattr(evenops, "Window", counted)
+    pairs = [(const(2), gen(1, N)), (chi(1), gen(2, N)), (IDENT, gen(3, N))]
+    assert ev(pairs) == reference_from_pairs(pairs, N, W) and windows == [W]
+    # the window is checked even when there are no pairs
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        EvenOp.from_pairs([], N, 0)

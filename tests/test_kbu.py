@@ -1,11 +1,18 @@
 import itertools
 import math
 import random
+import subprocess
 import sys
 
 import pytest
 
-from helpers import reference_gamma, reference_gen_compose, reference_sigma_gen, retruncate
+from helpers import (
+    reference_comult_image,
+    reference_gamma,
+    reference_gen_compose,
+    reference_sigma_gen,
+    retruncate,
+)
 from lambdaops import kbu, symfun
 from lambdaops.errors import NotReduced
 from lambdaops.intpoly import IntPoly
@@ -17,6 +24,7 @@ from lambdaops.kbu import (
     coadd_image,
     colinear,
     comult,
+    comult_image,
     compose_kbu,
     cozero,
     gamma_gen,
@@ -258,3 +266,25 @@ def test_adams_composition_small():
     p2, p3 = psi_kbu(2, 6), psi_kbu(3, 6)
     assert compose_kbu(p2, p3) == psi_kbu(6, 6)
     assert compose_kbu(p3, p2) == psi_kbu(6, 6)
+
+
+@pytest.mark.parametrize("legs", [("T1", "T2"), ("M", "T3"), ("T1", "M"), ("T2", "T3"),
+                                  ("U", "V"), ("y", "x")])
+def test_comult_image_is_p_k_in_its_legs(legs):
+    for k in range(1, 10):
+        assert comult_image(k, *legs) == reference_comult_image(k, *legs), (k, legs)
+
+
+def test_comult_image_builds_no_p_k_in_x_and_y():
+    # each leg pair's product alphabet is built in its own legs, so a fresh
+    # process registers no x or y variable and fills no P_k
+    code = """
+from lambdaops import intpoly, symfun
+from lambdaops.kbu import comult_image
+for k in range(1, 7):
+    comult_image(k)
+print(sorted({f for f, _ in intpoly._SHIFTS} & {"x", "y"}), len(symfun._PK_CACHE))
+"""
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.split() == ["[]", "0"]

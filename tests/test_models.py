@@ -7,7 +7,7 @@ import pytest
 
 from helpers import binom, reference_evaluate, reference_lam, un_one
 from lambdaops.checks import _operation_corpus
-from lambdaops.errors import IndexOutOfRange, RankUnderflow, RegistrationFailure
+from lambdaops.errors import IndexOutOfRange, LambdaOpsError, RankUnderflow, RegistrationFailure
 from lambdaops.evenops import EvenOp, act, compose_even
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import KBUElem, gen
@@ -31,7 +31,7 @@ from lambdaops.models import (
     validate_model,
 )
 from lambdaops.setzz import const
-from lambdaops.symfun import universal_pij, universal_pk
+from lambdaops.symfun import _newton_step, universal_pij, universal_pk
 
 
 def test_registration_suite_passes():
@@ -501,3 +501,15 @@ def test_exterior_sign_discipline():
     b = un_mu(4, 3) * un_mu(4, 1)
     assert a == (-1) * b
     assert (un_mu(4, 2) * un_mu(4, 2)).ext.is_zero
+
+
+def test_line_class_series_divides_in_the_quotient():
+    # on cp:3, 4 lambda^4(u) is -4u + u^4 before the quotient kills u^4: the
+    # Newton step divides only after the model's reduction
+    model = get_model("cp:3")
+    u = IntPoly.var("u", 1)
+    elem = model.lambda_series(u, 4).__getitem__
+    power = ([None] + [model.psi(k, u) for k in range(1, 5)]).__getitem__
+    with pytest.raises(LambdaOpsError, match=r"^Newton step 4: .* not divisible by 4$"):
+        _newton_step(4, elem, power)
+    assert _newton_step(4, elem, power, model._reduce) == model.lam(4, u) == -u

@@ -22,6 +22,7 @@ from lambdaops.symfun import (
     lambda_of_integer,
     left_linearise,
     newton_psi,
+    product_alphabet,
     universal_pij,
     universal_pk,
 )
@@ -251,3 +252,8 @@ def test_lambda_of_integer_generating_series():
                 for i in range(k + 1)
             )
             assert direct == conv
+
+
+def test_universal_pk_is_the_product_alphabet_of_x_and_y():
+    for k in range(1, 8):
+        assert universal_pk(k) is product_alphabet(k, ("x", "y")), k
