@@ -51,7 +51,10 @@ biring --trunc 9` as JSON, the first biring pin above trunc 8) before
 each part's image once through the monomial step of `evaluate`; the last
 one (`coprod mul` of L11 + L5*L6 at trunc 11 as JSON, the first ring-carrier
 pin to build P_11 in the tensor legs) before every co-multiplication image
-was built in its own legs by one Newton step per product alphabet.  Any
+was built in its own legs by one Newton step per product alphabet; the
+last two (`coprod add` of L4*L3*L2 + L10 at trunc 10 as text and as JSON,
+the first ring-carrier co-addition pins above trunc 5) before the
+co-addition images were built as the sum alphabet of their legs.  Any
 change to these outputs is a change of answers, not of speed.
 """
 
@@ -210,6 +213,10 @@ PINNED = [
      'cb2f40b3af68099a36b81dc615d5a9d7ef8618102bc9a923be56b0fd6f47ea60'),
     (['coprod', 'mul', 'L11+L5*L6', '--trunc', '11', '--format', 'json'],
      '0d5be4c04957ac9c12f75d203a6469491d48d05025e91b1deee564ddd37b6e5c'),
+    (['coprod', 'add', 'L4*L3*L2 + L10', '--trunc', '10', '--format', 'text'],
+     '51e12f6468ae6072926489125c1df0c0bb0715cd7b6e437a13efe9da083af127'),
+    (['coprod', 'add', 'L4*L3*L2 + L10', '--trunc', '10', '--format', 'json'],
+     '249b1c363999b421ed8c8fe1f31c9ff3d9efc1e5d1c5468729631b539efe5e81'),
 ]
 
 
