@@ -14,7 +14,8 @@ from functools import cache
 
 from .errors import NotReduced
 from .intpoly import IntPoly, Truncated
-from .symfun import _adams_lambda, _newton_step, lambda_of_multiple, newton_psi, product_alphabet
+from .symfun import (_adams_lambda, _newton_step, lambda_of_multiple, newton_psi,
+                     product_alphabet, sum_alphabet)
 
 _SIGMA_CACHE: dict[int, IntPoly] = {}
 _GAMMA_CACHE: dict[tuple[int, int], IntPoly] = {}
@@ -109,11 +110,9 @@ def tensor_of(left: KBUElem, right: KBUElem) -> TensorKBU:
 
 
 def coadd_image(k: int, left: str = "T1", right: str = "T2") -> IntPoly:
-    """Image of L_k under co-addition: sum over i+j=k of left_i * right_j."""
-    out = IntPoly.var(left, k) + IntPoly.var(right, k)
-    for i in range(1, k):
-        out = out + IntPoly.var(left, i) * IntPoly.var(right, k - i)
-    return out
+    """Image of L_k under co-addition: the sum alphabet of the two legs,
+    sum over i+j=k of left_i * right_j."""
+    return sum_alphabet(k, (left, right))
 
 
 def comult_image(k: int, left: str = "T1", right: str = "T2") -> IntPoly:
@@ -132,34 +131,14 @@ def comult(x: KBUElem) -> TensorKBU:
     return TensorKBU(x.poly.substitute_family("L", comult_image), x.trunc)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def coadd_multi(x: KBUElem, legs: int) -> IntPoly:
     """Iterated co-addition into `legs` tensor legs (families T1..Tlegs);
-    by coassociativity L_k maps to the sum over compositions k1+...+km=k.
+    by coassociativity the ring map sending L_k to the sum alphabet of the legs.
     """
-
-    def image(k: int) -> IntPoly:
-        out = IntPoly.zero()
-        for comp in _compositions(k, legs):
-            term = IntPoly.one()
-            for leg, kt in enumerate(comp, start=1):
-                if kt:
-                    term = term * IntPoly.var(f"T{leg}", kt)
-            out = out + term
-        return out
-
-    poly = x.poly.substitute_family("L", image)
-    for leg in range(1, legs + 1):
-        poly = poly.truncate_family(f"T{leg}", x.trunc)
-    return poly
+    if legs < 1:
+        raise ValueError("co-addition needs at least one leg")
+    families = tuple(f"T{leg}" for leg in range(1, legs + 1))
+    return x.poly.substitute_family("L", lambda k: sum_alphabet(k, families))
 
 
 def sigma_gen(k: int) -> IntPoly:

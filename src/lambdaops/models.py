@@ -445,22 +445,13 @@ def un_mu(n: int, k: int) -> UnElem:
 
 def un_restrict(x: UnElem) -> UnElem:
     """Restriction along the standard inclusion of the rank below:
-    mu^k maps to mu^k + mu^(k-1), with mu^0 = 0 and indices above the target
-    rank dropped; extended as an algebra map.
+    mu^k maps to mu^k + mu^(k-1), with mu^0 = 0, extended as an algebra map;
+    the constructor's quotient drops the indices above the target rank.
     """
     if x.rank < 2:
         raise RankUnderflow("cannot restrict below rank 1")
-    target = x.rank - 1
-
-    def image(k: int) -> ExtElem:
-        out = ExtElem()
-        if k <= target:
-            out = out + ExtElem.generator(k)
-        if 1 <= k - 1 <= target:
-            out = out + ExtElem.generator(k - 1)
-        return out
-
-    return UnElem(target, x.ext.substitute(image))
+    return UnElem(x.rank - 1, x.ext.substitute(
+        lambda k: ExtElem.generator(k) + (ExtElem.generator(k - 1) if k > 1 else ExtElem())))
 
 
 def lk_from_mu(n: int, k: int) -> UnElem:
@@ -500,22 +491,12 @@ def bun_beta(n: int, k: int) -> BUnElem:
 
 def bun_restrict(x: BUnElem) -> BUnElem:
     """Restriction from rank n+1 to rank n: beta^k maps to beta^k + beta^(k-1)
-    with beta^0 = 1 and beta^k = 0 above the target rank."""
+    with beta^0 = 1; the constructor's quotient sets beta^k = 0 above the
+    target rank."""
     if x.rank < 2:
         raise RankUnderflow("cannot restrict below rank 1")
-    target = x.rank - 1
-
-    def image(k: int) -> IntPoly:
-        out = IntPoly.zero()
-        if k <= target:
-            out = out + IntPoly.var("B", k)
-        if k == 1:
-            out = out + IntPoly.one()
-        elif k - 1 <= target:
-            out = out + IntPoly.var("B", k - 1)
-        return out
-
-    return BUnElem(target, x.poly.substitute_family("B", image))
+    return BUnElem(x.rank - 1, x.poly.substitute_family(
+        "B", lambda k: IntPoly.var("B", k) + (IntPoly.var("B", k - 1) if k > 1 else 1)))
 
 
 def lambdak_from_beta(n: int, k: int) -> BUnElem:

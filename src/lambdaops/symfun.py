@@ -7,6 +7,10 @@ P_{i,j}.  `lambda_of_multiple` gives lambda^k(kappa * b) in closed form,
 one term per partition of k, as a binomial combination of the slices
 `partition_slices` of the partitions of k by length.
 
+Two alphabets give the biring's generator images: `sum_alphabet` is e_k of
+the union of the tensor legs' alphabets (co-addition), `product_alphabet`
+e_k of the products of one line from each (co-multiplication, and P_k).
+
 Families used here: "x"/"y" for the two elementary alphabets of the product
 polynomials, "L" for lambda-generator symbols, "e" for the generic
 elementary target.
@@ -115,6 +119,20 @@ def product_alphabet(k: int, families: tuple[str, ...]) -> IntPoly:
     images in their legs): one Newton step on e_1..e_{k-1} over `_product_power`."""
     return _newton_step(k, lambda t: product_alphabet(t, families),
                         lambda n: _product_power(n, families))
+
+
+@cache
+def sum_alphabet(k: int, families: tuple[str, ...]) -> IntPoly:
+    """e_k of the union of the alphabets of `families`, in their elementary
+    symmetric polynomials family_i (co-addition images in their legs): the sum
+    over k_1 + ... + k_m = k of prod_i family_i[k_i], with family_i[0] = 1."""
+    if not families:
+        raise ValueError("an alphabet needs at least one family")
+    *rest, last = families
+    if not rest:
+        return IntPoly.var(last, k) if k else IntPoly.one()
+    return IntPoly.sum_of_products((sum_alphabet(k - j, tuple(rest)), sum_alphabet(j, (last,)))
+                                   for j in range(k + 1))
 
 
 def universal_pk(k: int) -> IntPoly:

@@ -18,6 +18,16 @@ construction of the co-multiplication's generator images that the binomial
 combination of a fixed basis replaced.  `reference_comult_image` is the
 renaming of P_k in x/y into the tensor legs that building each product
 alphabet in its own families replaced.
+`reference_sum_alphabet` is the enumeration of compositions that the
+iterated co-addition used before the sum alphabet, `reference_coadd_image`
+the loop over i + j = k it replaced for two legs, and
+`reference_un_restrict` and `reference_bun_restrict` are the restrictions
+whose generator images were guarded against indices above the target rank
+before the constructors' quotient alone dropped them.
+`reference_psi_girard_waring` (one term per partition) and
+`reference_pk_cauchy` (the dual Cauchy identity, with each Schur function a
+dual Jacobi-Trudi determinant) are classical formulas that take no Newton
+step and divide nothing.
 `reference_evaluate` and `reference_substitute` are the per-term loops that
 the memoised `IntPoly.evaluate` and the grouped `IntPoly.substitute`
 replaced, and `reference_line_decomposition` the split
@@ -41,7 +51,7 @@ from lambdaops.cli import cmd_act, cmd_check, cmd_compose, cmd_coprod, cmd_loop,
 from lambdaops.exterior import ExtElem
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import KBUElem
-from lambdaops.models import SplitModel, UnElem, model_psi
+from lambdaops.models import BUnElem, SplitModel, UnElem, model_psi
 from lambdaops.parser import ParseError
 from lambdaops.setzz import FnProd, FnSum
 
@@ -107,6 +117,38 @@ def reference_comult_image(k: int, left: str, right: str):
     from lambdaops.symfun import universal_pk
 
     return IntPoly.rename_all([universal_pk(k)], {"x": left, "y": right})[0]
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_sum_alphabet(k: int, families):
+    """e_k of the union of the alphabets of `families` as the enumeration of
+    the compositions k_1 + ... + k_m = k that the iterated co-addition used
+    before the sum alphabet: one product of family_i[k_i] per composition."""
+    out = IntPoly.zero()
+    for comp in _compositions(k, len(families)):
+        term = IntPoly.one()
+        for family, kt in zip(families, comp):
+            if kt:
+                term = term * IntPoly.var(family, kt)
+        out = out + term
+    return out
+
+
+def reference_coadd_image(k: int, left: str = "T1", right: str = "T2"):
+    """The image of L_k under co-addition as the loop over i + j = k that the
+    sum alphabet of the two legs replaced."""
+    out = IntPoly.var(left, k) + IntPoly.var(right, k)
+    for i in range(1, k):
+        out = out + IntPoly.var(left, i) * IntPoly.var(right, k - i)
+    return out
 
 
 @functools.cache
@@ -209,6 +251,66 @@ def reference_comult3(k: int):
     the products a_r b_s c_t."""
     return reference_elementary_from_power_sums(k, lambda n: math.prod(
         reference_psi(n).rename_family("L", f"T{leg}") for leg in (1, 2, 3)))
+
+
+# -- classical oracles that take no Newton step ---------------------------------
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts at most `largest`, as lists of (part,
+    multiplicity) with the parts decreasing."""
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, largest), 0, -1):
+        for m in range(1, n // part + 1):
+            for rest in _partitions(n - m * part, part - 1):
+                yield [(part, m)] + rest
+
+
+def reference_psi_girard_waring(n: int):
+    """psi_n in the L family by the Girard-Waring formula, one term per
+    partition lambda of n: (-1)^(n - l) n (l - 1)! / prod_i m_i! L_lambda, with
+    l the length of lambda and m_i the multiplicity of its part i."""
+    terms = {}
+    for parts in _partitions(n, n):
+        length = sum(m for _, m in parts)
+        coeff = n * math.factorial(length - 1) // math.prod(math.factorial(m) for _, m in parts)
+        terms[tuple(("L", part, m) for part, m in parts)] = (-1) ** (n - length) * coeff
+    return IntPoly(terms)
+
+
+def _dual_jacobi_trudi(shape, family: str):
+    """det(family_{shape_i - i + j}) with family_0 = 1 and negative indices 0:
+    the Schur function of the conjugate of `shape` in the elementary
+    symmetric polynomials `family`, expanded along its rows and memoised on
+    the columns left."""
+    @functools.cache
+    def minor(row: int, cols: tuple):
+        if row == len(shape):
+            return IntPoly.one()
+        total = IntPoly.zero()
+        for pos, col in enumerate(cols):
+            index = shape[row] - row + col
+            if index >= 0:
+                entry = IntPoly.var(family, index) if index else IntPoly.one()
+                term = entry * minor(row + 1, cols[:pos] + cols[pos + 1:])
+                total = total + term if pos % 2 == 0 else total - term
+        return total
+
+    return minor(0, tuple(range(len(shape))))
+
+
+def reference_pk_cauchy(k: int):
+    """P_k(x; y) by the dual Cauchy identity e_k(ab) = sum over lambda of k of
+    s_lambda(a) s_lambda'(b), each Schur function by the dual Jacobi-Trudi
+    determinant in the elementary symmetric polynomials x or y."""
+    total = IntPoly.zero()
+    for parts in _partitions(k, k):
+        shape = [part for part, m in parts for _ in range(m)]
+        conjugate = [sum(1 for part in shape if part > i) for i in range(shape[0])]
+        total = total + _dual_jacobi_trudi(conjugate, "x") * _dual_jacobi_trudi(shape, "y")
+    return total
 
 
 # -- reference composition --------------------------------------------------------
@@ -583,6 +685,42 @@ def retruncate(x: KBUElem, level: int) -> KBUElem:
 def un_one(n: int) -> UnElem:
     """The unit of the rank-n model."""
     return UnElem(n, ExtElem.unit(1))
+
+
+def reference_un_restrict(x: UnElem) -> UnElem:
+    """Restriction of the exterior model to the rank below with each
+    generator image guarded against indices above the target rank, as it was
+    before the constructor's quotient alone dropped them."""
+    target = x.rank - 1
+
+    def image(k: int) -> ExtElem:
+        out = ExtElem()
+        if k <= target:
+            out = out + ExtElem.generator(k)
+        if 1 <= k - 1 <= target:
+            out = out + ExtElem.generator(k - 1)
+        return out
+
+    return UnElem(target, x.ext.substitute(image))
+
+
+def reference_bun_restrict(x: BUnElem) -> BUnElem:
+    """Restriction of the polynomial model to the rank below with each
+    generator image guarded against indices above the target rank, as it was
+    before the constructor's quotient alone dropped them."""
+    target = x.rank - 1
+
+    def image(k: int) -> IntPoly:
+        out = IntPoly.zero()
+        if k <= target:
+            out = out + IntPoly.var("B", k)
+        if k == 1:
+            out = out + IntPoly.one()
+        elif k - 1 <= target:
+            out = out + IntPoly.var("B", k - 1)
+        return out
+
+    return BUnElem(target, x.poly.substitute_family("B", image))
 
 
 def fn_sum(*parts):

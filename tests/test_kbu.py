@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from helpers import (
+    reference_coadd_image,
     reference_comult_image,
     reference_gamma,
     reference_gen_compose,
@@ -242,6 +243,19 @@ def test_coassociativity_three_routes():
         route1 = via_first.substitute({("M", m): coadd_image(m, "T1", "T2") for m in m_idx})
         route3 = coadd_multi(x, 3)
         assert route1 == route3
+
+
+@pytest.mark.parametrize("legs", [("T1", "T2"), ("M", "T3"), ("T1", "M"), ("T2", "T3")])
+def test_coadd_image_is_the_sum_over_i_plus_j(legs):
+    for k in range(1, 11):
+        assert coadd_image(k, *legs) == reference_coadd_image(k, *legs), (k, legs)
+
+
+@pytest.mark.parametrize("legs", [0, -1])
+def test_coadd_multi_needs_a_leg(legs):
+    for x in (gen(3, N), KBUElem.from_int(2, N)):
+        with pytest.raises(ValueError):
+            coadd_multi(x, legs)
 
 
 def test_filtration_projection_is_ring_map():

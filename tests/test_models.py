@@ -1,23 +1,34 @@
+import math
 import random
 import subprocess
 import sys
-from itertools import count
+from itertools import combinations, combinations_with_replacement, count
 
 import pytest
 
-from helpers import binom, reference_evaluate, reference_lam, un_one
+from helpers import (
+    binom,
+    reference_bun_restrict,
+    reference_evaluate,
+    reference_lam,
+    reference_un_restrict,
+    un_one,
+)
 from lambdaops.checks import _operation_corpus
 from lambdaops.errors import IndexOutOfRange, LambdaOpsError, RankUnderflow, RegistrationFailure
 from lambdaops.evenops import EvenOp, act, compose_even
+from lambdaops.exterior import ExtElem
 from lambdaops.intpoly import IntPoly
 from lambdaops.kbu import KBUElem, gen
 from lambdaops.models import (
+    BUnElem,
     COIModel,
     IntegerModel,
     LambdaRingModel,
     LineClassModel,
     ProjectiveModel,
     SplitModel,
+    UnElem,
     bun_beta,
     bun_restrict,
     get_model,
@@ -494,6 +505,20 @@ def test_bun_restriction_identity():
     for n in range(1, 7):
         for k in range(1, n + 1):
             assert bun_restrict(lambdak_from_beta(n + 1, k)) == lambdak_from_beta(n, k)
+
+
+def test_restrictions_match_the_guarded_images():
+    # the constructors' quotients drop the indices above the target rank that
+    # the guarded generator images left out
+    for n in range(2, 8):
+        for size in range(n + 1):
+            for subset in combinations(range(1, n + 1), size):
+                x = UnElem(n, ExtElem({subset: 1}))
+                assert un_restrict(x) == reference_un_restrict(x), subset
+        for degree in range(4):
+            for mono in combinations_with_replacement(range(1, n + 1), degree):
+                x = BUnElem(n, math.prod([IntPoly.var("B", k) for k in mono], start=IntPoly.one()))
+                assert bun_restrict(x) == reference_bun_restrict(x), mono
 
 
 def test_exterior_sign_discipline():

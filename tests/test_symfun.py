@@ -11,7 +11,10 @@ from helpers import (
     power_sum,
     reference_pij,
     reference_pk,
+    reference_pk_cauchy,
     reference_psi,
+    reference_psi_girard_waring,
+    reference_sum_alphabet,
     subset_products,
 )
 from lambdaops.errors import LambdaOpsError, NonSymmetricInput
@@ -23,6 +26,7 @@ from lambdaops.symfun import (
     left_linearise,
     newton_psi,
     product_alphabet,
+    sum_alphabet,
     universal_pij,
     universal_pk,
 )
@@ -143,6 +147,31 @@ def test_newton_steps_match_the_reference_recursions():
             assert universal_pij(i, j) == reference_pij(i, j), (i, j)
     for k in range(1, 41):
         assert newton_psi(k) == reference_psi(k), k
+
+
+def test_newton_psi_matches_girard_waring():
+    # one term per partition of n, no Newton step shared with newton_psi
+    for n in [*range(1, 31), 37, 40]:
+        assert newton_psi(n) == reference_psi_girard_waring(n), n
+
+
+def test_universal_pk_matches_dual_cauchy():
+    # e_k(ab) = sum over lambda of k of s_lambda(a) s_lambda'(b), each Schur
+    # function by the dual Jacobi-Trudi determinant: no division anywhere
+    for k in range(1, 13):
+        assert universal_pk(k) == reference_pk_cauchy(k), k
+
+
+@pytest.mark.parametrize("families", [("T1",), ("T1", "T2"), ("M", "T3"), ("T1", "T2", "T3"),
+                                      ("U", "V", "T2", "T3")])
+def test_sum_alphabet_is_the_sum_over_compositions(families):
+    for k in range(0, 9):
+        assert sum_alphabet(k, families) == reference_sum_alphabet(k, families), (k, families)
+
+
+def test_sum_alphabet_needs_a_family():
+    with pytest.raises(ValueError):
+        sum_alphabet(3, ())
 
 
 def test_pij_splitting_oracle():
